@@ -19,7 +19,6 @@ from .geometry import (
     Fingerprint,
     FrameError,
     Pose,
-    pose_apply,
     rotate_field,
 )
 from .intrinsic import (
@@ -44,9 +43,6 @@ from .magmap import (
     MapError,
     OutOfMapError,
     build_map,
-    interpolate_bilinear,
-    query,
-    query_gradient,
 )
 from .metrics import (
     MetricsReport,
@@ -55,6 +51,7 @@ from .metrics import (
     metric_reading_error,
     metric_translation,
     score_result,
+    sensor_frame_prediction,
 )
 from .simulator import (
     Box,

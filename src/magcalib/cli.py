@@ -20,10 +20,9 @@ import numpy as np
 
 from . import serialization as io
 from .extrinsic import CalibrationConfig, CalibrationInput, calibrate
-from .geometry import Dataset, Fingerprint, Pose
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import build_map
-from .metrics import metric_reading_error, score_result
+from .metrics import metric_reading_error, score_result, sensor_frame_prediction
 from .simulator import PathSpec, WorldConfig, generate_path, sample_dataset, \
     survey_dataset, survey_positions
 from .sweeps import SweepSpec, default_path_specs, run_ablation, \
@@ -117,13 +116,9 @@ def _cmd_evaluate(args) -> int:
         val_map = io.load_map(args.validation_map)
         data = io.read_fingerprints(data_path, from_frame="lidar")
         compensated = compensate_many(dist_hat, data.readings())
-        samples = []
-        for i, pose in enumerate(data.poses()):
-            sensor_pos = pose.rotation @ t_hat + pose.translation
-            samples.append(Fingerprint(float(i), Pose(pose.rotation, sensor_pos,
-                                                      "mag", "map"),
-                                       compensated[i]))
-        mse, std = metric_reading_error(Dataset("calibrated", samples), val_map)
+        predicted = sensor_frame_prediction(val_map, data.rotations(),
+                                            data.positions(), t_hat)
+        mse, std = metric_reading_error(compensated, predicted)
         out["reading_mse_ut2"] = mse
         out["reading_std_ut"] = [float(v) for v in std]
     if not out:

@@ -215,18 +215,12 @@ def _evaluate(inp: CalibrationInput, rotations, translations, t: np.ndarray,
     if distortion is None:
         prob = RegressionProblem.from_pairs(predicted_ref, measured, weights,
                                             ridge, config.tsvd_rank)
-        if config.intrinsic_solver == "ols":
-            distortion = solve_ols(prob)
-        elif config.intrinsic_solver == "rrtls":
-            if config.lambda_policy == "l_curve":
-                ridge = select_lambda(prob)
-                prob = prob.with_ridge(ridge)
-            distortion = solve_rrtls(prob)
-        else:
-            if config.lambda_policy == "l_curve":
-                ridge = select_lambda(prob)
-                prob = prob.with_ridge(ridge)
-            distortion = solve_wrrtls(prob)
+        if config.intrinsic_solver != "ols" and config.lambda_policy == "l_curve":
+            ridge = select_lambda(prob)
+            prob = prob.with_ridge(ridge)
+        solve = {"ols": solve_ols, "rrtls": solve_rrtls,
+                 "wrrtls": solve_wrrtls}[config.intrinsic_solver]
+        distortion = solve(prob)
 
     residuals = predicted_ref @ distortion.gain.T + distortion.bias - measured
     cost = float(np.sum(residuals**2))
@@ -244,6 +238,15 @@ def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
     return state.residuals
 
 
+def _jacobian(field_map, rotations, positions, inside, gain) -> np.ndarray:
+    """Stacked (3*n_in, 3) lever-arm derivative of the residuals of the
+    ``inside`` samples, whose sensor positions are ``positions``."""
+    grads, _ = field_map.gradient_many(positions[inside], allow_outside=False)
+    rot_in = rotations[inside]
+    return np.einsum("ab,nbc,ncd,nde->nae",
+                     gain, rot_in.transpose(0, 2, 1), grads, rot_in).reshape(-1, 3)
+
+
 def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
              config: CalibrationConfig | None = None) -> np.ndarray:
     """Stacked (3*n_in, 3) derivative of the residuals in the lever arm.
@@ -253,15 +256,19 @@ def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
     """
     config = config or CalibrationConfig()
     rotations = inp.rotations()
-    translations = inp.translations()
-    tvec = np.asarray(t, float).reshape(3)
-    positions = rotations @ tvec + translations
+    positions = rotations @ np.asarray(t, float).reshape(3) + inp.translations()
     _, _, inside = _query_masked(inp.field_map, positions, config.out_of_map_policy)
-    grads, _ = inp.field_map.gradient_many(positions[inside], allow_outside=False)
-    rot_in = rotations[inside]
-    blocks = np.einsum("ab,nbc,ncd,nde->nae",
-                       distortion.gain, rot_in.transpose(0, 2, 1), grads, rot_in)
-    return blocks.reshape(-1, 3)
+    return _jacobian(inp.field_map, rotations, positions, inside, distortion.gain)
+
+
+def _initial_damping(normal: np.ndarray, mu: float) -> tuple:
+    """``(mu, base)``: the damping to start from and the floor it escalates
+    from. An undamped start (``mu == 0``) is raised to ``base`` when the
+    normal matrix is ill-conditioned."""
+    base = max(np.trace(normal) / 3.0, np.finfo(float).tiny) * 1e-6
+    if mu == 0.0 and np.linalg.cond(normal) > _COND_DAMPING:
+        mu = base
+    return mu, base
 
 
 def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray,
@@ -278,10 +285,7 @@ def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray,
         raise ValueError("jacobian and residual sizes disagree")
     normal = jac.T @ jac
     gradient = jac.T @ e
-    mu = float(damping)
-    base = max(np.trace(normal) / 3.0, np.finfo(float).tiny) * 1e-6
-    if mu == 0.0 and np.linalg.cond(normal) > _COND_DAMPING:
-        mu = base
+    mu, base = _initial_damping(normal, float(damping))
     for _ in range(60):
         try:
             step = np.linalg.solve(normal + mu * np.eye(3), -gradient)
@@ -317,35 +321,20 @@ def _levenberg_marquardt(inp: CalibrationInput, rotations, translations,
     iterations = 0
 
     for _ in range(config.max_iterations):
-        positions = rotations @ t + translations
-        grads, _ = inp.field_map.gradient_many(positions[state.inside],
-                                               allow_outside=False)
-        rot_in = rotations[state.inside]
-        jac = np.einsum("ab,nbc,ncd,nde->nae",
-                        state.distortion.gain, rot_in.transpose(0, 2, 1),
-                        grads, rot_in).reshape(-1, 3)
+        jac = _jacobian(inp.field_map, rotations, rotations @ t + translations,
+                        state.inside, state.distortion.gain)
         normal = jac.T @ jac
-        gradient_vec = jac.T @ state.residuals.reshape(-1)
         if np.trace(normal) < _FLAT_NORMAL:
             message = "field gradient is degenerate; lever arm is unobservable"
             break
-
-        base = np.trace(normal) / 3.0 * 1e-6
-        if mu == 0.0 and np.linalg.cond(normal) > _COND_DAMPING:
-            mu = base
+        mu, base = _initial_damping(normal, mu)
 
         accepted = False
-        step = np.zeros(3)
         for _reject in range(_MAX_REJECTS):
             try:
-                step = np.linalg.solve(normal + mu * np.eye(3), -gradient_vec)
-            except np.linalg.LinAlgError:
-                mu = base if mu == 0.0 else mu * 10.0
-                continue
-            candidate = t + step
-            try:
-                cand_state = _evaluate(inp, rotations, translations, candidate, config)
-            except CalibrationError:
+                step = gauss_newton_step(jac, state.residuals, mu)
+                cand_state = _evaluate(inp, rotations, translations, t + step, config)
+            except CalibrationError:  # NonConvergenceError included
                 mu = base if mu == 0.0 else mu * 10.0
                 continue
             slack = _COST_SLACK / max(cand_state.residuals.shape[0], 1)

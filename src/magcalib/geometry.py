@@ -71,16 +71,6 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rot_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform-ish random rotation via QR of a Gaussian matrix."""
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -139,11 +129,6 @@ class Pose:
             self.to_frame,
             self.from_frame,
         )
-
-
-def pose_apply(pose: Pose, x) -> np.ndarray:
-    """Functional form of :meth:`Pose.apply`."""
-    return pose.apply(x)
 
 
 def rotate_field(R: np.ndarray, b, inverse: bool = False) -> np.ndarray:

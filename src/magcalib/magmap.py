@@ -302,16 +302,6 @@ def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
     return MagMap(hyper, block_size, overlap, lo, shape, blocks)
 
 
-def query(field_map: MagMap, t) -> FieldQuery:
-    """Functional form of :meth:`MagMap.query`."""
-    return field_map.query(t)
-
-
-def query_gradient(field_map: MagMap, t) -> np.ndarray:
-    """Functional form of :meth:`MagMap.gradient`."""
-    return field_map.gradient(t)
-
-
 # ---------------------------------------------------------------------------
 # multilinear lattice baseline
 
@@ -416,8 +406,3 @@ class BilinearMap:
     def gradient(self, t) -> np.ndarray:
         grads, _ = self.gradient_many(np.asarray(t, float).reshape(1, 3))
         return grads[0]
-
-
-def interpolate_bilinear(fingerprints: Dataset, t) -> np.ndarray:
-    """Multilinear interpolation of lattice fingerprints at one position."""
-    return BilinearMap(fingerprints).query(t).mean

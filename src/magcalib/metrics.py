@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extrinsic import classify_success
-from .geometry import Dataset
 from .intrinsic import AffineDistortion
 
 
@@ -34,20 +33,26 @@ def metric_bias(bias_hat, bias_gt) -> float:
     return float(d @ d)
 
 
-def metric_reading_error(calibrated: Dataset, validation_map):
-    """Score compensated readings against an independent validation map.
+def sensor_frame_prediction(field_map, rotations, translations, lever_arm) -> np.ndarray:
+    """The map's field at each sensor position, in the sensor frame, (N, 3) uT.
 
-    Each fingerprint's pose places the sensor in the map frame; the map's
-    prediction is rotated into the sensor frame and compared with the
-    compensated reading. Returns ``(mean squared error uT^2,
-    per-axis std uT (3,))``.
+    ``rotations`` (N, 3, 3) and ``translations`` (N, 3) are the carrier's
+    poses in the map frame and ``lever_arm`` (3,) the sensor's offset in the
+    carrier frame, so the sensor sits at ``R t + p``; the map prediction
+    there is rotated back by ``R^T``. Positions off the map raise.
     """
-    positions = calibrated.positions()
-    rotations = calibrated.rotations()
-    readings = calibrated.readings()
-    means, _, _ = validation_map.query_many(positions, allow_outside=False)
-    predicted = np.einsum("nji,nj->ni", rotations, means)
-    diff = readings - predicted
+    rotations = np.asarray(rotations, float).reshape(-1, 3, 3)
+    positions = rotations @ np.asarray(lever_arm, float).reshape(3) \
+        + np.asarray(translations, float).reshape(-1, 3)
+    means, _, _ = field_map.query_many(positions, allow_outside=False)
+    return np.einsum("nji,nj->ni", rotations, means)
+
+
+def metric_reading_error(readings, predicted):
+    """Score sensor-frame readings against a map's prediction of them (see
+    :func:`sensor_frame_prediction`). Returns ``(mean squared error uT^2,
+    per-axis std uT (3,))``."""
+    diff = np.asarray(readings, float).reshape(-1, 3) - predicted
     mse = float(np.mean(np.sum(diff**2, axis=1)))
     return mse, diff.std(axis=0)
 

@@ -1,7 +1,14 @@
 """Experiment sweeps: accuracy tables, success-rate curves, ablations.
 
 Every sweep is a deterministic function of its spec (seeds are spawned per
-trial from the spec seed, so trials are independent and reorderable).
+trial from the spec seed, so trials are independent and reorderable). The
+seed derivation lives in :func:`_run_sweep`, which gives each cell the next
+spawn of the sweep's root ``SeedSequence`` (``spec.seed``, plus 1 for the
+success sweep and 2 for the ablation), and :func:`_trials`, which spawns a
+cell's distortions and initial offsets from it. The table1, success and
+ablation sweeps differ only in the cells they hand to that one driver, and
+share one aggregator, :func:`_aggregate_cell`.
+
 Reports are plain dicts ready for JSON plus flat CSV rows for plotting;
 failed trials are recorded as ``failure`` rows, never dropped. When an
 output directory is given, rows are appended to disk as they complete so
@@ -24,10 +31,9 @@ from .extrinsic import (
     calibrate,
     classify_success,
 )
-from .geometry import Dataset, Fingerprint, Pose
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import BilinearMap, GpHyperparams, MagMap, build_map
-from .metrics import metric_reading_error, score_result
+from .metrics import metric_reading_error, score_result, sensor_frame_prediction
 from .simulator import (
     PathSpec,
     SensorRig,
@@ -168,13 +174,47 @@ def _write_report(report: dict, out_dir, name: str):
         json.dump(report, fh, indent=2)
 
 
-def _run_trial(field_map, poses, b_true, t_gt, dist, noise, offset, config,
-               noise_rng) -> dict:
-    b_meas = dist.apply_many(b_true)
-    if noise > 0:
-        b_meas = b_meas + noise_rng.normal(0.0, noise, size=b_meas.shape)
-    config = replace(config, measurement_noise=noise)
-    inp = CalibrationInput(field_map, poses, b_meas, t_gt + offset)
+def _trials(cell_seed: np.random.SeedSequence, spec: SweepSpec, lo: float, hi: float):
+    """Yield ``(distortion_index, offset_index, distortion, offset, trial_rng)``
+    for every trial of one cell.
+
+    Per distortion, one spawn of ``cell_seed`` draws the distortion, then
+    one spawn per initial offset seeds the trial generator, which draws the
+    offset (radius uniform in ``[lo, hi)``) and afterwards the trial's
+    measurement noise.
+    """
+    for d_idx in range(spec.n_distortions):
+        dist = random_distortion(np.random.default_rng(cell_seed.spawn(1)[0]),
+                                 spec.distortion_scale)
+        for o_idx in range(spec.n_initial_offsets):
+            trial_rng = np.random.default_rng(cell_seed.spawn(1)[0])
+            yield d_idx, o_idx, dist, _random_offset(trial_rng, lo, hi), trial_rng
+
+
+@dataclass(frozen=True, eq=False)
+class _Cell:
+    """One sweep cell: ``n_distortions * n_initial_offsets`` trials against
+    one map, path, noise level and solver, with initial offsets in the shell
+    ``[lo, hi)``. ``labels`` are copied into each row; rows are aggregated
+    by ``key``."""
+
+    key: str
+    labels: dict
+    field_map: object
+    poses: list
+    b_true: np.ndarray
+    noise: float
+    config: CalibrationConfig
+    lo: float
+    hi: float
+
+
+def _run_trial(cell: _Cell, t_gt, dist, offset, noise_rng) -> dict:
+    b_meas = dist.apply_many(cell.b_true)
+    if cell.noise > 0:
+        b_meas = b_meas + noise_rng.normal(0.0, cell.noise, size=b_meas.shape)
+    config = replace(cell.config, measurement_noise=cell.noise)
+    inp = CalibrationInput(cell.field_map, cell.poses, b_meas, t_gt + offset)
     try:
         result = calibrate(inp, config)
     except CalibrationError as exc:
@@ -201,57 +241,11 @@ def _run_trial(field_map, poses, b_true, t_gt, dist, noise, offset, config,
     }
 
 
-def run_table1_sweep(spec: SweepSpec, out_dir=None) -> dict:
-    """Parameter-error table over (path family, noise level) cells.
-
-    Per cell, ``n_distortions * n_initial_offsets`` trials with random
-    corruptions and random initial offsets; reports per-cell mean and std of
-    the translation, gain, and bias errors.
-    """
-    t_gt = np.asarray(spec.sensor_offset, float)
-    field_map = build_reference_map(spec)
-    sink = _RowSink(out_dir, "table1")
-    root = np.random.SeedSequence(spec.seed)
-
-    for path_spec in spec.paths:
-        poses, b_true = _truth_readings(spec, path_spec)
-        for noise in spec.noise_levels:
-            cell_seed = root.spawn(1)[0]
-            for d_idx in range(spec.n_distortions):
-                d_rng = np.random.default_rng(cell_seed.spawn(1)[0])
-                dist = random_distortion(d_rng, spec.distortion_scale)
-                for o_idx in range(spec.n_initial_offsets):
-                    trial_rng = np.random.default_rng(cell_seed.spawn(1)[0])
-                    offset = _random_offset(trial_rng, 0.0, spec.offset_range)
-                    row = _run_trial(field_map, poses, b_true, t_gt, dist,
-                                     noise, offset, spec.config, trial_rng)
-                    row.update(path=path_spec.kind, noise=noise,
-                               distortion_index=d_idx, offset_index=o_idx,
-                               offset_norm=float(np.linalg.norm(offset)))
-                    sink.add(row)
-    sink.close()
-
-    aggregates = {}
-    for path_spec in spec.paths:
-        for noise in spec.noise_levels:
-            cell = [r for r in sink.rows
-                    if r["path"] == path_spec.kind and r["noise"] == noise]
-            key = f"{path_spec.kind}/noise={noise}"
-            aggregates[key] = _aggregate_cell(cell)
-    report = {
-        "kind": "table1",
-        "spec": spec.as_dict(),
-        "rows": sink.rows,
-        "aggregates": aggregates,
-    }
-    _write_report(report, out_dir, "table1")
-    return report
-
-
 def _aggregate_cell(rows: list) -> dict:
-    """Per-cell failure count and error statistics. Error rows (NaN) are
-    left out of each mean; ``n_scored`` says how many rows entered it, so a
-    trial that drops out shows as ``n_scored < n_trials``."""
+    """Per-cell failure count, success-label rates and error statistics.
+    Error rows (NaN) are left out of each mean; ``n_scored`` says how many
+    rows entered it, so a trial that drops out shows as ``n_scored <
+    n_trials``."""
     def _stats(name):
         vals = np.array([r[name] for r in rows], float)
         ok = np.isfinite(vals)
@@ -261,14 +255,73 @@ def _aggregate_cell(rows: list) -> dict:
                 "n_scored": int(ok.sum())}
 
     n = len(rows)
+    counts = {label: sum(1 for r in rows if r["success"] == label)
+              for label in ("small", "medium", "failure")}
     return {
         "n_trials": n,
-        "n_failures": sum(1 for r in rows if r["success"] == "failure"),
+        "n_failures": counts["failure"],
         "translation_sq_m2": _stats("translation_sq_m2"),
         "gain_frobenius": _stats("gain_frobenius"),
         "bias_sq_ut2": _stats("bias_sq_ut2"),
         "bias_norm_ut": _stats("bias_norm_ut"),
+        **{f"{label}_rate": counts[label] / n for label in counts},
     }
+
+
+def _run_sweep(kind: str, spec: SweepSpec, cells, seed: int, out_dir,
+               **extra) -> dict:
+    """Run every trial of every cell, in order, and assemble the report.
+
+    Each cell takes the next spawn of ``SeedSequence(seed)``; see
+    :func:`_trials` for the order within a cell. ``extra`` entries go into
+    the report between the spec and the rows.
+    """
+    t_gt = np.asarray(spec.sensor_offset, float)
+    root = np.random.SeedSequence(seed)
+    sink = _RowSink(out_dir, kind)
+    groups: dict[str, list] = {}
+    try:
+        for cell in cells:
+            cell_rows = groups.setdefault(cell.key, [])
+            for d_idx, o_idx, dist, offset, trial_rng in _trials(
+                    root.spawn(1)[0], spec, cell.lo, cell.hi):
+                row = _run_trial(cell, t_gt, dist, offset, trial_rng)
+                row.update(cell.labels, distortion_index=d_idx, offset_index=o_idx,
+                           offset_norm=float(np.linalg.norm(offset)))
+                sink.add(row)
+                cell_rows.append(row)
+    finally:
+        sink.close()
+    report = {
+        "kind": kind,
+        "spec": spec.as_dict(),
+        **extra,
+        "rows": sink.rows,
+        "aggregates": {key: _aggregate_cell(rows) for key, rows in groups.items()},
+    }
+    _write_report(report, out_dir, kind)
+    return report
+
+
+def run_table1_sweep(spec: SweepSpec, out_dir=None) -> dict:
+    """Parameter-error table over (path family, noise level) cells.
+
+    Per cell, ``n_distortions * n_initial_offsets`` trials with random
+    corruptions and random initial offsets; reports per-cell mean and std of
+    the translation, gain, and bias errors.
+    """
+    field_map = build_reference_map(spec)
+
+    def cells():
+        for path_spec in spec.paths:
+            poses, b_true = _truth_readings(spec, path_spec)
+            for noise in spec.noise_levels:
+                yield _Cell(f"{path_spec.kind}/noise={noise}",
+                            {"path": path_spec.kind, "noise": noise},
+                            field_map, poses, b_true, noise, spec.config,
+                            0.0, spec.offset_range)
+
+    return _run_sweep("table1", spec, cells(), spec.seed, out_dir)
 
 
 def run_success_sweep(spec: SweepSpec, bin_edges=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
@@ -279,51 +332,18 @@ def run_success_sweep(spec: SweepSpec, bin_edges=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 
     whose initial guess lies in that radial shell, reporting the fraction of
     small-error, medium-error, and failed calibrations.
     """
-    t_gt = np.asarray(spec.sensor_offset, float)
     field_map = build_reference_map(spec)
     path_spec = spec.paths[0]
     poses, b_true = _truth_readings(spec, path_spec)
     noise = spec.noise_levels[0]
-    sink = _RowSink(out_dir, "success")
-    root = np.random.SeedSequence(spec.seed + 1)
-
-    edges = list(zip(bin_edges[:-1], bin_edges[1:]))
-    for lo, hi in edges:
-        bin_seed = root.spawn(1)[0]
-        for d_idx in range(spec.n_distortions):
-            d_rng = np.random.default_rng(bin_seed.spawn(1)[0])
-            dist = random_distortion(d_rng, spec.distortion_scale)
-            for o_idx in range(spec.n_initial_offsets):
-                trial_rng = np.random.default_rng(bin_seed.spawn(1)[0])
-                offset = _random_offset(trial_rng, lo, hi)
-                row = _run_trial(field_map, poses, b_true, t_gt, dist,
-                                 noise, offset, spec.config, trial_rng)
-                row.update(path=path_spec.kind, noise=noise,
-                           offset_bin=f"{lo}-{hi}", offset_lo=lo, offset_hi=hi,
-                           distortion_index=d_idx, offset_index=o_idx,
-                           offset_norm=float(np.linalg.norm(offset)))
-                sink.add(row)
-    sink.close()
-
-    aggregates = {}
-    for lo, hi in edges:
-        cell = [r for r in sink.rows if r["offset_lo"] == lo and r["offset_hi"] == hi]
-        n = len(cell)
-        counts = {label: sum(1 for r in cell if r["success"] == label)
-                  for label in ("small", "medium", "failure")}
-        aggregates[f"{lo}-{hi}"] = {
-            "n_trials": n,
-            **{f"{label}_rate": counts[label] / n for label in counts},
-        }
-    report = {
-        "kind": "success",
-        "spec": spec.as_dict(),
-        "bin_edges": list(bin_edges),
-        "rows": sink.rows,
-        "aggregates": aggregates,
-    }
-    _write_report(report, out_dir, "success")
-    return report
+    cells = [
+        _Cell(f"{lo}-{hi}",
+              {"path": path_spec.kind, "noise": noise, "offset_bin": f"{lo}-{hi}",
+               "offset_lo": lo, "offset_hi": hi},
+              field_map, poses, b_true, noise, spec.config, lo, hi)
+        for lo, hi in zip(bin_edges[:-1], bin_edges[1:])]
+    return _run_sweep("success", spec, cells, spec.seed + 1, out_dir,
+                      bin_edges=list(bin_edges))
 
 
 def run_ablation(spec: SweepSpec, densities=(1.0, 1.8, 3.0), out_dir=None) -> dict:
@@ -335,63 +355,35 @@ def run_ablation(spec: SweepSpec, densities=(1.0, 1.8, 3.0), out_dir=None) -> di
     much shorter than the data spacing would collapse between nodes). The
     headline statistic is the mean bias-recovery error in uT per cell.
     """
-    t_gt = np.asarray(spec.sensor_offset, float)
     path_spec = spec.paths[0]
     poses, b_true = _truth_readings(spec, path_spec)
     noise = spec.noise_levels[0]
-    sink = _RowSink(out_dir, "ablation")
-    root = np.random.SeedSequence(spec.seed + 2)
 
-    solvers = ("ols", "rrtls", "wrrtls")
-    for spacing in densities:
-        positions = survey_positions(spec.world, spacing, spec.survey_z_levels)
-        fingerprints = survey_dataset(spec.world, positions, spec.survey_noise,
-                                      seed=spec.seed + 2000 + int(spacing * 10))
-        hyper = GpHyperparams(
-            length_scale=max(spec.hyper.length_scale, 0.75 * spacing),
-            signal_variance=spec.hyper.signal_variance,
-            noise_variance=spec.hyper.noise_variance,
-            mean_mode=spec.hyper.mean_mode)
-        maps = {
-            "sgpr": build_map(fingerprints, hyper, spec.block_size),
-            "bilinear": BilinearMap(fingerprints),
-        }
-        for interp, field_map in maps.items():
-            for solver in solvers:
-                config = replace(spec.config, intrinsic_solver=solver)
-                cell_seed = root.spawn(1)[0]
-                for d_idx in range(spec.n_distortions):
-                    d_rng = np.random.default_rng(cell_seed.spawn(1)[0])
-                    dist = random_distortion(d_rng, spec.distortion_scale)
-                    for o_idx in range(spec.n_initial_offsets):
-                        trial_rng = np.random.default_rng(cell_seed.spawn(1)[0])
-                        offset = _random_offset(trial_rng, 0.0, spec.offset_range)
-                        row = _run_trial(field_map, poses, b_true, t_gt, dist,
-                                         noise, offset, config, trial_rng)
-                        row.update(interpolation=interp, solver=solver,
-                                   survey_spacing=spacing,
-                                   distortion_index=d_idx, offset_index=o_idx)
-                        sink.add(row)
-    sink.close()
+    def cells():
+        for spacing in densities:
+            positions = survey_positions(spec.world, spacing, spec.survey_z_levels)
+            fingerprints = survey_dataset(spec.world, positions, spec.survey_noise,
+                                          seed=spec.seed + 2000 + int(spacing * 10))
+            hyper = GpHyperparams(
+                length_scale=max(spec.hyper.length_scale, 0.75 * spacing),
+                signal_variance=spec.hyper.signal_variance,
+                noise_variance=spec.hyper.noise_variance,
+                mean_mode=spec.hyper.mean_mode)
+            maps = {
+                "sgpr": build_map(fingerprints, hyper, spec.block_size),
+                "bilinear": BilinearMap(fingerprints),
+            }
+            for interp, field_map in maps.items():
+                for solver in ("ols", "rrtls", "wrrtls"):
+                    yield _Cell(f"spacing={spacing}/{interp}/{solver}",
+                                {"interpolation": interp, "solver": solver,
+                                 "survey_spacing": spacing},
+                                field_map, poses, b_true, noise,
+                                replace(spec.config, intrinsic_solver=solver),
+                                0.0, spec.offset_range)
 
-    aggregates = {}
-    for spacing in densities:
-        for interp in ("sgpr", "bilinear"):
-            for solver in solvers:
-                cell = [r for r in sink.rows
-                        if r["survey_spacing"] == spacing
-                        and r["interpolation"] == interp and r["solver"] == solver]
-                key = f"spacing={spacing}/{interp}/{solver}"
-                aggregates[key] = _aggregate_cell(cell)
-    report = {
-        "kind": "ablation",
-        "spec": spec.as_dict(),
-        "densities": list(densities),
-        "rows": sink.rows,
-        "aggregates": aggregates,
-    }
-    _write_report(report, out_dir, "ablation")
-    return report
+    return _run_sweep("ablation", spec, cells(), spec.seed + 2, out_dir,
+                      densities=list(densities))
 
 
 def run_two_map_workflow(spec: SweepSpec, out_dir=None) -> dict:
@@ -416,23 +408,12 @@ def run_two_map_workflow(spec: SweepSpec, out_dir=None) -> dict:
     inp = CalibrationInput(cal_map, poses, measured.readings(), np.zeros(3))
     result = calibrate(inp, spec.config)
 
-    def _sensor_frame_dataset(readings: np.ndarray, t_sensor: np.ndarray) -> Dataset:
-        samples = []
-        for i, pose in enumerate(poses):
-            sensor_pos = pose.rotation @ t_sensor + pose.translation
-            sensor_pose = Pose(pose.rotation, sensor_pos, "mag", "map")
-            samples.append(Fingerprint(float(i), sensor_pose, readings[i]))
-        return Dataset("validation", samples)
-
     compensated = compensate_many(result.distortion, measured.readings())
-    before = _sensor_frame_dataset(measured.readings(), result.translation)
-    after = _sensor_frame_dataset(compensated, result.translation)
-    mse_before, std_before = metric_reading_error(before, val_map)
-    mse_after, std_after = metric_reading_error(after, val_map)
-
-    means_after, _, _ = val_map.query_many(after.positions(), allow_outside=False)
-    pred_after = np.einsum("nji,nj->ni", after.rotations(), means_after)
-    mean_axis_err_after = np.abs(compensated - pred_after).mean(axis=0)
+    predicted = sensor_frame_prediction(val_map, inp.rotations(), inp.translations(),
+                                        result.translation)
+    mse_before, std_before = metric_reading_error(measured.readings(), predicted)
+    mse_after, std_after = metric_reading_error(compensated, predicted)
+    mean_axis_err_after = np.abs(compensated - predicted).mean(axis=0)
 
     report = {
         "kind": "two_map",

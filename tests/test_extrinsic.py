@@ -180,24 +180,18 @@ def test_calibrate_recovers_from_wrong_basin():
     at a local minimum 0.9 m from the truth; the plausibility test must catch
     it and the local re-seed must bring it home."""
     from dataclasses import replace
-    from magcalib.sweeps import (SweepSpec, _random_offset, _truth_readings,
+    from magcalib.sweeps import (SweepSpec, _trials, _truth_readings,
                                  build_reference_map)
     spec = SweepSpec(noise_levels=(0.1,), n_distortions=10, n_initial_offsets=5,
                      offset_range=1.0, seed=20)
     t_gt = np.asarray(spec.sensor_offset, float)
-    # mirrors run_table1_sweep's seed derivation: one spawn per path cell,
-    # then per distortion one spawn followed by one per offset
-    root = np.random.SeedSequence(spec.seed)
-    cell_seeds = [root.spawn(1)[0] for _ in spec.paths]
+    # one noise level, so run_table1_sweep's third cell is the third path
     path_spec = spec.paths[2]
     assert path_spec.kind == "random_walk"
-    cell_seed = cell_seeds[2]
-    for _ in range(3):
-        dist = random_distortion(np.random.default_rng(cell_seed.spawn(1)[0]),
-                                 spec.distortion_scale)
-        for _ in range(5):
-            trial_rng = np.random.default_rng(cell_seed.spawn(1)[0])
-            offset = _random_offset(trial_rng, 0.0, spec.offset_range)
+    cell_seed = np.random.SeedSequence(spec.seed).spawn(3)[2]
+    _, _, dist, offset, trial_rng = next(
+        trial for trial in _trials(cell_seed, spec, 0.0, spec.offset_range)
+        if trial[:2] == (2, 4))
     poses, b_true = _truth_readings(spec, path_spec)
     readings = dist.apply_many(b_true) + trial_rng.normal(0.0, 0.1, b_true.shape)
     field_map = build_reference_map(spec)

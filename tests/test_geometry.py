@@ -6,7 +6,6 @@ from magcalib.geometry import (
     Fingerprint,
     FrameError,
     Pose,
-    pose_apply,
     random_rotation,
     rot_z,
     rotate_field,
@@ -15,19 +14,19 @@ from magcalib.geometry import (
 
 def test_pose_apply_identity():
     pose = Pose.identity("mag", "map")
-    assert np.allclose(pose_apply(pose, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert np.allclose(pose.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_pose_apply_yaw_rotation():
     pose = Pose(rot_z(np.pi / 2), np.zeros(3), "lidar", "map")
-    assert np.allclose(pose_apply(pose, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0],
+    assert np.allclose(pose.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0],
                        atol=1e-12)
 
 
 def test_pose_apply_hand_composed_affine():
     # R_z(90 deg) sends (1,0,0) to (0,1,0); adding t=(1,1,0) lands on (1,2,0)
     pose = Pose(rot_z(np.pi / 2), np.array([1.0, 1.0, 0.0]), "lidar", "map")
-    assert np.allclose(pose_apply(pose, [1.0, 0.0, 0.0]), [1.0, 2.0, 0.0],
+    assert np.allclose(pose.apply([1.0, 0.0, 0.0]), [1.0, 2.0, 0.0],
                        atol=1e-12)
 
 

@@ -8,9 +8,6 @@ from magcalib.magmap import (
     MapError,
     OutOfMapError,
     build_map,
-    interpolate_bilinear,
-    query,
-    query_gradient,
 )
 from magcalib.simulator import field_at_many
 
@@ -26,7 +23,7 @@ def _single_point_map(reading=(15.0, -5.0, -40.0)):
 
 def test_single_fingerprint_interpolates_exactly():
     field_map = _single_point_map()
-    out = query(field_map, np.zeros(3))
+    out = field_map.query(np.zeros(3))
     assert np.allclose(out.mean, [15.0, -5.0, -40.0], atol=1e-9)
     assert np.all(out.variance <= 1e-9)
 
@@ -118,7 +115,7 @@ def test_gradient_of_constant_field_is_zero():
     xs = np.linspace(0.0, 6.0, 7)
     data = lattice_dataset(lambda p: const, xs, xs, [0.4, 1.2])
     field_map = build_map(data, GpHyperparams(length_scale=1.5), block_size=8.0)
-    grad = query_gradient(field_map, np.array([3.0, 3.0, 0.8]))
+    grad = field_map.gradient(np.array([3.0, 3.0, 0.8]))
     assert np.max(np.abs(grad)) <= 1e-6
 
 
@@ -222,8 +219,9 @@ def test_bilinear_exact_at_nodes():
     xs = np.linspace(0.0, 4.0, 5)
     zs = [0.5, 1.5]
     data = lattice_dataset(_ramp, xs, xs, zs)
+    grid = BilinearMap(data)
     for fp in data.samples[::7]:
-        out = interpolate_bilinear(data, fp.pose.translation)
+        out = grid.query(fp.pose.translation).mean
         assert np.allclose(out, fp.reading, atol=1e-12)
 
 
@@ -234,7 +232,7 @@ def test_bilinear_cell_center_is_average():
         return np.array([vals[(p[0], p[1])], 30.0, -40.0])
 
     data = lattice_dataset(f, [0.0, 1.0], [0.0, 1.0], [0.5])
-    out = interpolate_bilinear(data, np.array([0.5, 0.5, 0.5]))
+    out = BilinearMap(data).query(np.array([0.5, 0.5, 0.5])).mean
     assert np.isclose(out[0], (1.0 + 2.0 + 5.0 + 10.0) / 4.0, atol=1e-12)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from magcalib.geometry import Dataset, Fingerprint, Pose
+from magcalib.geometry import rot_z
 from magcalib.intrinsic import AffineDistortion, compensate_many
 from magcalib.metrics import (
     metric_bias,
@@ -8,6 +8,7 @@ from magcalib.metrics import (
     metric_reading_error,
     metric_translation,
     score_result,
+    sensor_frame_prediction,
 )
 from magcalib.simulator import field_at_many, random_distortion
 
@@ -31,19 +32,17 @@ def test_metric_bias():
     assert np.isclose(metric_bias([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 1.0)
 
 
-def _sensor_dataset(world, field_map, positions, readings):
-    samples = []
-    for i, (p, b) in enumerate(zip(positions, readings)):
-        samples.append(Fingerprint(float(i), Pose(np.eye(3), p, "mag", "map"), b))
-    return Dataset("probe", samples)
+def _prediction(field_map, positions):
+    """Map prediction for a sensor at each position, axes aligned with the map."""
+    rotations = np.broadcast_to(np.eye(3), (len(positions), 3, 3))
+    return sensor_frame_prediction(field_map, rotations, positions, np.zeros(3))
 
 
-def test_reading_error_zero_against_own_predictions(calib_world, calib_map):
+def test_reading_error_zero_against_own_predictions(calib_map):
     rng = np.random.default_rng(0)
     positions = rng.uniform([4.0, 4.0, 0.5], [14.0, 10.0, 1.0], size=(40, 3))
     means, _, _ = calib_map.query_many(positions)
-    ds = _sensor_dataset(calib_world, calib_map, positions, means)
-    mse, std = metric_reading_error(ds, calib_map)
+    mse, std = metric_reading_error(means, _prediction(calib_map, positions))
     assert mse <= 1e-18
     assert np.all(std <= 1e-9)
 
@@ -56,11 +55,20 @@ def test_reading_error_improves_after_compensation(calib_world, calib_map):
     measured = dist.apply_many(truth) + rng.normal(0.0, 0.1, truth.shape)
     compensated = compensate_many(dist, measured)
 
-    before = _sensor_dataset(calib_world, calib_map, positions, measured)
-    after = _sensor_dataset(calib_world, calib_map, positions, compensated)
-    mse_before, _ = metric_reading_error(before, calib_map)
-    mse_after, _ = metric_reading_error(after, calib_map)
+    predicted = _prediction(calib_map, positions)
+    mse_before, _ = metric_reading_error(measured, predicted)
+    mse_after, _ = metric_reading_error(compensated, predicted)
     assert mse_after < mse_before
+
+
+def test_sensor_frame_prediction_places_and_rotates_the_sensor(calib_map):
+    # carrier yawed 90 deg at p: the sensor sits at p + R t, and the map-frame
+    # field comes back through R^T
+    rot = rot_z(np.pi / 2)
+    p, lever_arm = np.array([8.0, 7.0, 0.6]), np.array([0.3, -0.1, 0.2])
+    predicted = sensor_frame_prediction(calib_map, rot[None], p[None], lever_arm)
+    means, _, _ = calib_map.query_many((rot @ lever_arm + p)[None])
+    assert np.allclose(predicted[0], rot.T @ means[0], atol=1e-12)
 
 
 def test_score_result_bundles_metrics():
