@@ -5,6 +5,15 @@ axis) sharing a single squared-exponential kernel and one Gram matrix per
 spatial block. Each block caches its Cholesky factor so that queries are
 cheap; a built map is immutable and safe for concurrent reads.
 
+Batched queries find each point's block through a dense cell -> block table
+built once per map: one floor/clip over all points, one nearest-populated-
+centre ``argmin`` for points whose cell holds no training data, then a
+stable sort that groups points by block while keeping their input order.
+The gradient of the mean reuses the block's kernel columns ``k`` in two
+GEMMs, ``(k^T (alpha_a * X_s) - x_s * k^T alpha_a) / l^2``, taken in
+block-centred coordinates so that the cancellation scales with the block
+size and not with the distance from the world origin.
+
 A multilinear interpolation baseline over lattice fingerprints is provided
 for ablation studies; it exposes the same query surface (mean, variance,
 gradient) so the calibration loop can consume either model.
@@ -21,8 +30,6 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .geometry import Dataset, as_vec3
-
-_GRADIENT_CHUNK = 4096
 
 
 class MapError(RuntimeError):
@@ -129,16 +136,17 @@ class MagMap:
         self.grid_shape = np.asarray(grid_shape, int)
         self.grid_hi = self.grid_lo + self.grid_shape * self.block_size
         self.blocks = blocks  # {(i,j,k): MapBlock}, non-empty cells only
-        self._centers = np.array([b.center for b in blocks.values()])
-        self._keys = list(blocks.keys())
+        keys = np.array(list(blocks), int)
+        if not blocks or keys.shape != (len(blocks), 3):
+            raise MapError("map needs at least one block, indexed by 3 integers")
+        if np.any(keys < 0) or np.any(keys >= self.grid_shape):
+            raise MapError(f"block index outside the {self.grid_shape.tolist()} grid")
+        self._blocks = list(blocks.values())
+        self._centers = np.array([b.center for b in self._blocks])
+        self._cell_block = np.full(self.grid_shape, -1)  # cell -> block ordinal
+        self._cell_block[tuple(keys.T)] = np.arange(len(keys))
 
     # -- geometry ---------------------------------------------------------
-
-    def contains(self, t) -> bool:
-        t = np.asarray(t, float)
-        lo = self.grid_lo - self.overlap
-        hi = self.grid_hi + self.overlap
-        return bool(np.all(t >= lo) and np.all(t <= hi))
 
     def contains_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, float).reshape(-1, 3)
@@ -146,26 +154,21 @@ class MagMap:
         hi = self.grid_hi + self.overlap
         return np.all((ts >= lo) & (ts <= hi), axis=1)
 
-    def _block_for(self, t: np.ndarray) -> MapBlock:
-        idx = np.floor((t - self.grid_lo) / self.block_size).astype(int)
-        idx = np.clip(idx, 0, self.grid_shape - 1)
-        block = self.blocks.get(tuple(idx))
-        if block is not None:
-            return block
-        # cell has no training data: fall back to the nearest populated center
-        j = int(np.argmin(((self._centers - t) ** 2).sum(axis=1)))
-        return self.blocks[self._keys[j]]
-
     def _group_by_block(self, ts: np.ndarray):
-        groups: dict[int, list] = {}
-        blocks: dict[int, MapBlock] = {}
-        for i, t in enumerate(ts):
-            block = self._block_for(t)
-            key = id(block)
-            groups.setdefault(key, []).append(i)
-            blocks[key] = block
-        for key, rows in groups.items():
-            yield blocks[key], np.asarray(rows, int)
+        """Yield ``(block, rows)``: the clipped cell's block, or for a cell
+        with no training data the block with the nearest centre; ``rows``
+        ascend, so each block sees its points in input order."""
+        idx = np.floor((ts - self.grid_lo) / self.block_size).astype(int)
+        idx = np.clip(idx, 0, self.grid_shape - 1)
+        ordinal = self._cell_block[tuple(idx.T)]
+        empty = ordinal < 0
+        if np.any(empty):
+            d2 = ((self._centers[None, :, :] - ts[empty, None, :]) ** 2).sum(axis=2)
+            ordinal[empty] = np.argmin(d2, axis=1)
+        order = np.argsort(ordinal, kind="stable")
+        starts = np.flatnonzero(np.diff(ordinal[order])) + 1
+        for rows in np.split(order, starts):
+            yield self._blocks[ordinal[rows[0]]], rows
 
     # -- queries ----------------------------------------------------------
 
@@ -237,14 +240,14 @@ class MagMap:
         idx_in = np.flatnonzero(inside)
         pts = ts[idx_in]
         for block, rows in self._group_by_block(pts):
-            for start in range(0, rows.size, _GRADIENT_CHUNK):
-                chunk = rows[start:start + _GRADIENT_CHUNK]
-                sub = pts[chunk]
-                kstar = _kernel(self.hyper, block.train_pos, sub)       # (n, m)
-                diff = block.train_pos[None, :, :] - sub[:, None, :]    # (m, n, 3)
-                weighted = kstar.T[:, :, None] * diff * inv_ls2         # (m, n, 3)
-                g = np.einsum("na,mns->mas", block.alpha, weighted)     # (m, 3, 3)
-                grads[idx_in[chunk]] = g
+            sub = pts[rows]
+            kstar = _kernel(self.hyper, block.train_pos, sub)           # (n, m)
+            x_train = block.train_pos - block.center                    # (n, 3)
+            weighted = (block.alpha[:, :, None] * x_train[:, None, :]).reshape(-1, 9)
+            k_ax = (kstar.T @ weighted).reshape(-1, 3, 3)               # (m, 3, 3)
+            k_a = kstar.T @ block.alpha                                 # (m, 3)
+            x_sub = sub - block.center                                  # (m, 3)
+            grads[idx_in[rows]] = (k_ax - k_a[:, :, None] * x_sub[:, None, :]) * inv_ls2
         return grads, inside
 
     # -- introspection ------------------------------------------------------
@@ -353,10 +356,6 @@ class BilinearMap:
             self._points, self._values, method="linear", bounds_error=True)
         self.lo = np.array([axes[a][0] for a in self.active])
         self.hi = np.array([axes[a][-1] for a in self.active])
-
-    def contains(self, t) -> bool:
-        t = np.asarray(t, float)[list(self.active)]
-        return bool(np.all(t >= self.lo - 1e-12) and np.all(t <= self.hi + 1e-12))
 
     def contains_many(self, ts: np.ndarray) -> np.ndarray:
         sub = np.asarray(ts, float).reshape(-1, 3)[:, self.active]

@@ -7,6 +7,7 @@ from magcalib.magmap import (
     GpHyperparams,
     MapError,
     OutOfMapError,
+    _kernel,
     build_map,
 )
 from magcalib.simulator import field_at_many
@@ -205,6 +206,138 @@ def test_mean_only_query_matches_full_query(gentle_map):
     assert variances is None
     assert np.array_equal(inside, inside_only)
     assert np.array_equal(means, means_only, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# block lookup on a multi-block map with empty cells
+
+
+@pytest.fixture(scope="module")
+def l_shaped_map():
+    """L-shaped survey on a 4x4x1 grid of 2 m blocks: 7 populated cells, 9
+    cells (the 3x3 corner away from both arms) without training data."""
+    xs = np.arange(0.0, 8.0, 0.5)
+
+    def field(p):
+        return np.array([20.0 + np.sin(p[0]), 3.0 * np.cos(p[1]),
+                         -40.0 + 0.1 * p[0] * p[1]])
+
+    data = lattice_dataset(field, xs, xs, [0.5, 1.0])
+    keep = [fp for fp in data.samples
+            if fp.pose.translation[0] <= 1.5 or fp.pose.translation[1] <= 1.5]
+    data = Dataset("L", [Fingerprint(float(i), fp.pose, fp.reading)
+                         for i, fp in enumerate(keep)])
+    field_map = build_map(data, GpHyperparams(length_scale=0.7), block_size=2.0,
+                          overlap=0.25)
+    assert field_map.grid_shape.tolist() == [4, 4, 1] and len(field_map.blocks) == 7
+    return field_map
+
+
+def _l_shaped_queries(field_map, rng):
+    """Points in every populated block, in empty cells, on cell edges and
+    in the overlap padding, shuffled so that blocks interleave."""
+    size, lo = field_map.block_size, field_map.grid_lo
+    z = (lo[2] - field_map.overlap, lo[2] + field_map.overlap)
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    pts = [rng.uniform(lo + [i * size, j * size, z[0]],
+                       lo + [(i + 1) * size, (j + 1) * size, z[1]], size=(20, 3))
+           for i, j in cells]
+    edges = lo + size * rng.integers(0, 5, size=(100, 3)).astype(float)
+    edges[:, 2] = rng.uniform(*z, size=100)
+    edges[::2, 1] = rng.uniform(lo[1], field_map.grid_hi[1], size=50)
+    pad = field_map.overlap
+    below = rng.uniform(field_map.grid_lo - pad, field_map.grid_lo, size=(40, 3))
+    above = rng.uniform(field_map.grid_hi, field_map.grid_hi + pad, size=(40, 3))
+    pts = np.vstack(pts + [edges, below, above])
+    return pts[rng.permutation(len(pts))]
+
+
+def _reference_blocks(field_map, pts):
+    """Block key per point: the floored, clipped cell if it holds data, else
+    the populated block with the nearest centre (first on a tie)."""
+    keys = list(field_map.blocks)
+    centers = np.array([b.center for b in field_map.blocks.values()])
+    out = []
+    for t in pts:
+        idx = np.floor((t - field_map.grid_lo) / field_map.block_size).astype(int)
+        key = tuple(np.clip(idx, 0, field_map.grid_shape - 1).tolist())
+        if key not in field_map.blocks:
+            key = keys[int(np.argmin(((centers - t) ** 2).sum(axis=1)))]
+        out.append(key)
+    return out
+
+
+def _reference_groups(field_map, pts):
+    keys = _reference_blocks(field_map, pts)
+    return {key: np.array([i for i, k in enumerate(keys) if k == key]) for key in set(keys)}
+
+
+def _einsum_gradient(field_map, block, sub):
+    """The gradient in its per-point einsum form over world coordinates."""
+    kstar = _kernel(field_map.hyper, block.train_pos, sub)
+    diff = block.train_pos[None, :, :] - sub[:, None, :]
+    weighted = kstar.T[:, :, None] * diff / field_map.hyper.length_scale**2
+    return np.einsum("na,mns->mas", block.alpha, weighted)
+
+
+def test_grouping_matches_reference_rule(l_shaped_map):
+    pts = _l_shaped_queries(l_shaped_map, np.random.default_rng(10))
+    groups = _reference_groups(l_shaped_map, pts)
+    assert len(groups) == 7
+    idx = np.clip(np.floor((pts - l_shaped_map.grid_lo) / l_shaped_map.block_size),
+                  0, l_shaped_map.grid_shape - 1).astype(int)
+    assert sum(tuple(i) not in l_shaped_map.blocks for i in idx.tolist()) >= 9 * 20
+    got = {}
+    for block, rows in l_shaped_map._group_by_block(pts):
+        key = next(k for k, b in l_shaped_map.blocks.items() if b is block)
+        assert key not in got
+        got[key] = rows
+    assert got.keys() == groups.keys()
+    for key, rows in groups.items():
+        assert np.array_equal(got[key], rows)  # input order kept within a block
+
+
+def test_batched_queries_equal_per_block_and_single_point_queries(l_shaped_map):
+    pts = _l_shaped_queries(l_shaped_map, np.random.default_rng(11))
+    means, variances, inside = l_shaped_map.query_many(pts)
+    grads, _ = l_shaped_map.gradient_many(pts)
+    assert inside.all()
+    # each block sees the same points in the same order as in a batch of its
+    # own points only, so its kernel columns, mean and variance are the same
+    for key, rows in _reference_groups(l_shaped_map, pts).items():
+        block = l_shaped_map.blocks[key]
+        kstar = _kernel(l_shaped_map.hyper, block.train_pos, pts[rows])
+        assert np.array_equal(means[rows], block.mean + kstar.T @ block.alpha)
+        m, v, _ = l_shaped_map.query_many(pts[rows])
+        g, _ = l_shaped_map.gradient_many(pts[rows])
+        assert np.array_equal(means[rows], m)
+        assert np.array_equal(variances[rows], v)
+        assert np.array_equal(grads[rows], g)
+    # one point at a time: BLAS takes its matrix-vector path, last bits move
+    sigma2 = l_shaped_map.hyper.signal_variance
+    gscale = np.abs(grads).max()
+    for i in range(0, len(pts), 7):
+        m, v, _ = l_shaped_map.query_many(pts[i:i + 1])
+        g, _ = l_shaped_map.gradient_many(pts[i:i + 1])
+        assert np.allclose(m[0], means[i], rtol=1e-14, atol=0.0)
+        assert np.allclose(v[0], variances[i], rtol=0.0, atol=1e-12 * sigma2)
+        assert np.allclose(g[0], grads[i], rtol=0.0, atol=1e-12 * gscale)
+
+
+def test_gemm_gradient_matches_einsum_form(l_shaped_map):
+    rng = np.random.default_rng(12)
+    small = _l_shaped_queries(l_shaped_map, rng)
+    lo, hi, pad = l_shaped_map.grid_lo, l_shaped_map.grid_hi, l_shaped_map.overlap
+    large = np.vstack([rng.uniform(lo, lo + [2.0, 2.0, 1.0], size=(4200, 3)),
+                       rng.uniform(lo - pad, hi + pad, size=(800, 3))])
+    for pts in (small, large):
+        grads, _ = l_shaped_map.gradient_many(pts)
+        groups = _reference_groups(l_shaped_map, pts)
+        assert len(pts) < 4096 or max(rows.size for rows in groups.values()) > 4096
+        for key, rows in groups.items():
+            ref = _einsum_gradient(l_shaped_map, l_shaped_map.blocks[key], pts[rows])
+            scale = np.abs(ref).max(axis=(1, 2))
+            assert np.all(np.abs(grads[rows] - ref).max(axis=(1, 2)) <= 1e-10 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from magcalib.extrinsic import CalibrationResult
 from magcalib.geometry import Dataset, Fingerprint, Pose, random_rotation
 from magcalib.intrinsic import AffineDistortion
+from magcalib.magmap import GpHyperparams, MapError, build_map
 from magcalib.serialization import (
     load_calibration_config,
     load_hyper,
@@ -98,6 +99,36 @@ def test_map_schema_guard(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "other/9"}))
     with pytest.raises(ValueError, match="schema"):
+        load_map(path)
+
+
+def _three_block_map_doc(tmp_path):
+    """Saved document of a map on a 3x1x1 block grid."""
+    samples = [Fingerprint(float(i), Pose(np.eye(3), np.array([x, 0.5, 0.5]), "mag", "map"),
+                           np.array([20.0 + x, 0.0, -40.0]))
+               for i, x in enumerate(np.arange(0.0, 6.0, 0.5))]
+    field_map = build_map(Dataset("row", samples), GpHyperparams(length_scale=0.5),
+                          block_size=2.0, overlap=0.25)
+    assert field_map.grid_shape.tolist() == [3, 1, 1]
+    path = tmp_path / "map.json"
+    save_map(field_map, path)
+    return path, json.loads(path.read_text())
+
+
+def test_map_without_blocks_is_labeled_error(tmp_path):
+    path, doc = _three_block_map_doc(tmp_path)
+    doc["blocks"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapError, match="block"):
+        load_map(path)
+
+
+@pytest.mark.parametrize("index", [[7, 0, 0], [-1, 0, 0], [0, 1, 0]])
+def test_map_block_index_outside_grid_is_labeled_error(tmp_path, index):
+    path, doc = _three_block_map_doc(tmp_path)
+    doc["blocks"][-1]["index"] = index
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapError, match="outside"):
         load_map(path)
 
 
