@@ -27,6 +27,8 @@ from .geometry import as_mat3, as_vec3
 
 VARIANCE_FLOOR = 1e-6  # uT^2, applied before inverting GP variances into weights
 DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 2.0, 16)
+_MAX_NORMAL_COND = 1e14  # weighted normal matrices above this are treated as singular
+_SINGULAR_GAIN_DET = 1e-9  # |det(gain)| at or below this cannot be compensated
 
 
 class RegressionError(ValueError):
@@ -48,7 +50,7 @@ class AffineDistortion:
     def __post_init__(self):
         object.__setattr__(self, "gain", as_mat3(self.gain, "gain"))
         object.__setattr__(self, "bias", as_vec3(self.bias, "bias"))
-        if abs(np.linalg.det(self.gain)) <= 1e-9:
+        if abs(np.linalg.det(self.gain)) <= _SINGULAR_GAIN_DET:
             raise RegressionError("gain matrix is numerically singular")
 
     @classmethod
@@ -230,6 +232,21 @@ def solve_tls(prob: RegressionProblem) -> AffineDistortion:
     return AffineDistortion(gain, bias)
 
 
+def _weighted_normal(prob: RegressionProblem):
+    """Truncated (observed, design) and the ridge-free weighted normal
+    equations on them: the Gram matrix (4, 4) and the right-hand side (4, 3)."""
+    obs_bar, design_bar = _truncated_parts(prob)
+    w = prob.weights[:, None]
+    xw = design_bar * w
+    return obs_bar, design_bar, xw.T @ xw, xw.T @ (obs_bar * w)
+
+
+def _singular_normal_error(cond: float) -> RegressionError:
+    return RegressionError(
+        f"weighted normal matrix is numerically singular (cond={cond:.3g}); "
+        "increase the ridge factor")
+
+
 def solve_wrrtls(prob: RegressionProblem) -> AffineDistortion:
     """Weighted ridge-regularized total least squares (closed form).
 
@@ -238,17 +255,11 @@ def solve_wrrtls(prob: RegressionProblem) -> AffineDistortion:
     is the ridge-regularized TLS baseline; with additionally ridge=0 and
     tsvd_rank=7 it reduces to ordinary least squares.
     """
-    obs_bar, design_bar = _truncated_parts(prob)
-    w = prob.weights
-    xw = design_bar * w[:, None]
-    yw = obs_bar * w[:, None]
-    normal = xw.T @ xw + prob.ridge * np.eye(4)
-    rhs = xw.T @ yw  # (4, 3)
+    _, _, gram, rhs = _weighted_normal(prob)
+    normal = gram + prob.ridge * np.eye(4)
     cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise RegressionError(
-            f"weighted normal matrix is numerically singular (cond={cond:.3g}); "
-            "increase the ridge factor")
+    if not np.isfinite(cond) or cond > _MAX_NORMAL_COND:
+        raise _singular_normal_error(cond)
     a = np.linalg.solve(normal, rhs).T  # (3, 4)
     return AffineDistortion(a[:, :3], a[:, 3])
 
@@ -260,12 +271,31 @@ def solve_rrtls(prob: RegressionProblem) -> AffineDistortion:
     return solve_wrrtls(uniform)
 
 
-def _lcurve_point(prob: RegressionProblem, ridge: float):
-    dist = solve_wrrtls(prob.with_ridge(ridge))
-    obs_bar, design_bar = _truncated_parts(prob)
-    a = np.hstack([dist.gain, dist.bias[:, None]])
-    resid = (design_bar @ a.T - obs_bar) * prob.weights[:, None]
-    return np.linalg.norm(resid), np.linalg.norm(a)
+def _lcurve(prob: RegressionProblem, ridges: np.ndarray):
+    """Residual norms rho and solution norms eta of the weighted fit at every
+    ridge, all from one rank truncation.
+
+    Raises what ``solve_wrrtls`` raises at the first ridge of ``ridges`` (in
+    order) whose normal matrix is singular or whose gain is.
+    """
+    obs_bar, design_bar, gram, rhs = _weighted_normal(prob)
+    normal = gram + ridges[:, None, None] * np.eye(4)
+    cond = np.linalg.cond(normal)
+    singular = ~np.isfinite(cond) | (cond > _MAX_NORMAL_COND)
+    n_ok = int(np.argmax(singular)) if singular.any() else ridges.size
+    coeffs = np.linalg.solve(normal[:n_ok], rhs)  # (n_ok, 4, 3) = [gain | bias]^T
+    gains = coeffs[:, :3].transpose(0, 2, 1)
+    bad_gain = (~np.isfinite(coeffs).all(axis=(1, 2))
+                | (np.abs(np.linalg.det(gains)) <= _SINGULAR_GAIN_DET))
+    if bad_gain.any():
+        j = int(np.argmax(bad_gain))
+        AffineDistortion(gains[j], coeffs[j, 3])  # raises that ridge's error
+    if n_ok < ridges.size:
+        raise _singular_normal_error(cond[n_ok])
+    resid = (design_bar @ coeffs - obs_bar) * prob.weights[:, None]
+    rho = np.sqrt(np.einsum("kij,kij->k", resid, resid))
+    eta = np.sqrt(np.einsum("kij,kij->k", coeffs, coeffs))
+    return rho, eta
 
 
 def _smooth(values: np.ndarray, half_width: int) -> np.ndarray:
@@ -287,8 +317,20 @@ def select_lambda(prob: RegressionProblem, grid: np.ndarray | None = None) -> fl
     points alone make a noisy curvature estimate) and the corner is snapped
     back to the nearest grid value. A curve with no usable corner falls back
     to the smallest grid value.
+
+    The rank truncation of the stacked data does not depend on the ridge, so
+    the whole curve is traced from one truncation: one weighted Gram matrix,
+    with every ridge of the sweep solved in one batch. A ridge at which
+    ``solve_wrrtls`` would fail makes this fail the same way. The grid must
+    be non-empty, finite and positive (it is log-spaced).
     """
     grid = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, float)
+    if grid.size == 0:
+        raise RegressionError("lambda grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise RegressionError(f"lambda grid must be finite, got {grid}")
+    if np.any(grid <= 0):
+        raise RegressionError(f"lambda grid must be > 0, got {grid}")
     grid = np.sort(grid)
     if grid.size == 1:
         return float(grid[0])
@@ -298,9 +340,9 @@ def select_lambda(prob: RegressionProblem, grid: np.ndarray | None = None) -> fl
         return float(grid[0])
 
     dense = np.logspace(np.log10(grid[0]), np.log10(grid[-1]), 160)
-    pts = [_lcurve_point(prob, lam) for lam in dense]
-    log_rho = _smooth(np.log(np.maximum([p[0] for p in pts], 1e-300)), 3)
-    log_eta = _smooth(np.log(np.maximum([p[1] for p in pts], 1e-300)), 3)
+    rho, eta = _lcurve(prob, dense)
+    log_rho = _smooth(np.log(np.maximum(rho, 1e-300)), 3)
+    log_eta = _smooth(np.log(np.maximum(eta, 1e-300)), 3)
     if np.ptp(log_eta) < np.log(3.0):
         # solution norm never blows up: well conditioned, no regularization needed
         return float(grid[0])

@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from magcalib import intrinsic
 from magcalib.intrinsic import (
+    DEFAULT_LAMBDA_GRID,
     AffineDistortion,
     RegressionError,
     RegressionProblem,
@@ -333,6 +339,113 @@ def test_select_lambda_tracks_oracle_on_ill_conditioned_problems():
         if abs(np.log10(chosen) - np.log10(oracle)) <= log_step + 1e-9:
             hits += 1
     assert hits >= 35  # 70% of 50
+
+
+def _reference_lcurve(prob, ridges):
+    """The L-curve traced ridge by ridge: one full solve and one truncation each."""
+    rho, eta = [], []
+    for lam in ridges:
+        dist = solve_wrrtls(prob.with_ridge(lam))
+        obs_bar, design_bar = intrinsic._truncated_parts(prob)
+        a = np.hstack([dist.gain, dist.bias[:, None]])
+        rho.append(np.linalg.norm((design_bar @ a.T - obs_bar) * prob.weights[:, None]))
+        eta.append(np.linalg.norm(a))
+    return np.array(rho), np.array(eta)
+
+
+def _lcurve_problems():
+    """(problem, grid) pairs: unit weights, variance weights, planar designs."""
+    rng = np.random.default_rng(19)
+    truth = _random_affine(rng)
+    x = _rich_excitation(rng, 80)
+    y = truth.apply_many(x) + rng.normal(0.0, 0.3, size=x.shape)
+    cases = [(RegressionProblem.from_pairs(x, y), DEFAULT_LAMBDA_GRID)]
+    variances = rng.uniform(0.01, 2.0, size=(80, 3))
+    y_het = truth.apply_many(x) + rng.normal(size=x.shape) * np.sqrt(variances)
+    weights = weights_from_variance(variances, measurement_noise=0.1)
+    cases.append((RegressionProblem.from_pairs(x, y_het, weights), DEFAULT_LAMBDA_GRID))
+    # the regime of test_select_lambda_tracks_oracle_on_ill_conditioned_problems
+    for _ in range(5):
+        truth = _random_affine(rng)
+        x_true = _planar_excitation(rng, 400)
+        x_obs = x_true + rng.normal(0.0, 1.0, size=x_true.shape)
+        y_obs = truth.apply_many(x_true) + rng.normal(0.0, 1.0, size=x_true.shape)
+        cases.append((RegressionProblem.from_pairs(x_obs, y_obs),
+                      np.logspace(-8.0, 2.0, 10)))
+    return cases
+
+
+def test_lcurve_matches_per_ridge_solves(monkeypatch):
+    cases = _lcurve_problems()
+    picks = []
+    for prob, grid in cases:
+        dense = np.logspace(np.log10(grid[0]), np.log10(grid[-1]), 160)
+        rho, eta = intrinsic._lcurve(prob, dense)
+        ref_rho, ref_eta = _reference_lcurve(prob, dense)
+        np.testing.assert_allclose(rho, ref_rho, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(eta, ref_eta, rtol=1e-12, atol=0.0)
+        picks.append(select_lambda(prob, grid))
+    monkeypatch.setattr(intrinsic, "_lcurve", _reference_lcurve)
+    assert picks == [select_lambda(prob, grid) for prob, grid in cases]
+
+
+def test_select_lambda_singular_at_small_ridges_raises_like_solver():
+    # the problem of test_wrrtls_singular_normal_matrix_suggests_ridge: the
+    # normal matrix is singular until the ridge lifts it
+    rng = np.random.default_rng(10)
+    x = np.tile(np.array([30.0, 5.0, -38.0]), (12, 1))
+    x += rng.normal(0.0, 1e-12, size=x.shape)
+    prob = RegressionProblem.from_pairs(x, x)
+    grid = np.logspace(-12.0, 2.0, 8)
+    with pytest.raises(RegressionError, match="ridge") as solver_err:
+        solve_wrrtls(prob.with_ridge(grid[0]))
+    with pytest.raises(RegressionError) as err:
+        select_lambda(prob, grid)
+    assert str(err.value) == str(solver_err.value)
+
+
+def test_select_lambda_singular_gain_raises():
+    rng = np.random.default_rng(20)
+    x = _rich_excitation(rng, 40)
+    prob = RegressionProblem.from_pairs(x, 1e-3 * x)  # |det(gain)| = 1e-9
+    with pytest.raises(RegressionError, match="gain matrix is numerically singular"):
+        select_lambda(prob)
+
+
+@pytest.mark.parametrize("grid, problem", [
+    ([0.0, 1.0, 10.0], "> 0"),
+    ([-1.0, 1.0, 10.0], "> 0"),
+    ([np.nan, 1.0, 10.0], "finite"),
+    ([np.inf, 1.0, 2.0], "finite"),
+    ([], "empty"),
+])
+def test_select_lambda_rejects_bad_grid(grid, problem):
+    rng = np.random.default_rng(21)
+    x = _rich_excitation(rng, 30)
+    prob = RegressionProblem.from_pairs(x, x)
+    with pytest.raises(RegressionError, match=f"lambda grid .*{problem}"):
+        select_lambda(prob, np.array(grid, float))
+
+
+def _well_posed_problem():
+    rng = np.random.default_rng(22)
+    x = _rich_excitation(rng, 60)
+    y = _random_affine(rng).apply_many(x) + rng.normal(0.0, 0.3, size=x.shape)
+    return RegressionProblem.from_pairs(x, y)
+
+
+_WELL_POSED = _well_posed_problem()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.one_of(st.sampled_from(list(DEFAULT_LAMBDA_GRID)),
+                          st.floats(min_value=1e-8, max_value=1e2)),
+                min_size=1, max_size=20))
+def test_select_lambda_returns_a_grid_member(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a fallback may warn
+        chosen = select_lambda(_WELL_POSED, np.array(grid))
+    assert chosen in grid
 
 
 # ---------------------------------------------------------------------------
