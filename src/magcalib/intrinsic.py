@@ -241,12 +241,6 @@ def _weighted_normal(prob: RegressionProblem):
     return obs_bar, design_bar, xw.T @ xw, xw.T @ (obs_bar * w)
 
 
-def _singular_normal_error(cond: float) -> RegressionError:
-    return RegressionError(
-        f"weighted normal matrix is numerically singular (cond={cond:.3g}); "
-        "increase the ridge factor")
-
-
 def solve_wrrtls(prob: RegressionProblem) -> AffineDistortion:
     """Weighted ridge-regularized total least squares (closed form).
 
@@ -259,7 +253,9 @@ def solve_wrrtls(prob: RegressionProblem) -> AffineDistortion:
     normal = gram + prob.ridge * np.eye(4)
     cond = np.linalg.cond(normal)
     if not np.isfinite(cond) or cond > _MAX_NORMAL_COND:
-        raise _singular_normal_error(cond)
+        raise RegressionError(
+            f"weighted normal matrix is numerically singular (cond={cond:.3g}); "
+            "increase the ridge factor")
     a = np.linalg.solve(normal, rhs).T  # (3, 4)
     return AffineDistortion(a[:, :3], a[:, 3])
 
@@ -283,15 +279,15 @@ def _lcurve(prob: RegressionProblem, ridges: np.ndarray):
     cond = np.linalg.cond(normal)
     singular = ~np.isfinite(cond) | (cond > _MAX_NORMAL_COND)
     n_ok = int(np.argmax(singular)) if singular.any() else ridges.size
-    coeffs = np.linalg.solve(normal[:n_ok], rhs)  # (n_ok, 4, 3) = [gain | bias]^T
+    # rhs[None]: a stack of matrices for numpy 1.x too, which reads a 2-D b
+    # against a 3-D a as a stack of vectors
+    coeffs = np.linalg.solve(normal[:n_ok], rhs[None])  # (n_ok, 4, 3) = [gain | bias]^T
     gains = coeffs[:, :3].transpose(0, 2, 1)
     bad_gain = (~np.isfinite(coeffs).all(axis=(1, 2))
                 | (np.abs(np.linalg.det(gains)) <= _SINGULAR_GAIN_DET))
-    if bad_gain.any():
-        j = int(np.argmax(bad_gain))
-        AffineDistortion(gains[j], coeffs[j, 3])  # raises that ridge's error
-    if n_ok < ridges.size:
-        raise _singular_normal_error(cond[n_ok])
+    if bad_gain.any() or n_ok < ridges.size:
+        k = int(np.argmax(bad_gain)) if bad_gain.any() else n_ok
+        solve_wrrtls(prob.with_ridge(float(ridges[k])))  # raises that ridge's error
     resid = (design_bar @ coeffs - obs_bar) * prob.weights[:, None]
     rho = np.sqrt(np.einsum("kij,kij->k", resid, resid))
     eta = np.sqrt(np.einsum("kij,kij->k", coeffs, coeffs))
@@ -322,15 +318,16 @@ def select_lambda(prob: RegressionProblem, grid: np.ndarray | None = None) -> fl
     the whole curve is traced from one truncation: one weighted Gram matrix,
     with every ridge of the sweep solved in one batch. A ridge at which
     ``solve_wrrtls`` would fail makes this fail the same way. The grid must
-    be non-empty, finite and positive (it is log-spaced).
+    be non-empty, finite and >= 0, and > 0 where it is swept (3 or more
+    values), as the sweep is log-spaced.
     """
     grid = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, float)
     if grid.size == 0:
         raise RegressionError("lambda grid is empty")
     if not np.all(np.isfinite(grid)):
         raise RegressionError(f"lambda grid must be finite, got {grid}")
-    if np.any(grid <= 0):
-        raise RegressionError(f"lambda grid must be > 0, got {grid}")
+    if np.any(grid < 0):
+        raise RegressionError(f"lambda grid must be >= 0, got {grid}")
     grid = np.sort(grid)
     if grid.size == 1:
         return float(grid[0])
@@ -338,6 +335,8 @@ def select_lambda(prob: RegressionProblem, grid: np.ndarray | None = None) -> fl
         warnings.warn("lambda grid too short for corner detection; using smallest",
                       RuntimeWarning)
         return float(grid[0])
+    if grid[0] == 0:
+        raise RegressionError(f"lambda grid must be > 0 to sweep it, got {grid}")
 
     dense = np.logspace(np.log10(grid[0]), np.log10(grid[-1]), 160)
     rho, eta = _lcurve(prob, dense)

@@ -414,7 +414,9 @@ def test_select_lambda_singular_gain_raises():
 
 @pytest.mark.parametrize("grid, problem", [
     ([0.0, 1.0, 10.0], "> 0"),
-    ([-1.0, 1.0, 10.0], "> 0"),
+    ([-1.0, 1.0, 10.0], ">= 0"),
+    ([-1.0], ">= 0"),
+    ([np.nan], "finite"),
     ([np.nan, 1.0, 10.0], "finite"),
     ([np.inf, 1.0, 2.0], "finite"),
     ([], "empty"),
@@ -425,6 +427,16 @@ def test_select_lambda_rejects_bad_grid(grid, problem):
     prob = RegressionProblem.from_pairs(x, x)
     with pytest.raises(RegressionError, match=f"lambda grid .*{problem}"):
         select_lambda(prob, np.array(grid, float))
+
+
+def test_select_lambda_short_grid_may_hold_zero():
+    # a zero ridge is valid; only the log-spaced sweep of 3+ values needs > 0
+    rng = np.random.default_rng(21)
+    x = _rich_excitation(rng, 30)
+    prob = RegressionProblem.from_pairs(x, x)
+    assert select_lambda(prob, np.array([0.0])) == 0.0
+    with pytest.warns(RuntimeWarning, match="too short"):
+        assert select_lambda(prob, np.array([1.0, 0.0])) == 0.0
 
 
 def _well_posed_problem():
