@@ -16,7 +16,6 @@ from .extrinsic import (
 )
 from .geometry import (
     Dataset,
-    Fingerprint,
     FrameError,
     Pose,
     rotate_field,
@@ -37,7 +36,6 @@ from .intrinsic import (
 )
 from .magmap import (
     BilinearMap,
-    FieldQuery,
     GpHyperparams,
     MagMap,
     MapError,

@@ -6,8 +6,11 @@ Conventions used throughout the package:
   * rotations are stored as 3x3 orthonormal matrices (quaternions only
     appear at the file boundary, see :mod:`magcalib.serialization`).
 
-Everything here is an immutable value type: safe to share across threads
-and to reuse between trials.
+A :class:`Pose` is one immutable transform, validated when it is built. A
+sensor's fingerprints are one :class:`Dataset` of read-only columns, built
+and validated once by vectorised checks that apply the per-pose rules to
+every row. Both are immutable values: safe to share across threads and to
+reuse between trials.
 """
 
 from __future__ import annotations
@@ -47,20 +50,39 @@ def as_mat3(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    """True when R is orthonormal with determinant +1 within ``tol``."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
-        return False
-    if not np.allclose(R.T @ R, np.eye(3), atol=tol, rtol=0.0):
-        return False
-    return abs(np.linalg.det(R) - 1.0) <= 10 * tol
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Norm of each row of ``x`` (N, k), bit for bit ``np.linalg.norm(row)``:
+    a stack of (1, k) @ (k, 1) products takes the 1-D norm's dot kernel,
+    where ``norm(x, axis=1)`` sums in another order and differs in the last
+    bit on a few percent of rows."""
+    x = np.ascontiguousarray(x, dtype=float)
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]).reshape(-1))
 
 
-def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+def reject_rows(error: type, bad: np.ndarray, reason) -> None:
+    """Raise ``error`` for the first row flagged in the mask ``bad``, worded by
+    ``reason(row)``. The exception carries ``row`` and ``reason`` so that a
+    file reader can restate it against its own line numbers."""
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        exc = error(f"row {row}: {reason(row)}")
+        exc.row, exc.reason = row, reason(row)
+        raise exc
+
+
+def _rotation_errors(R: np.ndarray) -> tuple:
+    """Per matrix of the stack R (N, 3, 3): the largest entry of |R^T R - I|
+    and |det R - 1|. A rotation keeps them within ``ROTATION_TOL`` and
+    ``10 * ROTATION_TOL``."""
+    ortho = np.abs(np.matmul(np.swapaxes(R, 1, 2), R) - np.eye(3)).max(axis=(1, 2))
+    return ortho, np.abs(np.linalg.det(R) - 1.0)
+
+
+def check_rotation(R: np.ndarray) -> np.ndarray:
     """Validate a rotation matrix, returning it as a read-only array."""
     arr = as_mat3(R, "rotation")
-    if not is_rotation(arr, tol):
+    ortho, det = _rotation_errors(arr[None])
+    if not (ortho[0] <= ROTATION_TOL and det[0] <= 10 * ROTATION_TOL):
         raise FrameError("matrix is not orthonormal with determinant +1")
     return arr
 
@@ -142,57 +164,88 @@ def rotate_field(R: np.ndarray, b, inverse: bool = False) -> np.ndarray:
     return (Rm.T if inverse else Rm) @ vec
 
 
-@dataclass(frozen=True, eq=False)
-class Fingerprint:
-    """One timestamped (pose, magnetic reading) sample.
+def _column(value, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``value`` with exactly ``shape``."""
+    arr = np.array(value, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
-    ``pose`` maps the carrying sensor's frame into the map frame; ``reading``
-    is the field measured in the sensor frame, in uT.
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Dataset:
+    """One sensor's fingerprints as read-only columns.
+
+    Row i is the reading ``readings()[i]`` [uT, sensor frame] taken at
+    ``timestamps()[i]`` [s] with the pose ``(rotations()[i], positions()[i])``
+    from ``frame`` into the map frame. Built once and validated once, by the
+    rules of :class:`Pose` (rotation faults raise :class:`FrameError`) plus
+    finite values, reading magnitudes in (0, 1000) uT and strictly
+    increasing timestamps; a failure names the first bad row.
     """
 
-    timestamp: float
-    pose: Pose
-    reading: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "reading", as_vec3(self.reading, "reading"))
-        if not np.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
-        mag = float(np.linalg.norm(self.reading))
-        if not (0.0 < mag < 1000.0):
-            raise ValueError(f"reading magnitude {mag:.3g} uT outside sanity bound (0, 1000)")
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Ordered fingerprint collection for one sensor."""
-
     sensor_id: str
-    samples: tuple
+    frame: str
+    _timestamps: np.ndarray
+    _rotations: np.ndarray
+    _positions: np.ndarray
+    _readings: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        times = np.array([fp.timestamp for fp in self.samples])
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("fingerprint timestamps must be strictly increasing")
+    def __init__(self, sensor_id: str, frame: str, timestamps, rotations, positions,
+                 readings):
+        if frame not in FRAMES:
+            raise FrameError(f"unknown frame {frame!r}, expected one of {FRAMES}")
+        n = len(timestamps)
+        t = _column(timestamps, (n,), "timestamps")
+        R = _column(rotations, (n, 3, 3), "rotations")
+        p = _column(positions, (n, 3), "positions")
+        b = _column(readings, (n, 3), "readings")
+
+        for name, col in (("timestamp", t), ("rotation", R), ("position", p),
+                          ("reading", b)):
+            bad = ~np.isfinite(col).all(axis=tuple(range(1, col.ndim)))
+            reject_rows(ValueError, bad, lambda i: f"{name} {col[i].tolist()} is not finite")
+        ortho, det = _rotation_errors(R)
+        reject_rows(FrameError, ~(ortho <= ROTATION_TOL), lambda i: (
+            f"rotation is not orthonormal: |R^T R - I| reaches {ortho[i]:.3g} "
+            f"> {ROTATION_TOL}"))
+        reject_rows(FrameError, ~(det <= 10 * ROTATION_TOL), lambda i: (
+            f"rotation determinant is off +1 by {det[i]:.3g} > {10 * ROTATION_TOL}"))
+        mag = row_norms(b)
+        reject_rows(ValueError, ~((mag > 0.0) & (mag < 1000.0)), lambda i: (
+            f"reading magnitude {mag[i]:.3g} uT outside sanity bound (0, 1000)"))
+        reject_rows(ValueError, ~(np.diff(t, prepend=-np.inf) > 0), lambda i: (
+            f"timestamp {t[i]} does not follow {t[i - 1]}: timestamps must be "
+            "strictly increasing"))
+
+        for name, value in (("sensor_id", sensor_id), ("frame", frame),
+                            ("_timestamps", t), ("_rotations", R),
+                            ("_positions", p), ("_readings", b)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._timestamps.shape[0]
 
     def timestamps(self) -> np.ndarray:
-        return np.array([fp.timestamp for fp in self.samples])
+        """(N,) sample times in seconds."""
+        return self._timestamps
 
     def positions(self) -> np.ndarray:
         """(N, 3) sensor positions in the map frame."""
-        return np.array([fp.pose.translation for fp in self.samples]).reshape(-1, 3)
+        return self._positions
 
     def rotations(self) -> np.ndarray:
         """(N, 3, 3) sensor-to-map rotations."""
-        return np.array([fp.pose.rotation for fp in self.samples]).reshape(-1, 3, 3)
+        return self._rotations
 
     def readings(self) -> np.ndarray:
         """(N, 3) sensor-frame readings in uT."""
-        return np.array([fp.reading for fp in self.samples]).reshape(-1, 3)
+        return self._readings
 
     def poses(self) -> list:
-        return [fp.pose for fp in self.samples]
+        """One :class:`Pose` (``frame`` -> map) per row, built on demand."""
+        return [Pose(R, p, self.frame, "map")
+                for R, p in zip(self._rotations, self._positions)]

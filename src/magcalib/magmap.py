@@ -29,7 +29,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .geometry import Dataset, as_vec3
+from .geometry import Dataset
 
 
 class MapError(RuntimeError):
@@ -110,20 +110,12 @@ def _fit_block(hyper: GpHyperparams, lo, hi, pos: np.ndarray, fields: np.ndarray
                     pos, fields, mean, L, alpha)
 
 
-@dataclass(frozen=True)
-class FieldQuery:
-    """Posterior mean [uT] and per-axis predictive variance [uT^2] at one point."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-
 class MagMap:
     """Immutable GP field map over a regular grid of blocks.
 
-    Built via :func:`build_map`. Supports point and batched queries for the
-    posterior mean, the predictive variance, and the spatial gradient of the
-    mean. Queries outside the (overlap-padded) grid raise
+    Built via :func:`build_map`. Answers batched queries for the posterior
+    mean, the predictive variance, and the spatial gradient of the mean.
+    Queries outside the (overlap-padded) grid raise
     :class:`OutOfMapError`.
     """
 
@@ -172,11 +164,6 @@ class MagMap:
 
     # -- queries ----------------------------------------------------------
 
-    def query(self, t) -> FieldQuery:
-        t = as_vec3(t, "query position")
-        mean, var, _ = self.query_many(t.reshape(1, 3))
-        return FieldQuery(mean[0], var[0])
-
     def query_many(self, ts: np.ndarray, allow_outside: bool = False,
                    with_variance: bool = True):
         """Batched posterior query.
@@ -216,18 +203,10 @@ class MagMap:
             variances[idx_in[rows]] = var[:, None]
         return means, variances, inside
 
-    def gradient(self, t) -> np.ndarray:
-        """Spatial gradient of the posterior mean at ``t``.
-
-        Returns a 3x3 matrix, rows indexing field axes and columns spatial
-        axes, computed analytically from the kernel derivative.
-        """
-        t = as_vec3(t, "query position")
-        grads, _ = self.gradient_many(t.reshape(1, 3))
-        return grads[0]
-
     def gradient_many(self, ts: np.ndarray, allow_outside: bool = False):
-        """Batched analytic gradients: ``(grads (N,3,3), inside (N,))``."""
+        """Batched analytic gradients of the posterior mean: ``(grads (N,3,3),
+        inside (N,))``, rows of each 3x3 indexing field axes and columns
+        spatial axes."""
         ts = np.asarray(ts, float).reshape(-1, 3)
         inside = self.contains_many(ts)
         if not allow_outside and not np.all(inside):
@@ -378,10 +357,6 @@ class BilinearMap:
             means[inside] = self._eval(ts[inside][:, self.active])
         return means, None, inside
 
-    def query(self, t) -> FieldQuery:
-        mean, _, _ = self.query_many(np.asarray(t, float).reshape(1, 3))
-        return FieldQuery(mean[0], None)
-
     def gradient_many(self, ts: np.ndarray, allow_outside: bool = False, h: float = 1e-3):
         ts = np.asarray(ts, float).reshape(-1, 3)
         inside = self.contains_many(ts)
@@ -401,7 +376,3 @@ class BilinearMap:
                 g[:, :, axis] = (self._eval(hi_pts) - self._eval(lo_pts)) / denom[:, None]
             grads[inside] = g
         return grads, inside
-
-    def gradient(self, t) -> np.ndarray:
-        grads, _ = self.gradient_many(np.asarray(t, float).reshape(1, 3))
-        return grads[0]

@@ -6,9 +6,12 @@ with fixed field order::
 
     {"t": <seconds>, "p": [x, y, z], "q": [w, x, y, z], "B": [bx, by, bz]}
 
-positions in meters, readings in uT. Map files are versioned JSON containers
-holding hyperparameters, grid metadata, and per-block training arrays;
-Cholesky factors are recomputed on load.
+positions in meters, readings in uT. A fingerprint file is read into
+columns and converted and validated once per file, not once per record; a
+malformed record raises naming the file and its 1-based line. Map files are
+versioned JSON containers holding hyperparameters, grid metadata, and
+per-block training arrays; each block's arrays are checked on load and its
+Cholesky factor is recomputed.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .extrinsic import CalibrationConfig, CalibrationResult
-from .geometry import Dataset, Fingerprint, Pose
+from .geometry import Dataset, reject_rows, row_norms
 from .intrinsic import AffineDistortion
-from .magmap import GpHyperparams, MagMap, MapBlock, _fit_block
+from .magmap import GpHyperparams, MagMap, MapError, _fit_block
 from .simulator import Box, Dipole, SensorRig, WorldConfig
 
 MAP_SCHEMA = "magmap/1"
@@ -32,85 +35,124 @@ QUAT_NORM_TOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # quaternions (scalar-first) at the file boundary
+#
+# Both directions work on one quaternion or matrix or on a stack of them and
+# give, row by row, the same bits as the one-at-a-time form: the norms go
+# through ``row_norms`` and the arithmetic runs in the same order.
 
 
 def quat_to_rotmat(q) -> np.ndarray:
-    """Unit quaternion [w, x, y, z] to a rotation matrix.
+    """Unit quaternion [w, x, y, z] to a rotation matrix; (N, 4) gives (N, 3, 3).
 
-    The quaternion is normalized first; a norm off unity by more than
-    ``QUAT_NORM_TOL`` is rejected.
+    Each quaternion is normalized first; a norm off unity by more than
+    ``QUAT_NORM_TOL`` is rejected, naming its row (see ``reject_rows``).
     """
-    q = np.asarray(q, float).reshape(4)
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > QUAT_NORM_TOL:
-        raise ValueError(f"quaternion norm {norm:.9f} deviates from 1 by more than "
-                         f"{QUAT_NORM_TOL}")
-    w, x, y, z = q / norm
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    q = np.asarray(q, float)
+    rows = q.reshape(-1, 4)
+    norm = row_norms(rows)
+    reject_rows(ValueError, ~(np.abs(norm - 1.0) <= QUAT_NORM_TOL), lambda i: (
+        f"quaternion norm {norm[i]:.9f} deviates from 1 by more than {QUAT_NORM_TOL}"))
+    w, x, y, z = (rows / norm[:, None]).T
+    R = np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=1)
+    return R.reshape(q.shape[:-1] + (3, 3))
 
 
 def rotmat_to_quat(R) -> np.ndarray:
-    """Rotation matrix to a unit quaternion [w, x, y, z] (w >= 0)."""
+    """Rotation matrix to a unit quaternion [w, x, y, z] (w >= 0); (N, 3, 3)
+    gives (N, 4)."""
     R = np.asarray(R, float)
-    tr = np.trace(R)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
-    else:
-        i = int(np.argmax(np.diag(R)))
+    M = R.reshape(-1, 3, 3)
+    q = np.empty((M.shape[0], 4))
+    tr = np.trace(M, axis1=1, axis2=2)
+    pos = tr > 0
+    Mp = M[pos]
+    s = np.sqrt(tr[pos] + 1.0) * 2.0
+    q[pos] = np.stack([0.25 * s,
+                       (Mp[:, 2, 1] - Mp[:, 1, 2]) / s,
+                       (Mp[:, 0, 2] - Mp[:, 2, 0]) / s,
+                       (Mp[:, 1, 0] - Mp[:, 0, 1]) / s], axis=1)
+    largest = np.argmax(M.diagonal(axis1=1, axis2=2), axis=1)
+    for i in range(3):
+        sel = ~pos & (largest == i)
+        Ms = M[sel]
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(R[i, i] - R[j, j] - R[k, k] + 1.0, 0.0)) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+        s = np.sqrt(np.maximum(Ms[:, i, i] - Ms[:, j, j] - Ms[:, k, k] + 1.0, 0.0)) * 2.0
+        q[sel, 0] = (Ms[:, k, j] - Ms[:, j, k]) / s
+        q[sel, 1 + i] = 0.25 * s
+        q[sel, 1 + j] = (Ms[:, j, i] + Ms[:, i, j]) / s
+        q[sel, 1 + k] = (Ms[:, k, i] + Ms[:, i, k]) / s
+    q[q[:, 0] < 0] *= -1.0
+    q /= row_norms(q)[:, None]
+    return q.reshape(R.shape[:-2] + (4,))
 
 
 # ---------------------------------------------------------------------------
 # fingerprint JSONL
 
 
-def fingerprint_to_record(fp: Fingerprint) -> dict:
-    return {
-        "t": fp.timestamp,
-        "p": list(fp.pose.translation),
-        "q": list(rotmat_to_quat(fp.pose.rotation)),
-        "B": list(fp.reading),
-    }
-
-
-def record_to_fingerprint(record: dict, from_frame: str = "lidar") -> Fingerprint:
-    pose = Pose(quat_to_rotmat(record["q"]), np.asarray(record["p"], float),
-                from_frame, "map")
-    return Fingerprint(float(record["t"]), pose, np.asarray(record["B"], float))
-
-
 def write_fingerprints(dataset: Dataset, path) -> None:
+    columns = (dataset.timestamps().tolist(), dataset.positions().tolist(),
+               rotmat_to_quat(dataset.rotations()).tolist(), dataset.readings().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for fp in dataset.samples:
-            fh.write(json.dumps(fingerprint_to_record(fp)) + "\n")
+        fh.writelines(json.dumps({"t": t, "p": p, "q": q, "B": b}) + "\n"
+                      for t, p, q, b in zip(*columns))
 
 
 def read_fingerprints(path, sensor_id: str | None = None,
                       from_frame: str = "lidar") -> Dataset:
-    samples = []
+    """Read a fingerprint JSONL file into one :class:`Dataset`.
+
+    Blank lines are skipped. A malformed record raises a ``ValueError``
+    naming the file and its line: bad JSON, a missing key, a field of the
+    wrong length or type, a quaternion off unit norm, a non-finite value, an
+    unphysical reading or a timestamp that does not increase.
+    """
+    lines, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                samples.append(record_to_fingerprint(json.loads(line), from_frame))
-    return Dataset(sensor_id or Path(path).stem, samples)
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                t, p, q, b = record["t"], record["p"], record["q"], record["B"]
+                lengths = (len(p), len(q), len(b))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: bad JSON: {exc.msg} at column "
+                                 f"{exc.pos + 1}") from None
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {number}: record has no "
+                                 f"{exc.args[0]!r} key") from None
+            except TypeError:
+                raise ValueError(f"{path}, line {number}: record is not an object "
+                                 "holding a number 't' and lists 'p', 'q', 'B'") from None
+            if lengths != (3, 4, 3):
+                raise ValueError(f"{path}, line {number}: 'p', 'q', 'B' must hold "
+                                 f"3, 4, 3 numbers, not {lengths}")
+            lines.append(number)
+            rows.append([t, *p, *q, *b])
+    try:
+        cols = np.array(rows, dtype=float).reshape(-1, 11)
+    except (TypeError, ValueError):
+        number, row = next((n, r) for n, r in zip(lines, rows) if not _numbers(r))
+        raise ValueError(f"{path}, line {number}: values must be numbers, got {row}") from None
+    try:
+        return Dataset(sensor_id or Path(path).stem, from_frame, cols[:, 0],
+                       quat_to_rotmat(cols[:, 4:8]), cols[:, 1:4], cols[:, 8:])
+    except ValueError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise type(exc)(f"{path}, line {lines[exc.row]}: {exc.reason}") from None
+
+
+def _numbers(row: list) -> bool:
+    try:
+        return np.array(row, dtype=float).shape == (len(row),)
+    except (TypeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +187,26 @@ def save_map(field_map: MagMap, path) -> None:
         json.dump(doc, fh)
 
 
+def _block_arrays(entry: dict) -> tuple:
+    """A stored block's ``lo``, ``hi``, ``positions`` and ``fields`` as float
+    arrays, checked before the fit so that a bad block raises ``MapError``
+    instead of fitting NaN into every query it serves."""
+    where = f"map block {entry.get('index')}"
+    try:
+        arrays = tuple(np.asarray(entry[key], float)
+                       for key in ("lo", "hi", "positions", "fields"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MapError(f"{where}: arrays do not parse: {exc!r}") from None
+    shapes = [a.shape for a in arrays]
+    n = shapes[2][0] if len(shapes[2]) == 2 else 0
+    if n == 0 or shapes != [(3,), (3,), (n, 3), (n, 3)]:
+        raise MapError(f"{where}: lo, hi, positions, fields need shapes (3,), (3,), "
+                       f"(n, 3), (n, 3) with n >= 1, not {shapes}")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise MapError(f"{where}: lo, hi, positions and fields must be finite")
+    return arrays
+
+
 def load_map(path) -> MagMap:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -152,13 +214,8 @@ def load_map(path) -> MagMap:
         raise ValueError(f"unsupported map schema {doc.get('schema')!r}, "
                          f"expected {MAP_SCHEMA!r}")
     hyper = GpHyperparams(**doc["hyper"])
-    blocks: dict[tuple, MapBlock] = {}
-    for entry in doc["blocks"]:
-        block = _fit_block(hyper, np.asarray(entry["lo"], float),
-                           np.asarray(entry["hi"], float),
-                           np.asarray(entry["positions"], float),
-                           np.asarray(entry["fields"], float))
-        blocks[tuple(entry["index"])] = block
+    blocks = {tuple(entry["index"]): _fit_block(hyper, *_block_arrays(entry))
+              for entry in doc["blocks"]}
     return MagMap(hyper, doc["block_size"], doc["overlap"],
                   np.asarray(doc["grid_lo"], float),
                   np.asarray(doc["grid_shape"], int), blocks)

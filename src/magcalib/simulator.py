@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Dataset, Fingerprint, Pose, as_vec3, rot_z
+from .geometry import Dataset, Pose, as_vec3, rot_z
 from .intrinsic import AffineDistortion
 
 PATH_KINDS = ("lawnmower", "perimeter", "random_walk", "figure_eight", "diagonal_sweep")
@@ -355,12 +355,12 @@ def random_distortion(rng: np.random.Generator, scale: float = 1.0) -> AffineDis
 
 def sample_dataset(world: WorldConfig, path: list, rig: SensorRig, sensor_index: int,
                    seed: int | None = None):
-    """Simulate one sensor along a path.
+    """Simulate one sensor along a path of LiDAR poses (lidar -> map).
 
     Returns ``(measured, ground_truth)`` datasets sharing timestamps and
     poses: the truth holds the undistorted lidar-frame field at the sensor's
     true position, the measured data applies the rig's affine corruption and
-    Gaussian noise.
+    Gaussian noise. Sample i is taken at time i seconds.
     """
     offset = rig.offsets[sensor_index]
     dist = rig.distortions[sensor_index]
@@ -375,15 +375,10 @@ def sample_dataset(world: WorldConfig, path: list, rig: SensorRig, sensor_index:
     if rig.noise_sigma > 0:
         b_meas = b_meas + rng.normal(0.0, rig.noise_sigma, size=b_meas.shape)
 
-    truth_samples = []
-    meas_samples = []
-    for i, pose in enumerate(path):
-        t = float(i)
-        truth_samples.append(Fingerprint(t, pose, b_true[i]))
-        meas_samples.append(Fingerprint(t, pose, b_meas[i]))
+    times = np.arange(len(path), dtype=float)
     sensor_id = f"mag{sensor_index}"
-    return (Dataset(sensor_id, meas_samples),
-            Dataset(sensor_id + "_truth", truth_samples))
+    return (Dataset(sensor_id, "lidar", times, rotations, translations, b_meas),
+            Dataset(sensor_id + "_truth", "lidar", times, rotations, translations, b_true))
 
 
 def survey_positions(world: WorldConfig, spacing_xy: float,
@@ -394,25 +389,20 @@ def survey_positions(world: WorldConfig, spacing_xy: float,
                    spacing_xy)
     ys = np.arange(world.extent.lo[1] + margin, world.extent.hi[1] - margin + 1e-9,
                    spacing_xy)
-    pts = []
-    for z in z_levels:
-        for x in xs:
-            for y in ys:
-                pts.append((x, y, z))
-    return np.asarray(pts)
+    z, x, y = np.meshgrid(np.asarray(z_levels, float), xs, ys, indexing="ij")
+    return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)  # y fastest, z slowest
 
 
 def survey_dataset(world: WorldConfig, positions: np.ndarray,
                    noise_sigma: float = 0.0, seed: int | None = None,
                    sensor_id: str = "survey") -> Dataset:
-    """Mapping-run fingerprints: identity-orientation poses, map-frame readings."""
+    """Mapping-run fingerprints: identity-orientation poses (mag -> map),
+    map-frame readings, sample i taken at time i seconds."""
     positions = np.asarray(positions, float).reshape(-1, 3)
     rng = np.random.default_rng(world.rng_seed if seed is None else seed)
     fields = field_at_many(world, positions)
     if noise_sigma > 0:
         fields = fields + rng.normal(0.0, noise_sigma, size=fields.shape)
-    samples = []
-    for i, (pos, reading) in enumerate(zip(positions, fields)):
-        pose = Pose(np.eye(3), pos, "mag", "map")
-        samples.append(Fingerprint(float(i), pose, reading))
-    return Dataset(sensor_id, samples)
+    n = positions.shape[0]
+    return Dataset(sensor_id, "mag", np.arange(n, dtype=float),
+                   np.broadcast_to(np.eye(3), (n, 3, 3)), positions, fields)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magcalib.geometry import Dataset, Fingerprint, Pose
+from magcalib.geometry import Dataset
 from magcalib.magmap import GpHyperparams, build_map
 from magcalib.simulator import (
     Box,
@@ -63,15 +63,19 @@ def calib_path(calib_world):
     return generate_path(spec, calib_world)
 
 
+def identity_dataset(positions, readings, sensor_id="test"):
+    """Survey-style dataset: identity orientation (mag -> map), sample i at
+    time i seconds."""
+    positions = np.asarray(positions, float).reshape(-1, 3)
+    n = positions.shape[0]
+    return Dataset(sensor_id, "mag", np.arange(n, dtype=float),
+                   np.tile(np.eye(3), (n, 1, 1)), positions, readings)
+
+
 def lattice_dataset(values_fn, xs, ys, zs, sensor_id="lattice"):
-    """Fingerprints on a regular lattice with identity orientation."""
-    samples = []
-    i = 0
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                pos = np.array([x, y, z], float)
-                pose = Pose(np.eye(3), pos, "mag", "map")
-                samples.append(Fingerprint(float(i), pose, values_fn(pos)))
-                i += 1
-    return Dataset(sensor_id, samples)
+    """Fingerprints on a regular lattice with identity orientation, x
+    slowest and z fastest."""
+    x, y, z = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float),
+                          np.asarray(zs, float), indexing="ij")
+    positions = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    return identity_dataset(positions, [values_fn(p) for p in positions], sensor_id)

@@ -256,13 +256,10 @@ def test_frame_shift_invariance(calib_world, calib_path):
     hyper = GpHyperparams(length_scale=0.8, noise_variance=0.001)
     map_a = build_map(data, hyper, block_size=8.0)
 
-    from magcalib.geometry import Dataset, Fingerprint
-    shifted_samples = [
-        Fingerprint(fp.timestamp,
-                    Pose(fp.pose.rotation, fp.pose.translation + shift,
-                         fp.pose.from_frame, fp.pose.to_frame), fp.reading)
-        for fp in data.samples]
-    map_b = build_map(Dataset("shifted", shifted_samples), hyper, block_size=8.0)
+    from magcalib.geometry import Dataset
+    shifted = Dataset("shifted", data.frame, data.timestamps(), data.rotations(),
+                      data.positions() + shift, data.readings())
+    map_b = build_map(shifted, hyper, block_size=8.0)
 
     rng = np.random.default_rng(7)
     dist = random_distortion(rng, 1.0)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from magcalib.geometry import Dataset, Fingerprint, Pose
 from magcalib.magmap import (
     BilinearMap,
     GpHyperparams,
@@ -12,21 +11,20 @@ from magcalib.magmap import (
 )
 from magcalib.simulator import field_at_many
 
-from conftest import lattice_dataset
+from conftest import identity_dataset, lattice_dataset
 
 
 def _single_point_map(reading=(15.0, -5.0, -40.0)):
-    pose = Pose(np.eye(3), np.zeros(3), "mag", "map")
-    data = Dataset("one", [Fingerprint(0.0, pose, np.asarray(reading))])
+    data = identity_dataset(np.zeros((1, 3)), [reading], "one")
     hyper = GpHyperparams(length_scale=1.0, noise_variance=0.0)
     return build_map(data, hyper, block_size=4.0)
 
 
 def test_single_fingerprint_interpolates_exactly():
     field_map = _single_point_map()
-    out = field_map.query(np.zeros(3))
-    assert np.allclose(out.mean, [15.0, -5.0, -40.0], atol=1e-9)
-    assert np.all(out.variance <= 1e-9)
+    means, variances, _ = field_map.query_many(np.zeros((1, 3)))
+    assert np.allclose(means[0], [15.0, -5.0, -40.0], atol=1e-9)
+    assert np.all(variances[0] <= 1e-9)
 
 
 def test_constant_field_recovered_everywhere():
@@ -37,7 +35,7 @@ def test_constant_field_recovered_everywhere():
     rng = np.random.default_rng(0)
     for _ in range(20):
         t = rng.uniform([1.0, 1.0, 0.5], [8.0, 8.0, 0.5])
-        assert np.allclose(field_map.query(t).mean, const, atol=1e-6)
+        assert np.allclose(field_map.query_many(t[None])[0][0], const, atol=1e-6)
 
 
 def test_gp_consistent_with_simulator_at_held_out_midpoints(gentle_world):
@@ -61,22 +59,20 @@ def test_gp_consistent_with_simulator_at_held_out_midpoints(gentle_world):
 
 def test_far_query_recovers_prior(gentle_world):
     # one training cluster in a corner; query the far corner of its block
-    pose = Pose(np.eye(3), np.array([0.5, 0.5, 0.5]), "mag", "map")
-    samples = [Fingerprint(float(i), Pose(np.eye(3), np.array([0.4 + 0.1 * i, 0.5, 0.5]), "mag", "map"),
-                           np.array([20.0, 5.0, -40.0])) for i in range(3)]
-    data = Dataset("corner", samples)
+    positions = [[0.4 + 0.1 * i, 0.5, 0.5] for i in range(3)]
+    data = identity_dataset(positions, np.tile([20.0, 5.0, -40.0], (3, 1)), "corner")
     hyper = GpHyperparams(length_scale=0.5, signal_variance=25.0, noise_variance=0.01)
     field_map = build_map(data, hyper, block_size=30.0)
     far = np.array([25.0, 0.5, 0.5])
-    out = field_map.query(far)
-    assert np.allclose(out.mean, [20.0, 5.0, -40.0], atol=1e-6)  # block mean
-    assert np.all(np.abs(out.variance - hyper.signal_variance)
+    means, variances, _ = field_map.query_many(far[None])
+    assert np.allclose(means[0], [20.0, 5.0, -40.0], atol=1e-6)  # block mean
+    assert np.all(np.abs(variances[0] - hyper.signal_variance)
                   <= 0.01 * (hyper.signal_variance + hyper.noise_variance))
 
 
 def test_variance_zero_at_training_point_when_noise_free():
     field_map = _single_point_map()
-    assert np.all(field_map.query(np.zeros(3)).variance <= 1e-9)
+    assert np.all(field_map.query_many(np.zeros((1, 3)))[1] <= 1e-9)
 
 
 def test_dense_grid_map_matches_simulator(gentle_world):
@@ -95,7 +91,7 @@ def test_dense_grid_map_matches_simulator(gentle_world):
 
 def test_out_of_map_raises(gentle_map):
     with pytest.raises(OutOfMapError):
-        gentle_map.query(np.array([100.0, 100.0, 100.0]))
+        gentle_map.query_many(np.array([[100.0, 100.0, 100.0]]))
     means, variances, inside = gentle_map.query_many(
         np.array([[100.0, 100.0, 100.0], [4.0, 4.0, 0.9]]), allow_outside=True)
     assert not inside[0] and inside[1]
@@ -103,10 +99,7 @@ def test_out_of_map_raises(gentle_map):
 
 
 def test_duplicate_positions_zero_noise_is_labeled_error():
-    pose = Pose(np.eye(3), np.zeros(3), "mag", "map")
-    samples = [Fingerprint(float(i), pose, np.array([10.0, 0.0, -40.0]))
-               for i in range(2)]
-    data = Dataset("dup", samples)
+    data = identity_dataset(np.zeros((2, 3)), np.tile([10.0, 0.0, -40.0], (2, 1)), "dup")
     with pytest.raises(MapError, match="noise_variance"):
         build_map(data, GpHyperparams(noise_variance=0.0), block_size=4.0)
 
@@ -116,7 +109,7 @@ def test_gradient_of_constant_field_is_zero():
     xs = np.linspace(0.0, 6.0, 7)
     data = lattice_dataset(lambda p: const, xs, xs, [0.4, 1.2])
     field_map = build_map(data, GpHyperparams(length_scale=1.5), block_size=8.0)
-    grad = field_map.gradient(np.array([3.0, 3.0, 0.8]))
+    grad = field_map.gradient_many(np.array([[3.0, 3.0, 0.8]]))[0][0]
     assert np.max(np.abs(grad)) <= 1e-6
 
 
@@ -125,7 +118,7 @@ def test_gradient_matches_finite_differences(gentle_map):
     h = 1e-4
     pts = rng.uniform([2.0, 2.0, 0.6], [6.0, 6.0, 1.2], size=(25, 3))
     for t in pts:
-        analytic = gentle_map.gradient(t)
+        analytic = gentle_map.gradient_many(t[None])[0][0]
         fd = np.zeros((3, 3))
         for axis in range(3):
             step = np.zeros(3)
@@ -150,7 +143,7 @@ def test_gradient_recovers_linear_field():
     rng = np.random.default_rng(3)
     for _ in range(10):
         t = rng.uniform([2.0, 2.0, 0.7], [4.0, 4.0, 1.3])
-        grad = field_map.gradient(t)
+        grad = field_map.gradient_many(t[None])[0][0]
         assert np.max(np.abs(grad - gain)) <= 0.01 * np.max(np.abs(gain))
 
 
@@ -164,10 +157,8 @@ def test_query_mean_invariant_to_fingerprint_order(gentle_world):
 
     rng = np.random.default_rng(6)
     perm = rng.permutation(len(data))
-    shuffled = [data.samples[i] for i in perm]
-    reindexed = [Fingerprint(float(i), fp.pose, fp.reading)
-                 for i, fp in enumerate(shuffled)]
-    m2 = build_map(Dataset("perm", reindexed), hyper, block_size=8.0)
+    shuffled = identity_dataset(data.positions()[perm], data.readings()[perm], "perm")
+    m2 = build_map(shuffled, hyper, block_size=8.0)
 
     pts = rng.uniform([2.0, 2.0, 0.7], [6.0, 6.0, 1.1], size=(20, 3))
     a, _, _ = m1.query_many(pts)
@@ -185,7 +176,7 @@ def test_variance_shrinks_with_noise_at_training_points():
         field_map = build_map(data, GpHyperparams(length_scale=1.0,
                                                   noise_variance=noise),
                               block_size=8.0)
-        var = field_map.query(t).variance[0]
+        var = field_map.query_many(t[None])[1][0, 0]
         assert var < prev
         prev = var
 
@@ -223,10 +214,9 @@ def l_shaped_map():
                          -40.0 + 0.1 * p[0] * p[1]])
 
     data = lattice_dataset(field, xs, xs, [0.5, 1.0])
-    keep = [fp for fp in data.samples
-            if fp.pose.translation[0] <= 1.5 or fp.pose.translation[1] <= 1.5]
-    data = Dataset("L", [Fingerprint(float(i), fp.pose, fp.reading)
-                         for i, fp in enumerate(keep)])
+    pos = data.positions()
+    keep = (pos[:, 0] <= 1.5) | (pos[:, 1] <= 1.5)
+    data = identity_dataset(pos[keep], data.readings()[keep], "L")
     field_map = build_map(data, GpHyperparams(length_scale=0.7), block_size=2.0,
                           overlap=0.25)
     assert field_map.grid_shape.tolist() == [4, 4, 1] and len(field_map.blocks) == 7
@@ -353,9 +343,9 @@ def test_bilinear_exact_at_nodes():
     zs = [0.5, 1.5]
     data = lattice_dataset(_ramp, xs, xs, zs)
     grid = BilinearMap(data)
-    for fp in data.samples[::7]:
-        out = grid.query(fp.pose.translation).mean
-        assert np.allclose(out, fp.reading, atol=1e-12)
+    for pos, reading in zip(data.positions()[::7], data.readings()[::7]):
+        out = grid.query_many(pos[None])[0][0]
+        assert np.allclose(out, reading, atol=1e-12)
 
 
 def test_bilinear_cell_center_is_average():
@@ -365,7 +355,7 @@ def test_bilinear_cell_center_is_average():
         return np.array([vals[(p[0], p[1])], 30.0, -40.0])
 
     data = lattice_dataset(f, [0.0, 1.0], [0.0, 1.0], [0.5])
-    out = BilinearMap(data).query(np.array([0.5, 0.5, 0.5])).mean
+    out = BilinearMap(data).query_many(np.array([[0.5, 0.5, 0.5]]))[0][0]
     assert np.isclose(out[0], (1.0 + 2.0 + 5.0 + 10.0) / 4.0, atol=1e-12)
 
 
@@ -377,18 +367,15 @@ def test_bilinear_reproduces_linear_fields():
     rng = np.random.default_rng(8)
     for _ in range(30):
         t = rng.uniform([0.0, 0.0, 0.2], [3.0, 3.0, 1.4])
-        assert np.allclose(grid.query(t).mean, _ramp(t), atol=1e-9)
+        assert np.allclose(grid.query_many(t[None])[0][0], _ramp(t), atol=1e-9)
 
 
 def test_bilinear_rejects_irregular_grid():
-    samples = []
     rng = np.random.default_rng(9)
-    for i in range(12):
-        pos = rng.uniform(0.0, 4.0, size=3)
-        samples.append(Fingerprint(float(i), Pose(np.eye(3), pos, "mag", "map"),
-                                   np.array([20.0, 0.0, -40.0])))
+    data = identity_dataset(rng.uniform(0.0, 4.0, size=(12, 3)),
+                            np.tile([20.0, 0.0, -40.0], (12, 1)), "irr")
     with pytest.raises(MapError, match="lattice"):
-        BilinearMap(Dataset("irr", samples))
+        BilinearMap(data)
 
 
 def test_bilinear_out_of_hull_raises():
@@ -396,7 +383,7 @@ def test_bilinear_out_of_hull_raises():
     data = lattice_dataset(_ramp, xs, xs, [0.5])
     grid = BilinearMap(data)
     with pytest.raises(OutOfMapError):
-        grid.query(np.array([5.0, 1.0, 0.5]))
+        grid.query_many(np.array([[5.0, 1.0, 0.5]]))
 
 
 def test_bilinear_gradient_near_linear_field():
@@ -404,6 +391,6 @@ def test_bilinear_gradient_near_linear_field():
     zs = np.linspace(0.2, 1.4, 3)
     data = lattice_dataset(_ramp, xs, xs, zs)
     grid = BilinearMap(data)
-    g = grid.gradient(np.array([1.3, 2.1, 0.9]))
+    g = grid.gradient_many(np.array([[1.3, 2.1, 0.9]]))[0][0]
     expected = np.array([[2.0, -1.0, 0.0], [0.0, 0.0, 0.5], [1.0, 0.0, 0.0]])
     assert np.allclose(g, expected, atol=1e-6)

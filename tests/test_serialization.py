@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magcalib.extrinsic import CalibrationResult
-from magcalib.geometry import Dataset, Fingerprint, Pose, random_rotation
+from magcalib.geometry import Dataset, random_rotation
 from magcalib.intrinsic import AffineDistortion
 from magcalib.magmap import GpHyperparams, MapError, build_map
 from magcalib.serialization import (
@@ -21,6 +23,8 @@ from magcalib.serialization import (
     save_result,
     write_fingerprints,
 )
+
+from conftest import identity_dataset
 
 
 def test_quaternion_matrix_round_trip():
@@ -42,14 +46,12 @@ def test_quaternion_norm_rejection():
 
 def _dataset(n=10, seed=1):
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
-        pose = Pose(random_rotation(rng), rng.uniform(-5.0, 5.0, 3), "lidar", "map")
-        reading = rng.uniform(-60.0, 60.0, 3)
-        if np.linalg.norm(reading) < 1.0:
-            reading += 10.0
-        samples.append(Fingerprint(float(i), pose, reading))
-    return Dataset("unit", samples)
+    rotations = [random_rotation(rng) for _ in range(n)]
+    positions = rng.uniform(-5.0, 5.0, size=(n, 3))
+    readings = rng.uniform(-60.0, 60.0, size=(n, 3))
+    readings[np.linalg.norm(readings, axis=1) < 1.0] += 10.0
+    return Dataset("unit", "lidar", np.arange(n, dtype=float), rotations, positions,
+                   readings)
 
 
 def test_fingerprint_jsonl_round_trip_bit_identical(tmp_path):
@@ -80,6 +82,132 @@ def test_fingerprint_record_field_order(tmp_path):
     assert list(record.keys()) == ["t", "p", "q", "B"]
 
 
+# the per-record conversions the JSONL path applied one row at a time; the
+# columnar path must reproduce them bit for bit
+
+
+def _reference_quat_to_rotmat(q):
+    q = np.asarray(q, float).reshape(4)
+    w, x, y, z = q / float(np.linalg.norm(q))
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _reference_rotmat_to_quat(R):
+    R = np.asarray(R, float)
+    tr = np.trace(R)
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
+                      (R[1, 0] - R[0, 1]) / s])
+    else:
+        i = int(np.argmax(np.diag(R)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(max(R[i, i] - R[j, j] - R[k, k] + 1.0, 0.0)) * 2.0
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[j, i] + R[i, j]) / s
+        q[1 + k] = (R[k, i] + R[i, k]) / s
+    if q[0] < 0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+_HALF_TURNS = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+               np.diag([-1.0, -1.0, 1.0])]  # 180 deg about x, y, z: trace -1
+
+
+def _rotation(kind, rng):
+    if kind == "random":
+        return random_rotation(rng)
+    if kind == "half_turn_random_axis":   # 2 u u^T - I, trace -1
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        return 2.0 * np.outer(u, u) - np.eye(3)
+    if kind == "identity":
+        return np.eye(3)
+    return _HALF_TURNS[kind]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.sampled_from(["random", "half_turn_random_axis", "identity", 0, 1, 2]),
+                min_size=1, max_size=16),
+       st.integers(0, 2**32 - 1))
+def test_jsonl_round_trip_matches_per_record_conversion(tmp_path_factory, kinds, seed):
+    rng = np.random.default_rng(seed)
+    n = len(kinds)
+    rotations = np.array([_rotation(kind, rng) for kind in kinds])
+    times = np.cumsum(rng.uniform(1e-6, 10.0, n)) - rng.uniform(-1e3, 1e3)
+    positions = rng.normal(scale=10.0 ** rng.uniform(-3, 4), size=(n, 3))
+    readings = rng.normal(size=(n, 3))
+    readings *= (rng.uniform(1e-3, 999.0, n) / np.linalg.norm(readings, axis=1))[:, None]
+    ds = Dataset("prop", "lidar", times, rotations, positions, readings)
+    path = tmp_path_factory.mktemp("prop") / "fp.jsonl"
+    write_fingerprints(ds, path)
+
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record, R in zip(records, rotations):
+        assert record["q"] == _reference_rotmat_to_quat(R).tolist()
+    back = read_fingerprints(path)
+    assert np.array_equal(back.timestamps(), times)
+    assert np.array_equal(back.positions(), positions)
+    assert np.array_equal(back.readings(), readings)
+    expected = np.array([_reference_quat_to_rotmat(_reference_rotmat_to_quat(R))
+                         for R in rotations])
+    assert np.array_equal(back.rotations(), expected)
+    singles = np.array([quat_to_rotmat(rotmat_to_quat(R)) for R in rotations])
+    assert np.array_equal(singles, expected)
+
+
+def test_batched_quaternions_match_per_record_conversion():
+    rng = np.random.default_rng(4)
+    kinds = ["random"] * 1500 + ["half_turn_random_axis"] * 100 + [0, 1, 2, "identity"]
+    rotations = np.array([_rotation(kind, rng) for kind in kinds])
+    quats = rotmat_to_quat(rotations)
+    assert np.array_equal(quats, [_reference_rotmat_to_quat(R) for R in rotations])
+    noisy = quats * (1.0 + rng.uniform(-5e-7, 5e-7, size=(len(quats), 1)))
+    assert np.array_equal(quat_to_rotmat(noisy), [_reference_quat_to_rotmat(q) for q in noisy])
+
+
+_GOOD = {"t": 0.0, "p": [1.0, 2.0, 0.5], "q": [1.0, 0.0, 0.0, 0.0], "B": [20.0, 0.0, -40.0]}
+
+
+def _line(**changes):
+    record = {**_GOOD, **changes}
+    return json.dumps({k: v for k, v in record.items() if v is not None})
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    ('{"t": 1.0, "p": [1.0, 2.0, 0.5], "q": [1.0, 0.0, 0.0, 0.0], "B": [20.0, 0.0,',
+     ValueError, "line 2: bad JSON: Expecting value at column"),
+    (_line(t=1.0, q=None), ValueError, "line 2: record has no 'q' key"),
+    ("[1.0, 2.0]", ValueError, "line 2: record is not an object"),
+    (_line(t=1.0, p=3.0), ValueError, "line 2: record is not an object"),
+    (_line(t=1.0, p=[1.0, 2.0]), ValueError, "line 2: .* not \\(2, 4, 3\\)"),
+    (_line(t=1.0, q=[1.0, 0.0, 0.0]), ValueError, "line 2: .* not \\(3, 3, 3\\)"),
+    (_line(t=1.0, B=[20.0, 0.0, -40.0, 1.0]), ValueError, "line 2: .* not \\(3, 4, 4\\)"),
+    (_line(t=1.0, B=[20.0, "x", -40.0]), ValueError, "line 2: values must be numbers"),
+    (_line(t=[1.0]), ValueError, "line 2: values must be numbers"),
+    (_line(t=1.0, q=[1.0, 0.0, 0.0, 2e-3]), ValueError, "line 2: quaternion norm"),
+    (_line(t=1.0, q=[float("nan"), 0.0, 0.0, 0.0]), ValueError, "line 2: quaternion norm"),
+    (_line(t=1.0, p=[1.0, float("inf"), 0.5]), ValueError, "line 2: position .* not finite"),
+    (_line(t=float("nan")), ValueError, "line 2: timestamp nan is not finite"),
+    (_line(t=1.0, B=[0.0, 0.0, 0.0]), ValueError, "line 2: reading magnitude"),
+    (_line(t=0.0), ValueError, "line 2: timestamp 0.0 does not follow 0.0"),
+])
+def test_jsonl_errors_name_file_and_line(tmp_path, bad, error, match):
+    path = tmp_path / "fp.jsonl"
+    # a blank line still counts: the bad record sits on line 3 of the file
+    path.write_text(_line() + "\n" + "\n" + bad + "\n" + _line(t=5.0) + "\n")
+    with pytest.raises(error, match=match.replace("line 2", "line 3")) as info:
+        read_fingerprints(path)
+    assert str(path) in str(info.value)
+
+
 def test_map_save_load_round_trip(tmp_path, gentle_map):
     path = tmp_path / "map.json"
     save_map(gentle_map, path)
@@ -104,11 +232,11 @@ def test_map_schema_guard(tmp_path):
 
 def _three_block_map_doc(tmp_path):
     """Saved document of a map on a 3x1x1 block grid."""
-    samples = [Fingerprint(float(i), Pose(np.eye(3), np.array([x, 0.5, 0.5]), "mag", "map"),
-                           np.array([20.0 + x, 0.0, -40.0]))
-               for i, x in enumerate(np.arange(0.0, 6.0, 0.5))]
-    field_map = build_map(Dataset("row", samples), GpHyperparams(length_scale=0.5),
-                          block_size=2.0, overlap=0.25)
+    xs = np.arange(0.0, 6.0, 0.5)
+    data = identity_dataset([[x, 0.5, 0.5] for x in xs],
+                            [[20.0 + x, 0.0, -40.0] for x in xs], "row")
+    field_map = build_map(data, GpHyperparams(length_scale=0.5), block_size=2.0,
+                          overlap=0.25)
     assert field_map.grid_shape.tolist() == [3, 1, 1]
     path = tmp_path / "map.json"
     save_map(field_map, path)
@@ -129,6 +257,31 @@ def test_map_block_index_outside_grid_is_labeled_error(tmp_path, index):
     doc["blocks"][-1]["index"] = index
     path.write_text(json.dumps(doc))
     with pytest.raises(MapError, match="outside"):
+        load_map(path)
+
+
+def _set_block(key, row, value):
+    def edit(block):
+        block[key][row] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set_block("positions", 1, [float("nan"), 0.5, 0.5]), "finite"),
+    (_set_block("positions", 0, [0.0, float("inf"), 0.5]), "finite"),
+    (_set_block("fields", 2, [20.0, float("nan"), -40.0]), "finite"),
+    (_set_block("fields", 0, [float("-inf"), 0.0, -40.0]), "finite"),
+    (lambda block: block["fields"].pop(), "need shapes"),
+    (lambda block: block.update(positions=[], fields=[]), "need shapes"),
+    (_set_block("lo", 0, float("nan")), "finite"),
+    (_set_block("hi", 2, float("inf")), "finite"),
+    (lambda block: block["positions"][1].pop(), "do not parse"),
+])
+def test_map_block_arrays_are_checked_on_load(tmp_path, edit, match):
+    path, doc = _three_block_map_doc(tmp_path)
+    edit(doc["blocks"][1])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapError, match=match):
         load_map(path)
 
 
