@@ -31,6 +31,7 @@ import filecmp
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -82,8 +83,6 @@ _SESSION = (
 
 def dump(out: Path) -> None:
     """Run every spec and the CLI session with the ``magcalib`` on sys.path."""
-    import os
-
     import magcalib
     from magcalib import cli
     from magcalib.extrinsic import CalibrationConfig
