@@ -2,8 +2,9 @@
 
 The ambient field is modeled as three independent scalar GPs (one per field
 axis) sharing a single squared-exponential kernel and one Gram matrix per
-spatial block. Each block caches its Cholesky factor so that queries are
-cheap; a built map is immutable and safe for concurrent reads.
+spatial block, factored on the first query that reaches the block, so that
+building or loading a map fits nothing. A map is immutable and safe for
+concurrent reads; its factor cache fills on first use.
 
 Batched queries find each point's block through a dense cell -> block table
 built once per map: one floor/clip over all points, one nearest-populated-
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -67,47 +69,56 @@ class GpHyperparams:
 
 
 def _kernel(hyper: GpHyperparams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared-exponential kernel matrix between point sets a (n,3), b (m,3)."""
-    d2 = cdist(a, b, "sqeuclidean")
-    return hyper.signal_variance * np.exp(-0.5 * d2 / hyper.length_scale**2)
+    """Squared-exponential kernel matrix between point sets a (n,3), b (m,3),
+    computed in place in the order of ``s2 * exp(-0.5 * d2 / l**2)``."""
+    k = cdist(a, b, "sqeuclidean")
+    k *= -0.5
+    k /= hyper.length_scale**2
+    np.exp(k, out=k)
+    k *= hyper.signal_variance
+    return k
+
+
+_SINGULAR = ("Gram matrix is singular (duplicated training positions with zero "
+             "noise_variance?); set noise_variance > 0")
 
 
 @dataclass(eq=False)
 class MapBlock:
-    """One spatial cell with its cached GP factorization."""
+    """One spatial cell: training rows, prior mean, and a GP factorization
+    computed on the first query that reaches it. A failed factorization raises
+    :class:`MapError` naming the block and is not cached: it raises again."""
 
+    index: tuple             # (i, j, k) cell of the map grid
+    hyper: GpHyperparams
     lo: np.ndarray
     hi: np.ndarray
-    center: np.ndarray
     train_pos: np.ndarray    # (n, 3) positions, m
     train_field: np.ndarray  # (n, 3) map-frame fields, uT
-    mean: np.ndarray         # (3,) prior mean
-    chol: np.ndarray         # lower Cholesky factor of K + noise*I
-    alpha: np.ndarray        # (n, 3) precomputed (K + noise*I)^-1 (fields - mean)
+    center: np.ndarray = field(init=False)
+    mean: np.ndarray = field(init=False)  # (3,) prior mean
+
+    def __post_init__(self):
+        self.center = (self.lo + self.hi) / 2.0
+        self.mean = (self.train_field.mean(axis=0)
+                     if self.hyper.mean_mode == "constant_per_block" else np.zeros(3))
 
     @property
     def n_train(self) -> int:
         return self.train_pos.shape[0]
 
+    @cached_property
+    def chol(self) -> np.ndarray:  # lower Cholesky factor of K + noise*I
+        gram = _kernel(self.hyper, self.train_pos, self.train_pos)
+        gram[np.diag_indices_from(gram)] += self.hyper.noise_variance
+        try:  # symmetric: its transpose is the Fortran view LAPACK factors in place
+            return cholesky(gram.T, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise MapError(f"map block {self.index}: {_SINGULAR}") from exc
 
-def _fit_block(hyper: GpHyperparams, lo, hi, pos: np.ndarray, fields: np.ndarray) -> MapBlock:
-    if hyper.mean_mode == "constant_per_block":
-        mean = fields.mean(axis=0)
-    else:
-        mean = np.zeros(3)
-    gram = _kernel(hyper, pos, pos)
-    gram[np.diag_indices_from(gram)] += hyper.noise_variance
-    try:
-        L = cholesky(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise MapError(
-            "Gram matrix is singular (duplicated training positions with zero "
-            "noise_variance?); set noise_variance > 0"
-        ) from exc
-    alpha = cho_solve((L, True), fields - mean, check_finite=False)
-    return MapBlock(np.asarray(lo, float), np.asarray(hi, float),
-                    (np.asarray(lo, float) + np.asarray(hi, float)) / 2.0,
-                    pos, fields, mean, L, alpha)
+    @cached_property
+    def alpha(self) -> np.ndarray:  # (n, 3) (K + noise*I)^-1 (fields - mean)
+        return cho_solve((self.chol, True), self.train_field - self.mean, check_finite=False)
 
 
 class MagMap:
@@ -237,11 +248,13 @@ class MagMap:
 
 def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
               block_size: float = 10.0, overlap: float | None = None) -> MagMap:
-    """Fit the block-partitioned GP map from a fingerprint dataset.
+    """Partition a fingerprint dataset into the blocks of a GP map.
 
     Readings are rotated into the map frame using each fingerprint's pose.
     Every training point is assigned to all blocks whose overlap-inflated
     bounds contain it, so queries near block edges see both sides' data.
+    Nothing is factored here: each block fits on its first query. Exact
+    duplicate positions with zero ``noise_variance`` are rejected up front.
     """
     if len(fingerprints) < 1:
         raise MapError("need at least one fingerprint to build a map")
@@ -257,6 +270,8 @@ def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
     rotations = fingerprints.rotations()
     readings = fingerprints.readings()
     fields = np.einsum("nij,nj->ni", rotations, readings)  # sensor frame -> map frame
+    if hyper.noise_variance == 0 and len(np.unique(positions, axis=0)) < len(positions):
+        raise MapError(_SINGULAR)
 
     lo = positions.min(axis=0)
     hi = positions.max(axis=0)
@@ -277,8 +292,8 @@ def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
                     axis=1)
                 if not np.any(mask):
                     continue
-                blocks[(i, j, k)] = _fit_block(
-                    hyper, cell_lo, cell_hi, positions[mask], fields[mask])
+                blocks[(i, j, k)] = MapBlock((i, j, k), hyper, cell_lo, cell_hi,
+                                             positions[mask], fields[mask])
     if not blocks:
         raise MapError("no block received training data")
     return MagMap(hyper, block_size, overlap, lo, shape, blocks)

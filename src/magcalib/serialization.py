@@ -10,8 +10,8 @@ positions in meters, readings in uT. A fingerprint file is read into
 columns and converted and validated once per file, not once per record; a
 malformed record raises naming the file and its 1-based line. Map files are
 versioned JSON containers holding hyperparameters, grid metadata, and
-per-block training arrays; each block's arrays are checked on load and its
-Cholesky factor is recomputed.
+per-block training arrays; each block's arrays are checked on load and the
+block is factored on its first query.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .extrinsic import CalibrationConfig, CalibrationResult
 from .geometry import Dataset, reject_rows, row_norms
 from .intrinsic import AffineDistortion
-from .magmap import GpHyperparams, MagMap, MapError, _fit_block
+from .magmap import GpHyperparams, MagMap, MapBlock, MapError
 from .simulator import Box, Dipole, SensorRig, WorldConfig
 
 MAP_SCHEMA = "magmap/1"
@@ -184,7 +184,7 @@ def save_map(field_map: MagMap, path) -> None:
         "blocks": blocks,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # one-shot C encoder; json.dump streams in Python
 
 
 def _block_arrays(entry: dict) -> tuple:
@@ -214,11 +214,11 @@ def load_map(path) -> MagMap:
         raise ValueError(f"unsupported map schema {doc.get('schema')!r}, "
                          f"expected {MAP_SCHEMA!r}")
     hyper = GpHyperparams(**doc["hyper"])
-    blocks = {tuple(entry["index"]): _fit_block(hyper, *_block_arrays(entry))
-              for entry in doc["blocks"]}
+    blocks = (MapBlock(tuple(entry["index"]), hyper, *_block_arrays(entry))
+              for entry in doc["blocks"])
     return MagMap(hyper, doc["block_size"], doc["overlap"],
                   np.asarray(doc["grid_lo"], float),
-                  np.asarray(doc["grid_shape"], int), blocks)
+                  np.asarray(doc["grid_shape"], int), {b.index: b for b in blocks})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from magcalib.magmap import (
     BilinearMap,
@@ -102,6 +103,19 @@ def test_duplicate_positions_zero_noise_is_labeled_error():
     data = identity_dataset(np.zeros((2, 3)), np.tile([10.0, 0.0, -40.0], (2, 1)), "dup")
     with pytest.raises(MapError, match="noise_variance"):
         build_map(data, GpHyperparams(noise_variance=0.0), block_size=4.0)
+
+
+@pytest.mark.parametrize("length_scale, signal_variance",
+                         [(0.7, 25.0), (2.25, 25.0), (1.3, 3.7)])
+def test_kernel_is_bit_identical_to_reference_form(length_scale, signal_variance):
+    rng = np.random.default_rng(13)
+    a = rng.uniform(-5.0, 5.0, size=(40, 3))
+    b = np.vstack([rng.uniform(-5.0, 5.0, size=(30, 3)), a[:1]])  # a zero-distance pair
+    hyper = GpHyperparams(length_scale=length_scale, signal_variance=signal_variance)
+    reference = signal_variance * np.exp(-0.5 * cdist(a, b, "sqeuclidean") / length_scale**2)
+    got = _kernel(hyper, a, b)
+    assert got[0, -1] == signal_variance
+    assert np.array_equal(got, reference)
 
 
 def test_gradient_of_constant_field_is_zero():

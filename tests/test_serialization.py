@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from magcalib.extrinsic import CalibrationResult
 from magcalib.geometry import Dataset, random_rotation
+from magcalib import magmap
 from magcalib.intrinsic import AffineDistortion
 from magcalib.magmap import GpHyperparams, MapError, build_map
 from magcalib.serialization import (
@@ -24,7 +26,7 @@ from magcalib.serialization import (
     write_fingerprints,
 )
 
-from conftest import identity_dataset
+from conftest import identity_dataset, lattice_dataset
 
 
 def test_quaternion_matrix_round_trip():
@@ -230,17 +232,95 @@ def test_map_schema_guard(tmp_path):
         load_map(path)
 
 
-def _three_block_map_doc(tmp_path):
-    """Saved document of a map on a 3x1x1 block grid."""
+def _three_block_map():
+    """A map on a 3x1x1 block grid along x in [0, 5.5] at y = z = 0.5."""
     xs = np.arange(0.0, 6.0, 0.5)
     data = identity_dataset([[x, 0.5, 0.5] for x in xs],
                             [[20.0 + x, 0.0, -40.0] for x in xs], "row")
     field_map = build_map(data, GpHyperparams(length_scale=0.5), block_size=2.0,
                           overlap=0.25)
     assert field_map.grid_shape.tolist() == [3, 1, 1]
+    return field_map
+
+
+def _three_block_map_doc(tmp_path):
+    """Saved document of :func:`_three_block_map`."""
+    path = tmp_path / "map.json"
+    save_map(_three_block_map(), path)
+    return path, json.loads(path.read_text())
+
+
+def test_save_map_writes_the_bytes_of_json_dump(tmp_path):
+    path, doc = _three_block_map_doc(tmp_path)
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_blocks_are_factored_on_first_query(tmp_path, monkeypatch):
+    factor, calls = magmap.cholesky, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(magmap, "cholesky", counted)
+    field_map = _three_block_map()
+    assert len(calls) == 0
     path = tmp_path / "map.json"
     save_map(field_map, path)
-    return path, json.loads(path.read_text())
+    assert len(calls) == 0
+    loaded = load_map(path)
+    assert len(calls) == 0
+    first = np.array([[1.0, 0.5, 0.5]])
+    loaded.query_many(first)
+    assert len(calls) == 1
+    loaded.query_many(first)
+    loaded.gradient_many(first)
+    assert len(calls) == 1
+    loaded.query_many(np.array([[5.0, 0.5, 0.5]]))
+    assert len(calls) == 2
+
+
+def test_singular_block_raises_on_every_query_naming_the_block(tmp_path):
+    """Two positions 1e-12 m apart pass the duplicate guard of ``build_map``
+    but give block (2, 0, 0) a singular Gram matrix at zero noise."""
+    positions = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [11.0, 0.0, 0.0], [11.0 + 1e-12, 0.0, 0.0]]
+    data = identity_dataset(positions, np.tile([20.0, 0.0, -40.0], (4, 1)), "near")
+    field_map = build_map(data, GpHyperparams(noise_variance=0.0), block_size=4.0)
+    assert sorted(field_map.blocks) == [(0, 0, 0), (2, 0, 0)]
+    path = tmp_path / "map.json"
+    save_map(field_map, path)
+    for each in (field_map, load_map(path)):
+        for query in (each.query_many, each.query_many, each.gradient_many):
+            with pytest.raises(MapError, match=r"map block \(2, 0, 0\): .*noise_variance"):
+                query(np.array([[11.0, 0.0, 0.0]]))
+        means, variances, _ = each.query_many(np.array([[0.5, 0.0, 0.0]]))
+        assert np.isfinite(means).all() and np.isfinite(variances).all()
+
+
+def test_concurrent_first_queries_match_sequential(tmp_path):
+    xs = np.arange(0.0, 8.0, 0.25)
+    data = lattice_dataset(lambda p: np.array([20.0 + np.sin(p[0]), 3.0 * np.cos(p[1]),
+                                               -40.0 + 0.1 * p[0] * p[1]]),
+                           xs, xs, [0.5, 1.0])
+    field_map = build_map(data, GpHyperparams(length_scale=0.7), block_size=2.0)
+    assert len(field_map.blocks) == 16
+    path = tmp_path / "map.json"
+    save_map(field_map, path)
+    pts = np.random.default_rng(14).uniform([0.0, 0.0, 0.5], [7.75, 7.75, 1.0], size=(400, 3))
+
+    def first_use(each):
+        means, variances, _ = each.query_many(pts)
+        return means, variances, each.gradient_many(pts)[0]
+
+    expected = first_use(load_map(path))
+    shared = load_map(path)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(first_use, [shared, shared]))
+    for got in results:
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_map_without_blocks_is_labeled_error(tmp_path):
