@@ -1,4 +1,5 @@
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -317,8 +318,14 @@ def test_concurrent_first_queries_match_sequential(tmp_path):
 
     expected = first_use(load_map(path))
     shared = load_map(path)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(first_use, [shared, shared]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first fills too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(first_use, [shared, shared], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 2
     for got in results:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 

@@ -3,12 +3,13 @@
 Usage::
 
     python3 tools/benchpair.py BASE HEAD --workload field_cli --seeds 201-210 \\
-        [--workload table1_dense ...] [--seconds 30] [--trace-seed 20] \\
-        [--work DIR] --out BENCH_name.json
+        [--workload table1_dense ...] [--trace-seed 20] [--work DIR] \\
+        --out BENCH_name.json
 
 BASE and HEAD are git revisions of this repository. Each is exported with
 ``git archive`` into ``DIR/base`` and ``DIR/head``, and every run goes through
-that export's own, unmodified ``magbench/run.py --trace 0``. The protocol is
+that export's own, unmodified ``magbench/run.py --trace 0``, for the
+``run_seconds`` of the head's ``BENCHMARK.json``. The protocol is
 the one of ``magbench/README.md``: for each seed of each workload, base runs
 first when the seed is odd and head first when it is even, so drift in the
 machine hits both sides alike. With ``--trace-seed S`` each side then makes
@@ -39,11 +40,6 @@ PROTOCOL = ("alternating base/head pairs on one host through each export's own "
             "seeds; one seed per pair (compare.py keys records by workload and seed); "
             "medians, quartiles, wins and verdict from the head export's "
             "magbench/compare.py")
-
-
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
 
 
 def export(commit: str, dest: Path) -> None:
@@ -126,7 +122,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         choices=["table1_dense", "lcurve_sparse", "field_cli"])
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--work", type=Path, help="export directory (default: a fresh "
                         "temporary directory, kept for inspection)")
@@ -134,7 +129,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    commits = {side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                                    cwd=ROOT, check=True, capture_output=True,
+                                    text=True).stdout.strip()
                for side, rev in (("base", args.base), ("head", args.head))}
     work = args.work or Path(tempfile.mkdtemp(prefix="benchpair-"))
     trees = {side: work / side for side in commits}
@@ -143,13 +140,15 @@ def main(argv=None) -> int:
             parser.error(f"{tree} already exists")
         export(commits[side], tree)
     print(f"exports in {work}", flush=True)
+    bench = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
 
     runs, traced = [], {}
     for workload in args.workload:
         for pair, seed in enumerate(args.seeds, 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
             for side in order:
-                name, record = run(trees[side], workload, seed, args.seconds, 0)
+                name, record = run(trees[side], workload, seed, seconds, 0)
                 runs.append(run_entry(side, commits[side], workload, seed, pair,
                                       side == order[0], name, record))
             values = {r["side"]: r["values"].get("trials_per_s") for r in runs[-2:]}
@@ -158,7 +157,7 @@ def main(argv=None) -> int:
         if args.trace_seed is not None:
             traced[workload] = {}
             for side in ("base", "head"):
-                name, record = run(trees[side], workload, args.trace_seed, args.seconds, 1)
+                name, record = run(trees[side], workload, args.trace_seed, seconds, 1)
                 traced[workload][side] = {
                     "commit": commits[side], "seed": args.trace_seed, "record": name,
                     "correct": record["result"]["correct"],
@@ -172,7 +171,6 @@ def main(argv=None) -> int:
         "compare", trees["head"] / "magbench" / "compare.py")
     compare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare)
-    bench = json.loads((trees["head"] / "BENCHMARK.json").read_text())
     printout = subprocess.run(
         [sys.executable, "magbench/compare.py", str(trees["base"] / "magbench" / "out"),
          str(trees["head"] / "magbench" / "out")],
@@ -182,7 +180,7 @@ def main(argv=None) -> int:
             if k not in ("git_commit", "seed", "default_seed")}
     doc = {"what": args.what,
            "command": f"python3 magbench/run.py --workload WORKLOAD --seed SEED "
-                      f"--seconds {args.seconds:g} --trace 0",
+                      f"--seconds {seconds:g} --trace 0",
            "protocol": PROTOCOL,
            "base_commit": commits["base"], "head_commit": commits["head"],
            "host": host,
