@@ -18,13 +18,11 @@ from .geometry import (
     Dataset,
     FrameError,
     Pose,
-    rotate_field,
 )
 from .intrinsic import (
     AffineDistortion,
     RegressionError,
     RegressionProblem,
-    SolverDiagnostics,
     compensate,
     compensate_many,
     select_lambda,
@@ -57,7 +55,6 @@ from .simulator import (
     PathSpec,
     SensorRig,
     WorldConfig,
-    field_at,
     field_at_many,
     generate_path,
     random_distortion,

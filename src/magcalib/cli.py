@@ -77,13 +77,12 @@ def _cmd_build_map(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    field_map = io.load_map(args.map)
-    data = io.read_fingerprints(args.data, from_frame="lidar")
     config = io.load_calibration_config(args.config) if args.config \
         else CalibrationConfig()
-    t0 = np.array([float(v) for v in args.t0.split(",")])
-    inp = CalibrationInput(field_map, data.poses(), data.readings(), t0)
-    result = calibrate(inp, config)
+    field_map = io.load_map(args.map)
+    data = io.read_fingerprints(args.data, from_frame="lidar")
+    t0 = [float(v) for v in args.t0.split(",")]
+    result = calibrate(CalibrationInput(field_map, data, t0), config)
     io.save_result(result, args.out, data_path=args.data)
     state = "converged" if result.converged else f"did not converge ({result.message})"
     print(f"calibration {state} after {result.iterations} iterations; "

@@ -9,6 +9,11 @@ lever arm using the analytic map gradient. Samples that project outside the
 mapped volume are skipped (with an abort threshold) or abort the run,
 depending on configuration.
 
+The input is one sensor's :class:`~magcalib.geometry.Dataset`: its poses
+are the LiDAR poses (lidar -> map) and its readings the raw magnetometer
+measurements. The Dataset has validated every row once, so every evaluation
+reads its columns as they are stored.
+
 A local method can settle in a wrong basin and still see its steps shrink,
 so a short step alone does not make a result trustworthy. The final
 residuals are held to a chi-square test against the measurement noise plus
@@ -25,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtri
 
+from .geometry import Dataset, as_vec3
 from .intrinsic import (
     AffineDistortion,
     RegressionError,
@@ -79,6 +85,11 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not self.step_tolerance > 0:
+            raise ValueError(f"step_tolerance must be > 0, got {self.step_tolerance}")
+        for name in ("damping", "lambda_value", "measurement_noise"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lambda_policy not in ("fixed", "l_curve"):
             raise ValueError(f"unknown lambda_policy {self.lambda_policy!r}")
         if self.out_of_map_policy not in ("skip_sample", "abort"):
@@ -92,31 +103,21 @@ class CalibrationInput:
     """Everything one sensor's calibration needs.
 
     ``field_map`` is any object with ``query_many``/``gradient_many`` (the GP
-    map or the multilinear baseline); ``lidar_poses`` the per-sample LiDAR
-    poses (lidar -> map); ``measurements`` the (N, 3) raw magnetometer
-    readings in uT; ``initial_translation`` the lever-arm starting guess [m].
+    map or the multilinear baseline); ``data`` the sensor's :class:`Dataset`,
+    whose poses are the LiDAR poses (lidar -> map) and whose readings are the
+    raw magnetometer measurements in uT; ``initial_translation`` the
+    lever-arm starting guess [m], which must have 3 finite components.
     """
 
     field_map: object
-    lidar_poses: list
-    measurements: np.ndarray
+    data: Dataset
     initial_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        meas = np.asarray(self.measurements, float).reshape(-1, 3)
-        object.__setattr__(self, "measurements", meas)
         object.__setattr__(self, "initial_translation",
-                           np.asarray(self.initial_translation, float).reshape(3))
-        if len(self.lidar_poses) != meas.shape[0]:
-            raise CalibrationError("lidar_poses and measurements must pair up")
-        if meas.shape[0] < 5:
+                           as_vec3(self.initial_translation, "initial_translation"))
+        if len(self.data) < 5:
             raise CalibrationError("need at least 5 samples to calibrate")
-
-    def rotations(self) -> np.ndarray:
-        return np.array([p.rotation for p in self.lidar_poses])
-
-    def translations(self) -> np.ndarray:
-        return np.array([p.translation for p in self.lidar_poses])
 
 
 @dataclass
@@ -196,15 +197,15 @@ def _query_masked(field_map, positions: np.ndarray, policy: str):
     return means, variances, inside
 
 
-def _evaluate(inp: CalibrationInput, rotations, translations, t: np.ndarray,
-              config: CalibrationConfig,
+def _evaluate(inp: CalibrationInput, t: np.ndarray, config: CalibrationConfig,
               distortion: AffineDistortion | None = None) -> _EvalState:
-    positions = rotations @ t + translations
+    rotations = inp.data.rotations()
+    positions = rotations @ t + inp.data.positions()
     means, variances, inside = _query_masked(inp.field_map, positions,
                                              config.out_of_map_policy)
     rot_in = rotations[inside]
     predicted_ref = np.einsum("nji,nj->ni", rot_in, means[inside])
-    measured = inp.measurements[inside]
+    measured = inp.data.readings()[inside]
 
     if variances is None or config.intrinsic_solver != "wrrtls":
         weights = np.ones(predicted_ref.shape[0])
@@ -233,8 +234,7 @@ def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
     """Per-sample residuals (n_in, 3): distorted map prediction minus
     measurement, at lever arm ``t`` with a fixed distortion."""
     config = config or CalibrationConfig()
-    state = _evaluate(inp, inp.rotations(), inp.translations(),
-                      np.asarray(t, float).reshape(3), config, distortion)
+    state = _evaluate(inp, np.asarray(t, float).reshape(3), config, distortion)
     return state.residuals
 
 
@@ -255,8 +255,8 @@ def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
     the chain of the rotate-back step with the map-frame projection.
     """
     config = config or CalibrationConfig()
-    rotations = inp.rotations()
-    positions = rotations @ np.asarray(t, float).reshape(3) + inp.translations()
+    rotations = inp.data.rotations()
+    positions = rotations @ np.asarray(t, float).reshape(3) + inp.data.positions()
     _, _, inside = _query_masked(inp.field_map, positions, config.out_of_map_policy)
     return _jacobian(inp.field_map, rotations, positions, inside, distortion.gain)
 
@@ -269,6 +269,12 @@ def _initial_damping(normal: np.ndarray, mu: float) -> tuple:
     if mu == 0.0 and np.linalg.cond(normal) > _COND_DAMPING:
         mu = base
     return mu, base
+
+
+def _escalate(mu: float, base: float) -> float:
+    """The next damping after a failed or rejected step: ``base`` from an
+    undamped start, tenfold otherwise."""
+    return base if mu == 0.0 else mu * 10.0
 
 
 def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray,
@@ -290,11 +296,11 @@ def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray,
         try:
             step = np.linalg.solve(normal + mu * np.eye(3), -gradient)
         except np.linalg.LinAlgError:
-            mu = base if mu == 0.0 else mu * 10.0
+            mu = _escalate(mu, base)
             continue
         if np.all(np.isfinite(step)):
             return step
-        mu = base if mu == 0.0 else mu * 10.0
+        mu = _escalate(mu, base)
     raise NonConvergenceError("normal system is singular even after damping escalation")
 
 
@@ -310,8 +316,7 @@ class _Fit:
     message: str
 
 
-def _levenberg_marquardt(inp: CalibrationInput, rotations, translations,
-                         t: np.ndarray, state: _EvalState,
+def _levenberg_marquardt(inp: CalibrationInput, t: np.ndarray, state: _EvalState,
                          config: CalibrationConfig) -> _Fit:
     """Damped Gauss-Newton on the lever arm from ``t`` (evaluated as ``state``)."""
     trace = [(t.copy(), state.cost)]
@@ -319,9 +324,10 @@ def _levenberg_marquardt(inp: CalibrationInput, rotations, translations,
     message = ""
     mu = float(config.damping)
     iterations = 0
+    rotations = inp.data.rotations()
 
     for _ in range(config.max_iterations):
-        jac = _jacobian(inp.field_map, rotations, rotations @ t + translations,
+        jac = _jacobian(inp.field_map, rotations, rotations @ t + inp.data.positions(),
                         state.inside, state.distortion.gain)
         normal = jac.T @ jac
         if np.trace(normal) < _FLAT_NORMAL:
@@ -333,15 +339,15 @@ def _levenberg_marquardt(inp: CalibrationInput, rotations, translations,
         for _reject in range(_MAX_REJECTS):
             try:
                 step = gauss_newton_step(jac, state.residuals, mu)
-                cand_state = _evaluate(inp, rotations, translations, t + step, config)
+                cand_state = _evaluate(inp, t + step, config)
             except CalibrationError:  # NonConvergenceError included
-                mu = base if mu == 0.0 else mu * 10.0
+                mu = _escalate(mu, base)
                 continue
             slack = _COST_SLACK / max(cand_state.residuals.shape[0], 1)
             if cand_state.mean_cost <= state.mean_cost + slack:
                 accepted = True
                 break
-            mu = base if mu == 0.0 else mu * 10.0
+            mu = _escalate(mu, base)
         if not accepted:
             message = "damping escalation exhausted without a descent step"
             break
@@ -387,7 +393,7 @@ def _implausibility(state: _EvalState, config: CalibrationConfig) -> str:
             f"{_PLAUSIBILITY_LEVEL} quantile at {dof} dof)")
 
 
-def _reseed_node(inp: CalibrationInput, rotations, translations):
+def _reseed_node(inp: CalibrationInput):
     """Best node of a coarse lattice around the initial guess, or None.
 
     Nodes step ``_RESEED_STEP`` through the ``+-_RESEED_HALF_WIDTH`` cube
@@ -398,6 +404,8 @@ def _reseed_node(inp: CalibrationInput, rotations, translations):
     axis = np.arange(-_RESEED_HALF_WIDTH, _RESEED_HALF_WIDTH + 1e-9, _RESEED_STEP)
     nodes = inp.initial_translation + np.stack(
         np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    rotations, translations = inp.data.rotations(), inp.data.positions()
+    measurements = inp.data.readings()
     n = rotations.shape[0]
     per_query = max(1, _RESEED_QUERY_POINTS // n)
     best, best_cost = None, np.inf
@@ -411,18 +419,16 @@ def _reseed_node(inp: CalibrationInput, rotations, translations):
             predicted_ref = np.einsum("nji,nj->ni", rotations, means[k])
             try:
                 dist = solve_ols(RegressionProblem.from_pairs(predicted_ref,
-                                                              inp.measurements))
+                                                              measurements))
             except RegressionError:
                 continue
-            cost = float(np.sum((dist.apply_many(predicted_ref)
-                                 - inp.measurements)**2))
+            cost = float(np.sum((dist.apply_many(predicted_ref) - measurements)**2))
             if cost < best_cost:
                 best, best_cost = batch[k], cost
     return best
 
 
-def _reseed(inp: CalibrationInput, rotations, translations,
-            config: CalibrationConfig, fit: _Fit) -> _Fit:
+def _reseed(inp: CalibrationInput, config: CalibrationConfig, fit: _Fit) -> _Fit:
     """Restart from the best local lattice node if it beats ``fit``'s cost.
 
     The restart's trace and iterations continue ``fit``'s; since it starts
@@ -430,19 +436,18 @@ def _reseed(inp: CalibrationInput, rotations, translations,
     non-increasing. When no node beats ``fit``, ``fit`` is kept and its
     message says so.
     """
-    node = _reseed_node(inp, rotations, translations)
+    node = _reseed_node(inp)
     node_state = None
     if node is not None:
         try:
-            node_state = _evaluate(inp, rotations, translations, node, config)
+            node_state = _evaluate(inp, node, config)
         except (CalibrationError, RegressionError):
             pass
     if node_state is None or node_state.mean_cost >= fit.state.mean_cost:
         fit.message = _join(fit.message,
                             "no local lattice node beat the implausible fit")
         return fit
-    restart = _levenberg_marquardt(inp, rotations, translations, node,
-                                   node_state, config)
+    restart = _levenberg_marquardt(inp, node, node_state, config)
     restart.trace = fit.trace + restart.trace
     restart.iterations += fit.iterations
     restart.message = _join(
@@ -473,18 +478,16 @@ def calibrate(inp: CalibrationInput, config: CalibrationConfig | None = None) ->
     predictive variance skips the test and says so in ``message``.
     """
     config = config or CalibrationConfig()
-    rotations = inp.rotations()
-    translations = inp.translations()
     t = np.array(inp.initial_translation, float)
 
-    state = _evaluate(inp, rotations, translations, t, config)
-    fit = _levenberg_marquardt(inp, rotations, translations, t, state, config)
+    state = _evaluate(inp, t, config)
+    fit = _levenberg_marquardt(inp, t, state, config)
     converged, message = fit.converged, fit.message
     if fit.state.variances is None:
         message = _join(message, "plausibility test not applied: the map "
                                  "gives no predictive variance")
     elif _implausibility(fit.state, config):
-        fit = _reseed(inp, rotations, translations, config, fit)
+        fit = _reseed(inp, config, fit)
         reason = _implausibility(fit.state, config)
         converged = fit.converged and not reason
         message = _join(fit.message, reason)

@@ -6,11 +6,13 @@ Conventions used throughout the package:
   * rotations are stored as 3x3 orthonormal matrices (quaternions only
     appear at the file boundary, see :mod:`magcalib.serialization`).
 
-A :class:`Pose` is one immutable transform, validated when it is built. A
-sensor's fingerprints are one :class:`Dataset` of read-only columns, built
+A sensor's fingerprints are one :class:`Dataset` of read-only columns, built
 and validated once by vectorised checks that apply the per-pose rules to
-every row. Both are immutable values: safe to share across threads and to
-reuse between trials.
+every row; the calibration reads those columns directly. A :class:`Pose` is
+one such row as a validated record: :func:`~magcalib.simulator.generate_path`
+produces a path as a list of them and :meth:`Dataset.poses` rebuilds them
+from the columns. Both are immutable values: safe to share across threads
+and to reuse between trials.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ ROTATION_TOL = 1e-9
 
 
 class FrameError(ValueError):
-    """Frame labels do not chain, or a rotation matrix failed validation."""
+    """A frame label is unknown, or a rotation matrix failed validation."""
 
 
 def as_vec3(value, name: str = "vector") -> np.ndarray:
@@ -121,47 +123,6 @@ class Pose:
         for frame in (self.from_frame, self.to_frame):
             if frame not in FRAMES:
                 raise FrameError(f"unknown frame {frame!r}, expected one of {FRAMES}")
-
-    @classmethod
-    def identity(cls, from_frame: str = "lidar", to_frame: str = "map") -> "Pose":
-        return cls(np.eye(3), np.zeros(3), from_frame, to_frame)
-
-    def apply(self, x) -> np.ndarray:
-        """Transform a position from ``from_frame`` into ``to_frame``."""
-        return self.rotation @ as_vec3(x, "position") + self.translation
-
-    def compose(self, other: "Pose") -> "Pose":
-        """self ∘ other: first ``other``, then ``self``. Frame labels must chain."""
-        if other.to_frame != self.from_frame:
-            raise FrameError(
-                f"cannot compose {self.from_frame}->{self.to_frame} with "
-                f"{other.from_frame}->{other.to_frame}"
-            )
-        return Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-            other.from_frame,
-            self.to_frame,
-        )
-
-    def inverse(self) -> "Pose":
-        return Pose(
-            self.rotation.T,
-            -(self.rotation.T @ self.translation),
-            self.to_frame,
-            self.from_frame,
-        )
-
-
-def rotate_field(R: np.ndarray, b, inverse: bool = False) -> np.ndarray:
-    """Rotate a field vector by an orthonormal matrix.
-
-    With ``inverse=True`` applies R^T, which undoes the forward rotation;
-    used to bring a map-frame field prediction back into a sensor frame.
-    """
-    Rm = check_rotation(R)
-    vec = as_vec3(b, "field")
-    return (Rm.T if inverse else Rm) @ vec
 
 
 def _column(value, shape: tuple, name: str) -> np.ndarray:

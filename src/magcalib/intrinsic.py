@@ -19,7 +19,7 @@ absorb reconstruction error).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,16 +156,6 @@ class RegressionProblem:
     def with_ridge(self, ridge: float) -> "RegressionProblem":
         return RegressionProblem(self.design, self.observed, self.weights,
                                  ridge, self.tsvd_rank)
-
-
-@dataclass(frozen=True)
-class SolverDiagnostics:
-    """Conditioning and fit-quality summary of one regression solve."""
-
-    condition_number: float
-    singular_values: np.ndarray
-    residual_rms: float
-    ridge: float
 
 
 def _stacked(prob: RegressionProblem) -> np.ndarray:
@@ -361,15 +351,3 @@ def select_lambda(prob: RegressionProblem, grid: np.ndarray | None = None) -> fl
     snapped = grid[int(np.argmin(np.abs(np.log10(grid) - np.log10(corner_lam))))]
     return float(snapped)
 
-
-def problem_diagnostics(prob: RegressionProblem,
-                        dist: AffineDistortion) -> SolverDiagnostics:
-    """Conditioning of the weighted design and the residual RMS of a fit."""
-    _, design_bar = _truncated_parts(prob)
-    weighted = design_bar * prob.weights[:, None]
-    sv = np.linalg.svd(weighted, compute_uv=False)
-    retained = sv[sv > sv[0] * 1e-15] if sv[0] > 0 else sv
-    cond = float(sv[0] / retained[-1]) if retained.size else np.inf
-    resid = prob.design @ np.hstack([dist.gain, dist.bias[:, None]]).T - prob.observed
-    rms = float(np.sqrt(np.mean(np.sum(resid**2, axis=1))))
-    return SolverDiagnostics(max(cond, 1.0), retained, rms, prob.ridge)

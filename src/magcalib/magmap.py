@@ -79,6 +79,17 @@ def _kernel(hyper: GpHyperparams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k
 
 
+def _inside(field_map, ts, allow_outside: bool, volume: str) -> tuple:
+    """``(ts (N, 3), inside (N,))``: the query points as floats and which of
+    them ``field_map.contains_many``. Unless ``allow_outside``, the first
+    outside point raises :class:`OutOfMapError`, which names ``volume``."""
+    ts = np.asarray(ts, float).reshape(-1, 3)
+    inside = field_map.contains_many(ts)
+    if not allow_outside and not np.all(inside):
+        raise OutOfMapError(f"position {ts[~inside][0]} is outside the {volume}")
+    return ts, inside
+
+
 _SINGULAR = ("Gram matrix is singular (duplicated training positions with zero "
              "noise_variance?); set noise_variance > 0")
 
@@ -185,11 +196,7 @@ class MagMap:
         ``inside`` false. ``with_variance=False`` skips the triangular solve
         that dominates the query and returns ``variances`` as None.
         """
-        ts = np.asarray(ts, float).reshape(-1, 3)
-        inside = self.contains_many(ts)
-        if not allow_outside and not np.all(inside):
-            bad = ts[~inside][0]
-            raise OutOfMapError(f"position {bad} is outside the mapped volume")
+        ts, inside = _inside(self, ts, allow_outside, "mapped volume")
         means = np.full_like(ts, np.nan)
         variances = np.full_like(ts, np.nan) if with_variance else None
         if not np.any(inside):
@@ -218,11 +225,7 @@ class MagMap:
         """Batched analytic gradients of the posterior mean: ``(grads (N,3,3),
         inside (N,))``, rows of each 3x3 indexing field axes and columns
         spatial axes."""
-        ts = np.asarray(ts, float).reshape(-1, 3)
-        inside = self.contains_many(ts)
-        if not allow_outside and not np.all(inside):
-            bad = ts[~inside][0]
-            raise OutOfMapError(f"position {bad} is outside the mapped volume")
+        ts, inside = _inside(self, ts, allow_outside, "mapped volume")
         grads = np.full((ts.shape[0], 3, 3), np.nan)
         if not np.any(inside):
             return grads, inside
@@ -363,20 +366,14 @@ class BilinearMap:
                    with_variance: bool = True):
         """Batched interpolation: ``(means (N,3), None, inside (N,))``; the
         lattice carries no variance whatever ``with_variance`` asks."""
-        ts = np.asarray(ts, float).reshape(-1, 3)
-        inside = self.contains_many(ts)
-        if not allow_outside and not np.all(inside):
-            raise OutOfMapError(f"position {ts[~inside][0]} is outside the lattice")
+        ts, inside = _inside(self, ts, allow_outside, "lattice")
         means = np.full_like(ts, np.nan)
         if np.any(inside):
             means[inside] = self._eval(ts[inside][:, self.active])
         return means, None, inside
 
     def gradient_many(self, ts: np.ndarray, allow_outside: bool = False, h: float = 1e-3):
-        ts = np.asarray(ts, float).reshape(-1, 3)
-        inside = self.contains_many(ts)
-        if not allow_outside and not np.all(inside):
-            raise OutOfMapError(f"position {ts[~inside][0]} is outside the lattice")
+        ts, inside = _inside(self, ts, allow_outside, "lattice")
         grads = np.full((ts.shape[0], 3, 3), np.nan)
         if np.any(inside):
             sub = ts[inside][:, self.active]

@@ -35,12 +35,9 @@ class Box:
         if not np.all(self.hi > self.lo):
             raise ValueError("box must have positive extent along every axis")
 
-    def contains(self, t, margin: float = 0.0) -> bool:
+    def contains(self, t) -> bool:
         t = np.asarray(t, float)
-        return bool(np.all(t >= self.lo + margin) and np.all(t <= self.hi - margin))
-
-    def shrink(self, margin: float) -> "Box":
-        return Box(self.lo + margin, self.hi - margin)
+        return bool(np.all(t >= self.lo) and np.all(t <= self.hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,14 +126,6 @@ def field_at_many(world: WorldConfig, ts: np.ndarray) -> np.ndarray:
         m_dot = rhat @ d.moment
         out += (3.0 * m_dot[:, None] * rhat - d.moment) / dist[:, None] ** 3
     return out
-
-
-def field_at(world: WorldConfig, t) -> np.ndarray:
-    """Ground-truth field at one position; raises near dipole sources."""
-    t = as_vec3(t, "position")
-    if not world.extent.contains(t):
-        raise ValueError(f"position {t} is outside the world extent")
-    return field_at_many(world, t.reshape(1, 3))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .extrinsic import (
     calibrate,
     classify_success,
 )
+from .geometry import Dataset
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import BilinearMap, GpHyperparams, MagMap, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
@@ -128,13 +129,14 @@ def _random_offset(rng: np.random.Generator, lo: float, hi: float) -> np.ndarray
     return direction * rng.uniform(lo, hi)
 
 
-def _truth_readings(spec: SweepSpec, path_spec: PathSpec):
-    """Poses plus the undistorted lidar-frame field at the true sensor spot."""
+def _truth_readings(spec: SweepSpec, path_spec: PathSpec) -> Dataset:
+    """The path's poses with the undistorted lidar-frame field at the true
+    sensor spot as readings."""
     poses = generate_path(path_spec, spec.world)
     rig = SensorRig((np.asarray(spec.sensor_offset, float),),
                     (AffineDistortion.identity(),), 0.0)
     _, truth = sample_dataset(spec.world, poses, rig, 0, seed=spec.seed)
-    return poses, truth.readings()
+    return truth
 
 
 class _RowSink:
@@ -195,14 +197,13 @@ def _trials(cell_seed: np.random.SeedSequence, spec: SweepSpec, lo: float, hi: f
 class _Cell:
     """One sweep cell: ``n_distortions * n_initial_offsets`` trials against
     one map, path, noise level and solver, with initial offsets in the shell
-    ``[lo, hi)``. ``labels`` are copied into each row; rows are aggregated
-    by ``key``."""
+    ``[lo, hi)``. ``truth`` holds the path's poses and undistorted readings.
+    ``labels`` are copied into each row; rows are aggregated by ``key``."""
 
     key: str
     labels: dict
     field_map: object
-    poses: list
-    b_true: np.ndarray
+    truth: Dataset
     noise: float
     config: CalibrationConfig
     lo: float
@@ -210,11 +211,14 @@ class _Cell:
 
 
 def _run_trial(cell: _Cell, t_gt, dist, offset, noise_rng) -> dict:
-    b_meas = dist.apply_many(cell.b_true)
+    truth = cell.truth
+    b_meas = dist.apply_many(truth.readings())
     if cell.noise > 0:
         b_meas = b_meas + noise_rng.normal(0.0, cell.noise, size=b_meas.shape)
     config = replace(cell.config, measurement_noise=cell.noise)
-    inp = CalibrationInput(cell.field_map, cell.poses, b_meas, t_gt + offset)
+    measured = Dataset(truth.sensor_id, truth.frame, truth.timestamps(),
+                       truth.rotations(), truth.positions(), b_meas)
+    inp = CalibrationInput(cell.field_map, measured, t_gt + offset)
     try:
         result = calibrate(inp, config)
     except CalibrationError as exc:
@@ -314,11 +318,11 @@ def run_table1_sweep(spec: SweepSpec, out_dir=None) -> dict:
 
     def cells():
         for path_spec in spec.paths:
-            poses, b_true = _truth_readings(spec, path_spec)
+            truth = _truth_readings(spec, path_spec)
             for noise in spec.noise_levels:
                 yield _Cell(f"{path_spec.kind}/noise={noise}",
                             {"path": path_spec.kind, "noise": noise},
-                            field_map, poses, b_true, noise, spec.config,
+                            field_map, truth, noise, spec.config,
                             0.0, spec.offset_range)
 
     return _run_sweep("table1", spec, cells(), spec.seed, out_dir)
@@ -334,13 +338,13 @@ def run_success_sweep(spec: SweepSpec, bin_edges=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 
     """
     field_map = build_reference_map(spec)
     path_spec = spec.paths[0]
-    poses, b_true = _truth_readings(spec, path_spec)
+    truth = _truth_readings(spec, path_spec)
     noise = spec.noise_levels[0]
     cells = [
         _Cell(f"{lo}-{hi}",
               {"path": path_spec.kind, "noise": noise, "offset_bin": f"{lo}-{hi}",
                "offset_lo": lo, "offset_hi": hi},
-              field_map, poses, b_true, noise, spec.config, lo, hi)
+              field_map, truth, noise, spec.config, lo, hi)
         for lo, hi in zip(bin_edges[:-1], bin_edges[1:])]
     return _run_sweep("success", spec, cells, spec.seed + 1, out_dir,
                       bin_edges=list(bin_edges))
@@ -356,7 +360,7 @@ def run_ablation(spec: SweepSpec, densities=(1.0, 1.8, 3.0), out_dir=None) -> di
     headline statistic is the mean bias-recovery error in uT per cell.
     """
     path_spec = spec.paths[0]
-    poses, b_true = _truth_readings(spec, path_spec)
+    truth = _truth_readings(spec, path_spec)
     noise = spec.noise_levels[0]
 
     def cells():
@@ -378,7 +382,7 @@ def run_ablation(spec: SweepSpec, densities=(1.0, 1.8, 3.0), out_dir=None) -> di
                     yield _Cell(f"spacing={spacing}/{interp}/{solver}",
                                 {"interpolation": interp, "solver": solver,
                                  "survey_spacing": spacing},
-                                field_map, poses, b_true, noise,
+                                field_map, truth, noise,
                                 replace(spec.config, intrinsic_solver=solver),
                                 0.0, spec.offset_range)
 
@@ -405,12 +409,11 @@ def run_two_map_workflow(spec: SweepSpec, out_dir=None) -> dict:
     rig = SensorRig((t_gt,), (dist,), spec.noise_levels[0])
     measured, _ = sample_dataset(spec.world, poses, rig, 0, seed=spec.seed + 4)
 
-    inp = CalibrationInput(cal_map, poses, measured.readings(), np.zeros(3))
-    result = calibrate(inp, spec.config)
+    result = calibrate(CalibrationInput(cal_map, measured), spec.config)
 
     compensated = compensate_many(result.distortion, measured.readings())
-    predicted = sensor_frame_prediction(val_map, inp.rotations(), inp.translations(),
-                                        result.translation)
+    predicted = sensor_frame_prediction(val_map, measured.rotations(),
+                                        measured.positions(), result.translation)
     mse_before, std_before = metric_reading_error(measured.readings(), predicted)
     mse_after, std_after = metric_reading_error(compensated, predicted)
     mean_axis_err_after = np.abs(compensated - predicted).mean(axis=0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from magcalib.extrinsic import CalibrationConfig, CalibrationInput, calibrate
-from magcalib.geometry import Pose
+from magcalib.geometry import Dataset
 from magcalib.intrinsic import (
     AffineDistortion,
     RegressionProblem,
@@ -240,7 +240,9 @@ def test_criterion_6f_grid_search_oracle(calib_world, calib_map, calib_path):
     b_true = np.einsum("nji,nj->ni", rotations, field_at_many(calib_world, sensor_pos))
     measured = dist.apply_many(b_true) + rng.normal(0.0, 0.1, b_true.shape)
 
-    result = calibrate(CalibrationInput(calib_map, poses, measured,
+    data = Dataset("6f", "lidar", np.arange(len(poses), dtype=float), rotations,
+                   translations, measured)
+    result = calibrate(CalibrationInput(calib_map, data,
                                         t_gt + np.array([0.4, -0.3, 0.2])))
 
     axis = np.arange(-1.0, 1.0 + 1e-9, 0.05)
@@ -287,9 +289,11 @@ def test_criterion_6g_noise_free_identity_recovery(gentle_world):
     data = survey_dataset(gentle_world, positions, noise_sigma=0.0, seed=0)
     exact_map = build_map(data, GpHyperparams(length_scale=0.5, noise_variance=0.0),
                           block_size=10.0)
-    poses = [Pose(np.eye(3), p, "lidar", "map") for p in positions]
-    readings = field_at_many(gentle_world, positions)
-    result = calibrate(CalibrationInput(exact_map, poses, readings, np.zeros(3)),
+    n = positions.shape[0]
+    lidar = Dataset("6g", "lidar", np.arange(n, dtype=float),
+                    np.broadcast_to(np.eye(3), (n, 3, 3)), positions,
+                    field_at_many(gentle_world, positions))
+    result = calibrate(CalibrationInput(exact_map, lidar, np.zeros(3)),
                        CalibrationConfig(measurement_noise=0.0))
     e_t = float(np.sum(result.translation**2))
     e_c = float(np.linalg.norm(result.distortion.gain - np.eye(3)))

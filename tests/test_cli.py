@@ -76,6 +76,16 @@ def test_calibrate_and_evaluate_against_truth(workdir, capsys):
     assert out["success"] in ("small", "medium")
 
 
+def test_calibrate_rejects_negative_damping_in_config(workdir):
+    (workdir / "bad_config.json").write_text(json.dumps({"damping": -1000}))
+    with pytest.raises(ValueError, match="damping"):
+        main(["calibrate", "--map", str(workdir / "map.json"),
+              "--data", str(workdir / "sim" / "mag0.jsonl"),
+              "--config", str(workdir / "bad_config.json"),
+              "--out", str(workdir / "bad_result.json")])
+    assert not (workdir / "bad_result.json").exists()
+
+
 def test_evaluate_against_validation_map(workdir, capsys):
     # build a second, independent map as the validation reference
     rc = main(["simulate", "--world", str(workdir / "world.json"),

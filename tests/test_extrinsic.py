@@ -11,7 +11,7 @@ from magcalib.extrinsic import (
     jacobian,
     residual,
 )
-from magcalib.geometry import Pose, rot_z
+from magcalib.geometry import Dataset, Pose, rot_z
 from magcalib.intrinsic import AffineDistortion, RegressionError, solve_wrrtls, \
     RegressionProblem, weights_from_variance
 from magcalib.magmap import GpHyperparams, build_map
@@ -34,8 +34,16 @@ def _measurements(world, path, dist=None, sigma=0.0, seed=0):
     return measured.readings(), truth.readings()
 
 
+def _dataset(path, readings):
+    """The LiDAR poses of ``path`` (lidar -> map) paired with ``readings``,
+    sample i at time i seconds."""
+    n = len(path)
+    return Dataset("test", "lidar", np.arange(n, dtype=float),
+                   [p.rotation for p in path], [p.translation for p in path], readings)
+
+
 def _input(field_map, path, readings, t0):
-    return CalibrationInput(field_map, list(path), readings, t0)
+    return CalibrationInput(field_map, _dataset(path, readings), t0)
 
 
 def test_residual_small_at_truth(calib_world, calib_map, calib_path):
@@ -192,11 +200,14 @@ def test_calibrate_recovers_from_wrong_basin():
     _, _, dist, offset, trial_rng = next(
         trial for trial in _trials(cell_seed, spec, 0.0, spec.offset_range)
         if trial[:2] == (2, 4))
-    poses, b_true = _truth_readings(spec, path_spec)
+    truth = _truth_readings(spec, path_spec)
+    b_true = truth.readings()
     readings = dist.apply_many(b_true) + trial_rng.normal(0.0, 0.1, b_true.shape)
+    measured = Dataset(truth.sensor_id, truth.frame, truth.timestamps(),
+                       truth.rotations(), truth.positions(), readings)
     field_map = build_reference_map(spec)
 
-    result = calibrate(CalibrationInput(field_map, poses, readings, t_gt + offset),
+    result = calibrate(CalibrationInput(field_map, measured, t_gt + offset),
                        replace(spec.config, measurement_noise=0.1))
     assert result.converged, result.message
     assert "re-seeded" in result.message
@@ -256,7 +267,6 @@ def test_frame_shift_invariance(calib_world, calib_path):
     hyper = GpHyperparams(length_scale=0.8, noise_variance=0.001)
     map_a = build_map(data, hyper, block_size=8.0)
 
-    from magcalib.geometry import Dataset
     shifted = Dataset("shifted", data.frame, data.timestamps(), data.rotations(),
                       data.positions() + shift, data.readings())
     map_b = build_map(shifted, hyper, block_size=8.0)
@@ -315,8 +325,38 @@ def test_out_of_map_abort_policy(calib_map, calib_path):
         calibrate(inp, config)
 
 
-def test_input_validation(calib_map, calib_path):
-    with pytest.raises(CalibrationError, match="pair"):
-        CalibrationInput(calib_map, list(calib_path), np.zeros((3, 3)))
+def test_input_needs_five_rows(calib_map, calib_path):
+    readings = np.tile([30.0, 0.0, -40.0], (4, 1))
     with pytest.raises(CalibrationError, match="at least 5"):
-        CalibrationInput(calib_map, list(calib_path)[:3], np.zeros((3, 3)))
+        _input(calib_map, list(calib_path)[:4], readings, np.zeros(3))
+
+
+@pytest.mark.parametrize("t0", [[0.1, 0.2], [0.1, np.nan, 0.0]])
+def test_input_rejects_bad_initial_translation(calib_map, calib_path, t0):
+    readings = np.tile([30.0, 0.0, -40.0], (len(calib_path), 1))
+    with pytest.raises(ValueError, match="initial_translation"):
+        _input(calib_map, calib_path, readings, t0)
+
+
+class _NoQueryMap:
+    """A field map that fails the test if anything queries it."""
+
+    def query_many(self, *args, **kwargs):
+        raise AssertionError("map queried")
+
+    gradient_many = query_many
+
+
+def test_nan_reading_rejected_before_any_map_query(calib_path):
+    readings = np.tile([30.0, 0.0, -40.0], (len(calib_path), 1))
+    readings[7, 1] = np.nan
+    with pytest.raises(ValueError, match="row 7: reading"):
+        calibrate(_input(_NoQueryMap(), calib_path, readings, np.zeros(3)))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("damping", -1000.0), ("step_tolerance", -1.0), ("step_tolerance", 0.0),
+    ("lambda_value", -1e-6), ("measurement_noise", -0.1)])
+def test_config_rejects_bad_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        CalibrationConfig(**{name: value})

@@ -12,7 +12,6 @@ from magcalib.intrinsic import (
     RegressionError,
     RegressionProblem,
     compensate,
-    problem_diagnostics,
     select_lambda,
     solve_ols,
     solve_rrtls,
@@ -497,18 +496,6 @@ def test_weights_from_variance_floor_and_noise():
     w_noisy = weights_from_variance(var, measurement_noise=0.5)
     assert np.isclose(w_noisy[0], 1.0 / 3.75)
     assert np.isclose(w_noisy[1], 1.0 / 0.75)
-
-
-def test_problem_diagnostics_fields():
-    rng = np.random.default_rng(20)
-    truth = _random_affine(rng)
-    x = _rich_excitation(rng, 40)
-    y = truth.apply_many(x) + rng.normal(0.0, 0.2, size=x.shape)
-    prob = RegressionProblem.from_pairs(x, y, ridge=0.01)
-    diag = problem_diagnostics(prob, solve_wrrtls(prob))
-    assert diag.condition_number >= 1.0
-    assert diag.residual_rms >= 0.0
-    assert diag.ridge == 0.01
 
 
 def test_problem_validation():

@@ -8,7 +8,6 @@ from magcalib.simulator import (
     PathSpec,
     SensorRig,
     WorldConfig,
-    field_at,
     field_at_many,
     generate_path,
     random_distortion,
@@ -27,7 +26,7 @@ def _empty_world():
 
 def test_field_without_dipoles_is_ambient():
     world = _empty_world()
-    assert np.allclose(field_at(world, [3.0, 4.0, 1.0]), AMBIENT)
+    assert np.allclose(field_at_many(world, [3.0, 4.0, 1.0])[0], AMBIENT)
 
 
 def test_field_on_dipole_axis():
@@ -36,7 +35,7 @@ def test_field_on_dipole_axis():
     world = WorldConfig(extent=Box(np.zeros(3), np.array([10.0, 10.0, 3.0])),
                         ambient_field=AMBIENT,
                         dipoles=(Dipole(np.array([5.0, 5.0, 0.5]), moment),))
-    out = field_at(world, [5.0, 5.0, 2.5])  # 2 m above, along +z
+    out = field_at_many(world, [5.0, 5.0, 2.5])[0]  # 2 m above, along +z
     expected = AMBIENT + np.array([0.0, 0.0, 2.0 * 50.0 / 2.0**3])
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -49,8 +48,8 @@ def test_field_superposition():
     only1 = WorldConfig(extent=extent, ambient_field=AMBIENT, dipoles=(d1,))
     only2 = WorldConfig(extent=extent, ambient_field=AMBIENT, dipoles=(d2,))
     t = np.array([5.0, 4.0, 0.8])
-    assert np.allclose(field_at(both, t),
-                       field_at(only1, t) + field_at(only2, t) - AMBIENT,
+    assert np.allclose(field_at_many(both, t),
+                       field_at_many(only1, t) + field_at_many(only2, t) - AMBIENT,
                        atol=1e-12)
 
 
@@ -60,7 +59,7 @@ def test_field_rejects_query_at_dipole():
                         dipoles=(Dipole(np.array([5.0, 5.0, 1.0]),
                                         np.array([0.0, 0.0, 50.0])),))
     with pytest.raises(ValueError, match="dipole"):
-        field_at(world, [5.0, 5.0, 1.01])
+        field_at_many(world, [5.0, 5.0, 1.01])
 
 
 def test_field_is_divergence_free(calib_world):

@@ -13,8 +13,10 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   0.75 / 1.5 / 3 m), ablation (seed 22, 2 x 1 trials, noise 0.5, L-curve
   ridge, 3 m survey only) and the criterion-5 two-map workflow (seed 23);
 * a CLI session on the world of ``tests/test_cli.py``: ``simulate``,
-  ``build-map``, ``calibrate``, ``evaluate --truth``, a second ``simulate``
-  and ``build-map`` for a validation map, and ``evaluate
+  ``build-map``, ``calibrate``, ``evaluate --truth``, a second
+  ``calibrate`` from a ``--config`` file (unweighted ridge TLS, L-curve
+  ridge) and a non-zero ``--t0`` with its ``evaluate --truth``, a second
+  ``simulate`` and ``build-map`` for a validation map, and ``evaluate
   --validation-map``, with every command's standard output.
 
 Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
@@ -57,6 +59,7 @@ _RIG = {
     }],
 }
 _HYPER = {"length_scale": 0.8, "noise_variance": 0.001, "block_size": 8.0}
+_CONFIG = {"intrinsic_solver": "rrtls", "lambda_policy": "l_curve"}
 
 # the CLI session, run from the output directory so that recorded paths match
 _SESSION = (
@@ -70,6 +73,11 @@ _SESSION = (
                    "--t0", "0,0,0", "--out", "result.json"]),
     ("evaluate_truth", ["evaluate", "--result", "result.json",
                         "--truth", "sim/truth.json"]),
+    ("calibrate_config", ["calibrate", "--map", "map.json", "--data", "sim/mag0.jsonl",
+                          "--config", "config.json", "--t0", "0.2,0.1,0",
+                          "--out", "result_config.json"]),
+    ("evaluate_config_truth", ["evaluate", "--result", "result_config.json",
+                               "--truth", "sim/truth.json"]),
     ("simulate_validation", ["simulate", "--world", "world.json", "--path",
                              "random_walk", "--rig", "rig.json", "--out", "sim2",
                              "--survey-spacing", "0.8", "--survey-noise", "0.03",
@@ -104,7 +112,8 @@ def dump(out: Path) -> None:
 
     session = out / "cli"
     session.mkdir(parents=True)
-    for name, doc in (("world", _WORLD), ("rig", _RIG), ("hyper", _HYPER)):
+    for name, doc in (("world", _WORLD), ("rig", _RIG), ("hyper", _HYPER),
+                      ("config", _CONFIG)):
         (session / f"{name}.json").write_text(json.dumps(doc))
     os.chdir(session)
     for name, argv in _SESSION:
