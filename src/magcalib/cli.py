@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization as io
-from .extrinsic import CalibrationConfig, CalibrationInput, calibrate
+from .extrinsic import CalibrationConfig, CalibrationError, CalibrationInput, calibrate
 from .intrinsic import AffineDistortion, compensate_many
-from .magmap import build_map
+from .magmap import MapError, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
 from .simulator import PathSpec, WorldConfig, generate_path, sample_dataset, \
     survey_dataset, survey_positions
@@ -100,7 +100,11 @@ def _cmd_evaluate(args) -> int:
     if args.truth:
         with open(args.truth, "r", encoding="utf-8") as fh:
             truth = json.load(fh)
-        sensor = truth["sensors"][args.sensor_index]
+        sensors = truth["sensors"]
+        if not 0 <= args.sensor_index < len(sensors):
+            raise ValueError(f"--sensor-index {args.sensor_index} is out of range "
+                             f"for the {len(sensors)} sensor(s) of {args.truth}")
+        sensor = sensors[args.sensor_index]
         dist_gt = AffineDistortion(np.asarray(sensor["gain"], float),
                                    np.asarray(sensor["bias"], float))
         report = score_result(t_hat, dist_hat, np.asarray(sensor["offset"], float),
@@ -109,9 +113,8 @@ def _cmd_evaluate(args) -> int:
     if args.validation_map:
         data_path = args.data or doc.get("data")
         if not data_path:
-            print("evaluate: --data is required when the result file does not "
-                  "record its dataset", file=sys.stderr)
-            return 2
+            raise ValueError("--data is required when the result file does not "
+                             "record its dataset")
         val_map = io.load_map(args.validation_map)
         data = io.read_fingerprints(data_path, from_frame="lidar")
         compensated = compensate_many(dist_hat, data.readings())
@@ -121,8 +124,7 @@ def _cmd_evaluate(args) -> int:
         out["reading_mse_ut2"] = mse
         out["reading_std_ut"] = [float(v) for v in std]
     if not out:
-        print("evaluate: provide --truth and/or --validation-map", file=sys.stderr)
-        return 2
+        raise ValueError("provide --truth and/or --validation-map")
     print(json.dumps(out, indent=2))
     return 0
 
@@ -211,8 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input exits 2 with a one-line error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, CalibrationError, MapError) as exc:
+        print(f"magcalib {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

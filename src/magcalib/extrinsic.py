@@ -58,12 +58,14 @@ class CalibrationError(RuntimeError):
 
 
 class NonConvergenceError(CalibrationError):
-    """The normal system stayed singular even after damping escalation."""
+    """A damped normal system of the lever-arm step is singular or gives a
+    non-finite step; the Levenberg-Marquardt loop rejects that step."""
 
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Optimizer knobs.
+    """Optimizer knobs; the lever-arm damping is none of them, it is set by
+    :func:`_levenberg_marquardt` alone.
 
     ``lambda_policy`` is ``"fixed"`` (use ``lambda_value``) or ``"l_curve"``
     (re-select the ridge factor every iteration). ``intrinsic_solver`` picks
@@ -74,7 +76,6 @@ class CalibrationConfig:
 
     max_iterations: int = 100
     step_tolerance: float = 1e-5
-    damping: float = 0.0
     lambda_policy: str = "fixed"
     lambda_value: float = 1e-6
     tsvd_rank: int = 4
@@ -87,7 +88,7 @@ class CalibrationConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.step_tolerance > 0:
             raise ValueError(f"step_tolerance must be > 0, got {self.step_tolerance}")
-        for name in ("damping", "lambda_value", "measurement_noise"):
+        for name in ("lambda_value", "measurement_noise"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lambda_policy not in ("fixed", "l_curve"):
@@ -168,12 +169,11 @@ def classify_success(t_hat, t_gt) -> str:
 @dataclass
 class _EvalState:
     inside: np.ndarray          # (N,) bool
-    predicted_ref: np.ndarray   # (n_in, 3) lidar-frame map prediction
-    weights: np.ndarray         # (n_in,)
+    rotations: np.ndarray       # (n_in, 3, 3) LiDAR rotations of the inside samples
+    positions: np.ndarray       # (n_in, 3) their sensor positions in the map frame
     distortion: AffineDistortion
     residuals: np.ndarray       # (n_in, 3)
     cost: float                 # total squared residual
-    ridge: float
     variances: np.ndarray | None  # (n_in, 3) map predictive variance, None if unmodelled
 
     @property
@@ -181,52 +181,42 @@ class _EvalState:
         return self.cost / max(self.residuals.shape[0], 1)
 
 
-def _query_masked(field_map, positions: np.ndarray, policy: str):
-    means, variances, inside = field_map.query_many(positions, allow_outside=True)
-    n_in = int(inside.sum())
-    if n_in == 0:
-        raise CalibrationError("all samples project outside the mapped volume")
-    if policy == "abort" and n_in < positions.shape[0]:
-        raise CalibrationError(
-            f"{positions.shape[0] - n_in} samples project outside the map "
-            "(out_of_map_policy=abort)")
-    if n_in < 0.5 * positions.shape[0]:
-        raise CalibrationError(
-            f"more than half the samples ({positions.shape[0] - n_in}/"
-            f"{positions.shape[0]}) project outside the mapped volume")
-    return means, variances, inside
-
-
 def _evaluate(inp: CalibrationInput, t: np.ndarray, config: CalibrationConfig,
               distortion: AffineDistortion | None = None) -> _EvalState:
     rotations = inp.data.rotations()
     positions = rotations @ t + inp.data.positions()
-    means, variances, inside = _query_masked(inp.field_map, positions,
-                                             config.out_of_map_policy)
+    n = positions.shape[0]
+    means, variances, inside = inp.field_map.query_many(positions, allow_outside=True)
+    n_in = int(inside.sum())
+    if n_in == 0:
+        raise CalibrationError("all samples project outside the mapped volume")
+    if config.out_of_map_policy == "abort" and n_in < n:
+        raise CalibrationError(f"{n - n_in} samples project outside the map "
+                               "(out_of_map_policy=abort)")
+    if n_in < 0.5 * n:
+        raise CalibrationError(f"more than half the samples ({n - n_in}/{n}) "
+                               "project outside the mapped volume")
     rot_in = rotations[inside]
     predicted_ref = np.einsum("nji,nj->ni", rot_in, means[inside])
     measured = inp.data.readings()[inside]
+    var_in = None if variances is None else variances[inside]
 
-    if variances is None or config.intrinsic_solver != "wrrtls":
-        weights = np.ones(predicted_ref.shape[0])
-    else:
-        weights = weights_from_variance(variances[inside], config.measurement_noise)
-
-    ridge = config.lambda_value
     if distortion is None:
+        weights = None  # unit weights
+        if var_in is not None and config.intrinsic_solver == "wrrtls":
+            weights = weights_from_variance(var_in, config.measurement_noise)
         prob = RegressionProblem.from_pairs(predicted_ref, measured, weights,
-                                            ridge, config.tsvd_rank)
+                                            config.lambda_value, config.tsvd_rank)
         if config.intrinsic_solver != "ols" and config.lambda_policy == "l_curve":
-            ridge = select_lambda(prob)
-            prob = prob.with_ridge(ridge)
+            prob = prob.with_ridge(select_lambda(prob))
         solve = {"ols": solve_ols, "rrtls": solve_rrtls,
                  "wrrtls": solve_wrrtls}[config.intrinsic_solver]
         distortion = solve(prob)
 
     residuals = predicted_ref @ distortion.gain.T + distortion.bias - measured
     cost = float(np.sum(residuals**2))
-    return _EvalState(inside, predicted_ref, weights, distortion, residuals,
-                      cost, ridge, None if variances is None else variances[inside])
+    return _EvalState(inside, rot_in, positions[inside], distortion, residuals,
+                      cost, var_in)
 
 
 def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
@@ -238,13 +228,12 @@ def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
     return state.residuals
 
 
-def _jacobian(field_map, rotations, positions, inside, gain) -> np.ndarray:
-    """Stacked (3*n_in, 3) lever-arm derivative of the residuals of the
-    ``inside`` samples, whose sensor positions are ``positions``."""
-    grads, _ = field_map.gradient_many(positions[inside], allow_outside=False)
-    rot_in = rotations[inside]
-    return np.einsum("ab,nbc,ncd,nde->nae",
-                     gain, rot_in.transpose(0, 2, 1), grads, rot_in).reshape(-1, 3)
+def _jacobian(field_map, state: _EvalState) -> np.ndarray:
+    """Stacked (3*n_in, 3) lever-arm derivative of ``state``'s residuals."""
+    grads, _ = field_map.gradient_many(state.positions, allow_outside=False)
+    rot = state.rotations
+    return np.einsum("ab,nbc,ncd,nde->nae", state.distortion.gain,
+                     rot.transpose(0, 2, 1), grads, rot).reshape(-1, 3)
 
 
 def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
@@ -255,53 +244,46 @@ def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
     the chain of the rotate-back step with the map-frame projection.
     """
     config = config or CalibrationConfig()
-    rotations = inp.data.rotations()
-    positions = rotations @ np.asarray(t, float).reshape(3) + inp.data.positions()
-    _, _, inside = _query_masked(inp.field_map, positions, config.out_of_map_policy)
-    return _jacobian(inp.field_map, rotations, positions, inside, distortion.gain)
+    state = _evaluate(inp, np.asarray(t, float).reshape(3), config, distortion)
+    return _jacobian(inp.field_map, state)
 
 
 def _initial_damping(normal: np.ndarray, mu: float) -> tuple:
     """``(mu, base)``: the damping to start from and the floor it escalates
     from. An undamped start (``mu == 0``) is raised to ``base`` when the
-    normal matrix is ill-conditioned."""
+    (finite) normal matrix is ill-conditioned."""
     base = max(np.trace(normal) / 3.0, np.finfo(float).tiny) * 1e-6
-    if mu == 0.0 and np.linalg.cond(normal) > _COND_DAMPING:
+    if (mu == 0.0 and np.all(np.isfinite(normal))
+            and np.linalg.cond(normal) > _COND_DAMPING):
         mu = base
     return mu, base
 
 
-def _escalate(mu: float, base: float) -> float:
-    """The next damping after a failed or rejected step: ``base`` from an
-    undamped start, tenfold otherwise."""
-    return base if mu == 0.0 else mu * 10.0
+def _damped_solve(normal: np.ndarray, gradient: np.ndarray, mu: float) -> np.ndarray:
+    """The step solving ``(J'J + mu I) step = -J'e`` from ``normal = J'J``
+    and ``gradient = J'e``."""
+    try:
+        step = np.linalg.solve(normal + mu * np.eye(3), -gradient)
+    except np.linalg.LinAlgError:
+        raise NonConvergenceError(f"normal system singular at damping {mu:.3g}") from None
+    if not np.all(np.isfinite(step)):
+        raise NonConvergenceError(f"non-finite step at damping {mu:.3g}")
+    return step
 
 
 def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray,
                       damping: float = 0.0) -> np.ndarray:
-    """Solve the 3x3 normal system for the lever-arm increment.
-
-    Levenberg damping is applied automatically when the normal matrix is
-    ill-conditioned, escalating tenfold until solvable; a system that stays
-    singular raises :class:`NonConvergenceError`.
-    """
+    """Solve the 3x3 normal system for one lever-arm increment at
+    ``damping``, damped by :func:`_initial_damping` when undamped and
+    ill-conditioned. A singular system or a non-finite step raises
+    :class:`NonConvergenceError`; nothing here retries."""
     jac = np.asarray(jac, float).reshape(-1, 3)
     e = np.asarray(residuals, float).reshape(-1)
     if jac.shape[0] != e.shape[0]:
         raise ValueError("jacobian and residual sizes disagree")
     normal = jac.T @ jac
-    gradient = jac.T @ e
-    mu, base = _initial_damping(normal, float(damping))
-    for _ in range(60):
-        try:
-            step = np.linalg.solve(normal + mu * np.eye(3), -gradient)
-        except np.linalg.LinAlgError:
-            mu = _escalate(mu, base)
-            continue
-        if np.all(np.isfinite(step)):
-            return step
-        mu = _escalate(mu, base)
-    raise NonConvergenceError("normal system is singular even after damping escalation")
+    mu, _ = _initial_damping(normal, float(damping))
+    return _damped_solve(normal, jac.T @ e, mu)
 
 
 @dataclass
@@ -318,37 +300,36 @@ class _Fit:
 
 def _levenberg_marquardt(inp: CalibrationInput, t: np.ndarray, state: _EvalState,
                          config: CalibrationConfig) -> _Fit:
-    """Damped Gauss-Newton on the lever arm from ``t`` (evaluated as ``state``)."""
+    """Damped Gauss-Newton on the lever arm from ``t`` (evaluated as ``state``).
+    The one owner of the damping: a failed or cost-raising step escalates
+    it, an accepted one decays it."""
     trace = [(t.copy(), state.cost)]
     converged = False
     message = ""
-    mu = float(config.damping)
+    mu = 0.0
     iterations = 0
-    rotations = inp.data.rotations()
 
     for _ in range(config.max_iterations):
-        jac = _jacobian(inp.field_map, rotations, rotations @ t + inp.data.positions(),
-                        state.inside, state.distortion.gain)
+        jac = _jacobian(inp.field_map, state)
         normal = jac.T @ jac
         if np.trace(normal) < _FLAT_NORMAL:
             message = "field gradient is degenerate; lever arm is unobservable"
             break
+        gradient = jac.T @ state.residuals.reshape(-1)
         mu, base = _initial_damping(normal, mu)
 
-        accepted = False
         for _reject in range(_MAX_REJECTS):
             try:
-                step = gauss_newton_step(jac, state.residuals, mu)
+                step = _damped_solve(normal, gradient, mu)
                 cand_state = _evaluate(inp, t + step, config)
             except CalibrationError:  # NonConvergenceError included
-                mu = _escalate(mu, base)
-                continue
-            slack = _COST_SLACK / max(cand_state.residuals.shape[0], 1)
-            if cand_state.mean_cost <= state.mean_cost + slack:
-                accepted = True
-                break
-            mu = _escalate(mu, base)
-        if not accepted:
+                pass
+            else:
+                slack = _COST_SLACK / max(cand_state.residuals.shape[0], 1)
+                if cand_state.mean_cost <= state.mean_cost + slack:
+                    break
+            mu = base if mu == 0.0 else mu * 10.0  # reject: escalate
+        else:
             message = "damping escalation exhausted without a descent step"
             break
 
@@ -356,7 +337,7 @@ def _levenberg_marquardt(inp: CalibrationInput, t: np.ndarray, state: _EvalState
         state = cand_state
         iterations += 1
         trace.append((t.copy(), state.cost))
-        mu = 0.0 if mu <= base else mu * 0.1
+        mu = 0.0 if mu <= base else mu * 0.1  # accept: decay
         if np.linalg.norm(step) < config.step_tolerance:
             converged = True
             break

@@ -8,7 +8,7 @@ reading metric a mean squared error in uT^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,21 +65,9 @@ class MetricsReport:
     gain_frobenius: float
     bias_sq_ut2: float
     success: str
-    reading_mse_ut2: float | None = None
-    reading_std_ut: tuple | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "translation_sq_m2": self.translation_sq_m2,
-            "gain_frobenius": self.gain_frobenius,
-            "bias_sq_ut2": self.bias_sq_ut2,
-            "success": self.success,
-        }
-        if self.reading_mse_ut2 is not None:
-            out["reading_mse_ut2"] = self.reading_mse_ut2
-        if self.reading_std_ut is not None:
-            out["reading_std_ut"] = list(self.reading_std_ut)
-        return out
+        return asdict(self)
 
 
 def score_result(t_hat, dist_hat: AffineDistortion, t_gt,

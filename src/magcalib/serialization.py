@@ -17,6 +17,7 @@ block is factored on its first query.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -274,9 +275,20 @@ def load_hyper(path) -> tuple:
 
 
 def load_calibration_config(path) -> CalibrationConfig:
+    """A :class:`CalibrationConfig` from a JSON object of some of its fields;
+    any other document, key or value raises ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return CalibrationConfig(**doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: calibration config must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(CalibrationConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown calibration config key(s) {', '.join(unknown)}")
+    try:
+        return CalibrationConfig(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_result(result: CalibrationResult, path, data_path: str | None = None) -> None:

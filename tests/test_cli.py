@@ -76,14 +76,53 @@ def test_calibrate_and_evaluate_against_truth(workdir, capsys):
     assert out["success"] in ("small", "medium")
 
 
-def test_calibrate_rejects_negative_damping_in_config(workdir):
+def _calibrate_argv(workdir, out, *extra, data=None):
+    return ["calibrate", "--map", str(workdir / "map.json"),
+            "--data", str(data or workdir / "sim" / "mag0.jsonl"),
+            "--out", str(workdir / out), *extra]
+
+
+def test_calibrate_config_with_damping_exits_2(workdir, capsys):
+    # damping is no config field: the loop sets it from the normal matrix
     (workdir / "bad_config.json").write_text(json.dumps({"damping": -1000}))
-    with pytest.raises(ValueError, match="damping"):
-        main(["calibrate", "--map", str(workdir / "map.json"),
-              "--data", str(workdir / "sim" / "mag0.jsonl"),
-              "--config", str(workdir / "bad_config.json"),
-              "--out", str(workdir / "bad_result.json")])
+    rc = main(_calibrate_argv(workdir, "bad_result.json",
+                              "--config", str(workdir / "bad_config.json")))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("magcalib calibrate: error: ") and "damping" in err
     assert not (workdir / "bad_result.json").exists()
+
+
+def test_calibrate_bad_t0_exits_2(workdir, capsys):
+    rc = main(_calibrate_argv(workdir, "t0_result.json", "--t0", "1,2"))
+    assert rc == 2
+    assert "initial_translation" in capsys.readouterr().err
+    assert not (workdir / "t0_result.json").exists()
+
+
+def test_calibrate_malformed_jsonl_exits_2(workdir, capsys):
+    lines = (workdir / "sim" / "mag0.jsonl").read_text().splitlines()
+    lines[2] = lines[2][:-5]
+    bad = workdir / "bad_mag0.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(_calibrate_argv(workdir, "jsonl_result.json", data=bad))
+    assert rc == 2
+    assert "line 3: bad JSON" in capsys.readouterr().err
+    assert not (workdir / "jsonl_result.json").exists()
+
+
+@pytest.mark.parametrize("index", ["-1", "1"])
+def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
+    result = {"schema": "calibration-result/1", "translation": [0.3, -0.1, 0.2],
+              "gain": np.eye(3).tolist(), "bias": [0.0, 0.0, 0.0]}
+    (workdir / "index_result.json").write_text(json.dumps(result))
+    rc = main(["evaluate", "--result", str(workdir / "index_result.json"),
+               "--truth", str(workdir / "sim" / "truth.json"),
+               "--sensor-index", index])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--sensor-index {index} is out of range for the 1 sensor(s)" in captured.err
 
 
 def test_evaluate_against_validation_map(workdir, capsys):

@@ -5,6 +5,7 @@ from magcalib.extrinsic import (
     CalibrationConfig,
     CalibrationError,
     CalibrationInput,
+    NonConvergenceError,
     calibrate,
     classify_success,
     gauss_newton_step,
@@ -154,6 +155,27 @@ def test_gauss_newton_step_matches_lstsq():
         step = gauss_newton_step(jac, e)
         oracle, _, _, _ = np.linalg.lstsq(jac, -e, rcond=None)
         assert np.allclose(step, oracle, atol=1e-8)
+
+
+def test_gauss_newton_step_nan_jacobian_raises():
+    jac = np.ones((9, 3))
+    jac[4, 1] = np.nan
+    with pytest.raises(NonConvergenceError, match="non-finite step"):
+        gauss_newton_step(jac, np.ones(9))
+
+
+def test_gauss_newton_step_damps_rank_deficient_jacobian():
+    # the third column carries no signal: J'J is singular, so the undamped
+    # solve is replaced by one damped at 1e-6 of the mean diagonal
+    rng = np.random.default_rng(6)
+    jac = np.hstack([rng.normal(size=(12, 2)), np.zeros((12, 1))])
+    e = rng.normal(size=12)
+    normal = jac.T @ jac
+    base = np.trace(normal) / 3.0 * 1e-6
+    step = gauss_newton_step(jac, e)
+    assert np.all(np.isfinite(step)) and step[2] == 0.0
+    assert np.allclose(step, np.linalg.solve(normal + base * np.eye(3), -jac.T @ e),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_calibrate_quick_batch(calib_world, calib_map, calib_path):
@@ -355,7 +377,7 @@ def test_nan_reading_rejected_before_any_map_query(calib_path):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("damping", -1000.0), ("step_tolerance", -1.0), ("step_tolerance", 0.0),
+    ("step_tolerance", -1.0), ("step_tolerance", 0.0),
     ("lambda_value", -1e-6), ("measurement_noise", -0.1)])
 def test_config_rejects_bad_values(name, value):
     with pytest.raises(ValueError, match=name):

@@ -429,3 +429,16 @@ def test_config_loaders(tmp_path):
     config = load_calibration_config(cp)
     assert config.max_iterations == 40
     assert config.lambda_policy == "l_curve"
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([40, "l_curve"], "must be a JSON object, got list"),
+    ({"damping": 1.0, "max_iterations": 40, "ridge": 0.1}, "key.s. damping, ridge$"),
+    ({"max_iterations": 0}, r"config\.json: max_iterations must be >= 1"),
+    ({"step_tolerance": "small"}, r"config\.json: '>' not supported"),
+], ids=["not_object", "unknown_keys", "bad_value", "bad_type"])
+def test_calibration_config_rejects_bad_documents(tmp_path, doc, match):
+    cp = tmp_path / "config.json"
+    cp.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_calibration_config(cp)

@@ -17,7 +17,10 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   ``calibrate`` from a ``--config`` file (unweighted ridge TLS, L-curve
   ridge) and a non-zero ``--t0`` with its ``evaluate --truth``, a second
   ``simulate`` and ``build-map`` for a validation map, and ``evaluate
-  --validation-map``, with every command's standard output.
+  --validation-map``, with every command's standard output;
+* ``extrinsic.residual`` and ``extrinsic.jacobian`` of that session's map
+  and sensor data at one fixed lever arm and distortion, next to each other
+  in ``cli/derivatives_report.json``.
 
 Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
 and every output file byte for byte. The exit status is 1 when anything
@@ -60,6 +63,7 @@ _RIG = {
 }
 _HYPER = {"length_scale": 0.8, "noise_variance": 0.001, "block_size": 8.0}
 _CONFIG = {"intrinsic_solver": "rrtls", "lambda_policy": "l_curve"}
+_DERIVATIVES_AT = [0.25, -0.05, 0.15]  # lever arm [m] of the residual/jacobian step
 
 # the CLI session, run from the output directory so that recorded paths match
 _SESSION = (
@@ -92,8 +96,10 @@ _SESSION = (
 def dump(out: Path) -> None:
     """Run every spec and the CLI session with the ``magcalib`` on sys.path."""
     import magcalib
-    from magcalib import cli
-    from magcalib.extrinsic import CalibrationConfig
+    import numpy as np
+    from magcalib import cli, serialization
+    from magcalib.extrinsic import CalibrationConfig, CalibrationInput, jacobian, residual
+    from magcalib.intrinsic import AffineDistortion
     from magcalib.sweeps import (SweepSpec, default_path_specs, run_ablation,
                                  run_success_sweep, run_table1_sweep,
                                  run_two_map_workflow)
@@ -121,6 +127,15 @@ def dump(out: Path) -> None:
         with contextlib.redirect_stdout(buf):
             rc = cli.main(argv)
         Path(f"{name}.stdout").write_text(f"{buf.getvalue()}exit {rc}\n")
+
+    inp = CalibrationInput(serialization.load_map("map.json"),
+                           serialization.read_fingerprints("sim/mag0.jsonl",
+                                                           from_frame="lidar"))
+    sensor = _RIG["sensors"][0]
+    dist = AffineDistortion(np.array(sensor["gain"]), np.array(sensor["bias"]))
+    Path("derivatives_report.json").write_text(json.dumps({
+        "residual": residual(inp, _DERIVATIVES_AT, dist).tolist(),
+        "jacobian": jacobian(inp, _DERIVATIVES_AT, dist).tolist()}))
 
 
 def _leaves(doc, prefix=""):
