@@ -433,7 +433,7 @@ def test_config_loaders(tmp_path):
 
 @pytest.mark.parametrize("doc, match", [
     ([40, "l_curve"], "must be a JSON object, got list"),
-    ({"damping": 1.0, "max_iterations": 40, "ridge": 0.1}, "key.s. damping, ridge$"),
+    ({"damping": 1.0, "max_iterations": 40, "ridge": 0.1}, r"key\(s\) damping, ridge$"),
     ({"max_iterations": 0}, r"config\.json: max_iterations must be >= 1"),
     ({"step_tolerance": "small"}, r"config\.json: '>' not supported"),
 ], ids=["not_object", "unknown_keys", "bad_value", "bad_type"])
