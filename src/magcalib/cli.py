@@ -100,7 +100,9 @@ def _cmd_evaluate(args) -> int:
     if args.truth:
         with open(args.truth, "r", encoding="utf-8") as fh:
             truth = json.load(fh)
-        sensors = truth["sensors"]
+        sensors = truth.get("sensors") if isinstance(truth, dict) else None
+        if not isinstance(sensors, list):
+            raise ValueError(f"{args.truth}: truth document has no 'sensors' list")
         if not 0 <= args.sensor_index < len(sensors):
             raise ValueError(f"--sensor-index {args.sensor_index} is out of range "
                              f"for the {len(sensors)} sensor(s) of {args.truth}")

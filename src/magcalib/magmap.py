@@ -6,14 +6,22 @@ spatial block, factored on the first query that reaches the block, so that
 building or loading a map fits nothing. A map is immutable and safe for
 concurrent reads; its factor cache fills on first use.
 
+A block whose training positions form a full product grid (every survey
+lattice, and every box cut from one) is factored exactly through the
+kernel's product over axes: three per-axis eigendecompositions replace the
+O(n^3) Cholesky factor, and a query's mean, variance and gradient cost O(n)
+per point, as in grid-structured GP inference (Saatci 2012; Gilboa, Saatci
+and Cunningham 2015). Any other block keeps a Cholesky factor, whose
+triangular solve makes the variance O(n^2) per point.
+
 Batched queries find each point's block through a dense cell -> block table
 built once per map: one floor/clip over all points, one nearest-populated-
 centre ``argmin`` for points whose cell holds no training data, then a
 stable sort that groups points by block while keeping their input order.
-The gradient of the mean reuses the block's kernel columns ``k`` in two
-GEMMs, ``(k^T (alpha_a * X_s) - x_s * k^T alpha_a) / l^2``, taken in
-block-centred coordinates so that the cancellation scales with the block
-size and not with the distance from the world origin.
+On a Cholesky block the gradient of the mean reuses the kernel columns
+``k`` in two GEMMs, ``(k^T (alpha_a * X_s) - x_s * k^T alpha_a) / l^2``,
+taken in block-centred coordinates so that the cancellation scales with the
+block size and not with the distance from the world origin.
 
 A multilinear interpolation baseline over lattice fingerprints is provided
 for ablation studies; it exposes the same query surface (mean, variance,
@@ -97,8 +105,9 @@ _SINGULAR = ("Gram matrix is singular (duplicated training positions with zero "
 @dataclass(eq=False)
 class MapBlock:
     """One spatial cell: training rows, prior mean, and a GP factorization
-    computed on the first query that reaches it. A failed factorization raises
-    :class:`MapError` naming the block and is not cached: it raises again."""
+    (:attr:`fit`) computed on the first query that reaches it. A failed
+    factorization raises :class:`MapError` naming the block and is not
+    cached: it raises again."""
 
     index: tuple             # (i, j, k) cell of the map grid
     hyper: GpHyperparams
@@ -119,17 +128,138 @@ class MapBlock:
         return self.train_pos.shape[0]
 
     @cached_property
-    def chol(self) -> np.ndarray:  # lower Cholesky factor of K + noise*I
+    def fit(self):
+        """:class:`_LatticeFit` or :class:`_CholeskyFit`, both answering
+        ``query(sub, with_variance)`` and ``gradient(sub)``."""
+        return _fit_block(self)
+
+
+def _product_grid(pos: np.ndarray):
+    """``(nodes, cell)`` when the rows of ``pos`` (n, 3) are the n distinct
+    nodes of a full product grid: each axis's ascending node coordinates
+    and each row's flat C-order grid cell. None otherwise."""
+    nodes, codes = zip(*(np.unique(pos[:, axis], return_inverse=True) for axis in range(3)))
+    shape = tuple(len(c) for c in nodes)
+    if np.prod(shape) != len(pos):
+        return None
+    cell = np.ravel_multi_index(codes, shape)
+    return (nodes, cell) if np.unique(cell).size == len(pos) else None
+
+
+def _fit_block(block: MapBlock):
+    """Factor a block exactly: per axis on a product grid, else by Cholesky."""
+    grid = _product_grid(block.train_pos)
+    return _CholeskyFit(block) if grid is None else _LatticeFit(block, *grid)
+
+
+class _CholeskyFit:
+    """Any block: the lower Cholesky factor of ``K + noise*I`` and
+    ``alpha = (K + noise*I)^-1 (fields - mean)``."""
+
+    def __init__(self, block: MapBlock):
+        self.hyper, self.mean, self.center = block.hyper, block.mean, block.center
+        self.train_pos = block.train_pos
         gram = _kernel(self.hyper, self.train_pos, self.train_pos)
         gram[np.diag_indices_from(gram)] += self.hyper.noise_variance
         try:  # symmetric: its transpose is the Fortran view LAPACK factors in place
-            return cholesky(gram.T, lower=True, overwrite_a=True, check_finite=False)
+            self.chol = cholesky(gram.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            raise MapError(f"map block {self.index}: {_SINGULAR}") from exc
+            raise MapError(f"map block {block.index}: {_SINGULAR}") from exc
+        self.alpha = cho_solve((self.chol, True), block.train_field - self.mean,
+                               check_finite=False)  # (n, 3)
 
-    @cached_property
-    def alpha(self) -> np.ndarray:  # (n, 3) (K + noise*I)^-1 (fields - mean)
-        return cho_solve((self.chol, True), self.train_field - self.mean, check_finite=False)
+    def query(self, sub: np.ndarray, with_variance: bool) -> tuple:
+        """``(means (m, 3), variances (m,) before clipping, or None)``."""
+        kstar = _kernel(self.hyper, self.train_pos, sub)         # (n, m)
+        mu = self.mean + kstar.T @ self.alpha                     # (m, 3)
+        if not with_variance:
+            return mu, None
+        v = solve_triangular(self.chol, kstar, lower=True, check_finite=False)  # (n, m)
+        return mu, self.hyper.signal_variance - (v * v).sum(axis=0)
+
+    def gradient(self, sub: np.ndarray) -> np.ndarray:
+        """Gradients of the mean (m, 3 field axes, 3 spatial axes)."""
+        kstar = _kernel(self.hyper, self.train_pos, sub)          # (n, m)
+        x_train = self.train_pos - self.center                    # (n, 3)
+        weighted = (self.alpha[:, :, None] * x_train[:, None, :]).reshape(-1, 9)
+        k_ax = (kstar.T @ weighted).reshape(-1, 3, 3)             # (m, 3, 3)
+        k_a = kstar.T @ self.alpha                                # (m, 3)
+        x_sub = sub - self.center                                 # (m, 3)
+        inv_ls2 = 1.0 / self.hyper.length_scale**2
+        return (k_ax - k_a[:, :, None] * x_sub[:, None, :]) * inv_ls2
+
+
+def _contract(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``out[m] = sum_abc fx[m, a] fy[m, b] fz[m, c] t[a, b, c]``: each row's
+    Kronecker product ``fx (x) fy (x) fz`` (m, n_a each) against a grid
+    tensor ``t`` (nx, ny, nz, k), one axis at a time: (m, k)."""
+    m, (nx, ny, nz, k) = len(fx), t.shape
+    a = (fx @ t.reshape(nx, -1)).reshape(m, ny, nz * k)
+    b = np.einsum("mb,mbk->mk", fy, a).reshape(m, nz, k)
+    return np.einsum("mc,mck->mk", fz, b)
+
+
+class _LatticeFit:
+    """A block whose training positions are a full product grid.
+
+    The SE kernel is a product over axes, so in grid order ``K + noise*I =
+    Q (s2 Lx (x) Ly (x) Lz + noise*I) Q^T`` with ``Q = Qx (x) Qy (x) Qz``, where
+    ``Ka = Qa La Qa^T`` is the unit-variance kernel of one axis's nodes. With
+    ``D = 1 / (s2 lx ly lz + noise)`` the fit keeps ``gamma = s2 D Q^T (fields
+    - mean)`` and ``s2^2 D`` as grid tensors. A query point's kernel column
+    projects to ``Q^T k = s2 w`` with ``w = (Qx^T kx) (x) (Qy^T ky) (x) (Qz^T
+    kz)``, so the mean is ``w gamma`` and the variance ``s2 - (w*w) (s2^2
+    D)``, both contracted one axis at a time in O(n) per point; the gradient
+    along an axis swaps that axis's ``ka`` for its derivative. An eigenvalue
+    of ``K + noise*I`` at or below n eps of the largest, where a Cholesky
+    factor would break down, raises the singular-block error.
+    """
+
+    def __init__(self, block: MapBlock, nodes: tuple, cell: np.ndarray):
+        hyper = block.hyper
+        s2 = hyper.signal_variance
+        self.mean, self.nodes, self.length_scale = block.mean, nodes, hyper.length_scale
+        self.signal_variance = s2
+        eigvals, self.q = zip(*(np.linalg.eigh(self._unit_kernel(c[:, None] - c))
+                                for c in nodes))
+        lam = s2 * np.einsum("i,j,k->ijk", *eigvals) + hyper.noise_variance
+        if not lam.min() > lam.size * np.finfo(float).eps * lam.max():
+            raise MapError(f"map block {block.index}: {_SINGULAR}")
+        resid = np.empty_like(block.train_field)
+        resid[cell] = block.train_field - self.mean
+        proj = resid.reshape(*lam.shape, 3)  # grid order
+        for axis, q in enumerate(self.q):   # Q^T resid, one axis at a time
+            proj = np.moveaxis(np.tensordot(q, proj, axes=(0, axis)), 0, axis)
+        self.gamma = (s2 / lam)[..., None] * proj   # (nx, ny, nz, 3)
+        self.s4d = (s2 * s2 / lam)[..., None]       # (nx, ny, nz, 1)
+
+    def _unit_kernel(self, d: np.ndarray) -> np.ndarray:
+        """Unit-variance SE kernel of coordinate differences ``d`` along one axis."""
+        return np.exp(-0.5 * (d / self.length_scale) ** 2)
+
+    def _axis_rows(self, sub: np.ndarray):
+        """Per axis ``(ka, d, Qa)``: the kernel rows (m, n_a) between the
+        query points and the axis nodes, the differences ``x - c`` behind
+        them, and ``Qa``."""
+        for axis, (c, q) in enumerate(zip(self.nodes, self.q)):
+            d = sub[:, axis, None] - c
+            yield self._unit_kernel(d), d, q
+
+    def query(self, sub: np.ndarray, with_variance: bool) -> tuple:
+        """``(means (m, 3), variances (m,) before clipping, or None)``."""
+        p = [k @ q for k, _, q in self._axis_rows(sub)]
+        mu = self.mean + _contract(*p, self.gamma)
+        if not with_variance:
+            return mu, None
+        return mu, self.signal_variance - _contract(*(f * f for f in p), self.s4d)[:, 0]
+
+    def gradient(self, sub: np.ndarray) -> np.ndarray:
+        """Gradients of the mean (m, 3 field axes, 3 spatial axes)."""
+        rows = list(self._axis_rows(sub))
+        p = [k @ q for k, _, q in rows]
+        dp = [((k * d) @ q) * (-1.0 / self.length_scale**2) for k, d, q in rows]
+        return np.stack([_contract(*(dp[a] if a == s else p[a] for a in range(3)),
+                                   self.gamma) for s in range(3)], axis=2)
 
 
 class MagMap:
@@ -193,8 +323,9 @@ class MagMap:
         Returns ``(means (N,3), variances (N,3), inside (N,) bool)``. When
         ``allow_outside`` is false, any outside point raises
         :class:`OutOfMapError`; otherwise outside rows are NaN with
-        ``inside`` false. ``with_variance=False`` skips the triangular solve
-        that dominates the query and returns ``variances`` as None.
+        ``inside`` false. ``with_variance=False`` skips the variance (the
+        triangular solve of a Cholesky block, a second contraction of a
+        lattice block) and returns ``variances`` as None.
         """
         ts, inside = _inside(self, ts, allow_outside, "mapped volume")
         means = np.full_like(ts, np.nan)
@@ -204,15 +335,10 @@ class MagMap:
         idx_in = np.flatnonzero(inside)
         pts = ts[idx_in]
         for block, rows in self._group_by_block(pts):
-            sub = pts[rows]
-            kstar = _kernel(self.hyper, block.train_pos, sub)       # (n, m)
-            mu = block.mean + kstar.T @ block.alpha                 # (m, 3)
+            mu, var = block.fit.query(pts[rows], with_variance)
             means[idx_in[rows]] = mu
             if not with_variance:
                 continue
-            v = solve_triangular(block.chol, kstar, lower=True,
-                                 check_finite=False)      # (n, m)
-            var = self.hyper.signal_variance - (v * v).sum(axis=0)  # (m,)
             if np.any(var < -1e-8):
                 warnings.warn(
                     f"pre-clamp predictive variance reached {var.min():.3e} uT^2; "
@@ -229,18 +355,10 @@ class MagMap:
         grads = np.full((ts.shape[0], 3, 3), np.nan)
         if not np.any(inside):
             return grads, inside
-        inv_ls2 = 1.0 / self.hyper.length_scale**2
         idx_in = np.flatnonzero(inside)
         pts = ts[idx_in]
         for block, rows in self._group_by_block(pts):
-            sub = pts[rows]
-            kstar = _kernel(self.hyper, block.train_pos, sub)           # (n, m)
-            x_train = block.train_pos - block.center                    # (n, 3)
-            weighted = (block.alpha[:, :, None] * x_train[:, None, :]).reshape(-1, 9)
-            k_ax = (kstar.T @ weighted).reshape(-1, 3, 3)               # (m, 3, 3)
-            k_a = kstar.T @ block.alpha                                 # (m, 3)
-            x_sub = sub - block.center                                  # (m, 3)
-            grads[idx_in[rows]] = (k_ax - k_a[:, :, None] * x_sub[:, None, :]) * inv_ls2
+            grads[idx_in[rows]] = block.fit.gradient(pts[rows])
         return grads, inside
 
     # -- introspection ------------------------------------------------------

@@ -259,10 +259,19 @@ def load_rig(path) -> SensorRig:
 def load_hyper(path) -> tuple:
     """Hyperparameter file: kernel settings plus block geometry.
 
-    Returns ``(GpHyperparams, block_size, overlap_or_None)``.
+    Returns ``(GpHyperparams, block_size, overlap_or_None)``. A document
+    that is not an object, or a key that is none of those settings, raises
+    ``ValueError`` naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: hyperparameter file must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    known = {f.name for f in fields(GpHyperparams)} | {"block_size", "overlap"}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"{path}: unknown hyperparameter key(s) {', '.join(unknown)}")
     hyper = GpHyperparams(
         length_scale=float(doc.get("length_scale", 1.0)),
         signal_variance=float(doc.get("signal_variance", 25.0)),

@@ -125,6 +125,33 @@ def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
     assert f"--sensor-index {index} is out of range for the 1 sensor(s)" in captured.err
 
 
+def test_build_map_hyper_with_unknown_key_exits_2(workdir, capsys):
+    (workdir / "bad_hyper.json").write_text(json.dumps({"lengthscale": 0.5}))
+    rc = main(["build-map", "--fingerprints", str(workdir / "sim" / "survey.jsonl"),
+               "--hyper", str(workdir / "bad_hyper.json"),
+               "--out", str(workdir / "bad_map.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("magcalib build-map: error: ")
+    assert "bad_hyper.json" in captured.err and "lengthscale" in captured.err
+    assert not (workdir / "bad_map.json").exists()
+
+
+def test_evaluate_truth_without_sensors_exits_2(workdir, capsys):
+    result = {"schema": "calibration-result/1", "translation": [0.3, -0.1, 0.2],
+              "gain": np.eye(3).tolist(), "bias": [0.0, 0.0, 0.0]}
+    (workdir / "sensorless_result.json").write_text(json.dumps(result))
+    (workdir / "sensorless_truth.json").write_text(json.dumps({"sensor": []}))
+    rc = main(["evaluate", "--result", str(workdir / "sensorless_result.json"),
+               "--truth", str(workdir / "sensorless_truth.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("magcalib evaluate: error: ")
+    assert "sensorless_truth.json" in captured.err and "'sensors'" in captured.err
+
+
 def test_evaluate_against_validation_map(workdir, capsys):
     # build a second, independent map as the validation reference
     rc = main(["simulate", "--world", str(workdir / "world.json"),

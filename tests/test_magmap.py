@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from magcalib.magmap import (
@@ -7,10 +8,12 @@ from magcalib.magmap import (
     GpHyperparams,
     MapError,
     OutOfMapError,
+    _CholeskyFit,
+    _LatticeFit,
     _kernel,
     build_map,
 )
-from magcalib.simulator import field_at_many
+from magcalib.simulator import WorldConfig, field_at_many, survey_dataset, survey_positions
 
 from conftest import identity_dataset, lattice_dataset
 
@@ -161,9 +164,7 @@ def test_gradient_recovers_linear_field():
         assert np.max(np.abs(grad - gain)) <= 0.01 * np.max(np.abs(gain))
 
 
-def test_query_mean_invariant_to_fingerprint_order(gentle_world):
-    from magcalib.simulator import survey_dataset, survey_positions
-
+def test_queries_invariant_to_fingerprint_order(gentle_world):
     positions = survey_positions(gentle_world, 0.8, z_levels=(0.6, 1.2), margin=1.5)
     data = survey_dataset(gentle_world, positions, noise_sigma=0.05, seed=5)
     hyper = GpHyperparams(length_scale=0.8, noise_variance=0.0025)
@@ -175,9 +176,13 @@ def test_query_mean_invariant_to_fingerprint_order(gentle_world):
     m2 = build_map(shuffled, hyper, block_size=8.0)
 
     pts = rng.uniform([2.0, 2.0, 0.7], [6.0, 6.0, 1.1], size=(20, 3))
-    a, _, _ = m1.query_many(pts)
-    b, _, _ = m2.query_many(pts)
+    a, va, _ = m1.query_many(pts)
+    b, vb, _ = m2.query_many(pts)
+    ga, gb = m1.gradient_many(pts)[0], m2.gradient_many(pts)[0]
+    assert all(isinstance(b.fit, _LatticeFit) for m in (m1, m2) for b in m.blocks.values())
     assert np.max(np.abs(a - b)) <= 1e-10
+    assert np.max(np.abs(va - vb)) <= 1e-10 * hyper.signal_variance
+    assert np.max(np.abs(ga - gb)) <= 1e-10 * np.abs(ga).max()
 
 
 def test_variance_shrinks_with_noise_at_training_points():
@@ -276,12 +281,38 @@ def _reference_groups(field_map, pts):
     return {key: np.array([i for i, k in enumerate(keys) if k == key]) for key in set(keys)}
 
 
+def _dense_alpha(hyper, block):
+    """``(chol, alpha)`` of one block from a Cholesky factor of its whole
+    Gram matrix, whatever factorization the block uses itself."""
+    gram = _kernel(hyper, block.train_pos, block.train_pos)
+    gram += hyper.noise_variance * np.eye(block.n_train)
+    chol = cholesky(gram, lower=True)
+    return chol, cho_solve((chol, True), block.train_field - block.mean)
+
+
 def _einsum_gradient(field_map, block, sub):
     """The gradient in its per-point einsum form over world coordinates."""
+    _, alpha = _dense_alpha(field_map.hyper, block)
     kstar = _kernel(field_map.hyper, block.train_pos, sub)
     diff = block.train_pos[None, :, :] - sub[:, None, :]
     weighted = kstar.T[:, :, None] * diff / field_map.hyper.length_scale**2
-    return np.einsum("na,mns->mas", block.alpha, weighted)
+    return np.einsum("na,mns->mas", alpha, weighted)
+
+
+def _assert_matches_dense_reference(field_map, block, sub, means, variances, grads):
+    """Mean, variance and gradient within 1e-10 of their scale of the dense
+    reference: field magnitude, signal variance, per-point gradient size."""
+    hyper = field_map.hyper
+    chol, alpha = _dense_alpha(hyper, block)
+    kstar = _kernel(hyper, block.train_pos, sub)
+    ref_means = block.mean + kstar.T @ alpha
+    v = solve_triangular(chol, kstar, lower=True)
+    ref_var = np.clip(hyper.signal_variance - (v * v).sum(axis=0), 0.0, None)
+    ref_grads = _einsum_gradient(field_map, block, sub)
+    assert np.abs(means - ref_means).max() <= 1e-10 * np.abs(ref_means).max()
+    assert np.abs(variances - ref_var[:, None]).max() <= 1e-10 * hyper.signal_variance
+    gscale = np.abs(ref_grads).max(axis=(1, 2))
+    assert np.all(np.abs(grads - ref_grads).max(axis=(1, 2)) <= 1e-10 * gscale)
 
 
 def test_grouping_matches_reference_rule(l_shaped_map):
@@ -308,15 +339,22 @@ def test_batched_queries_equal_per_block_and_single_point_queries(l_shaped_map):
     assert inside.all()
     # each block sees the same points in the same order as in a batch of its
     # own points only, so its kernel columns, mean and variance are the same
+    kinds = set()
     for key, rows in _reference_groups(l_shaped_map, pts).items():
         block = l_shaped_map.blocks[key]
-        kstar = _kernel(l_shaped_map.hyper, block.train_pos, pts[rows])
-        assert np.array_equal(means[rows], block.mean + kstar.T @ block.alpha)
+        kinds.add(type(block.fit))
+        if isinstance(block.fit, _CholeskyFit):
+            kstar = _kernel(l_shaped_map.hyper, block.train_pos, pts[rows])
+            assert np.array_equal(means[rows], block.mean + kstar.T @ block.fit.alpha)
+        else:
+            _assert_matches_dense_reference(l_shaped_map, block, pts[rows], means[rows],
+                                            variances[rows], grads[rows])
         m, v, _ = l_shaped_map.query_many(pts[rows])
         g, _ = l_shaped_map.gradient_many(pts[rows])
         assert np.array_equal(means[rows], m)
         assert np.array_equal(variances[rows], v)
         assert np.array_equal(grads[rows], g)
+    assert kinds == {_CholeskyFit, _LatticeFit}
     # one point at a time: BLAS takes its matrix-vector path, last bits move
     sigma2 = l_shaped_map.hyper.signal_variance
     gscale = np.abs(grads).max()
@@ -342,6 +380,68 @@ def test_gemm_gradient_matches_einsum_form(l_shaped_map):
             ref = _einsum_gradient(l_shaped_map, l_shaped_map.blocks[key], pts[rows])
             scale = np.abs(ref).max(axis=(1, 2))
             assert np.all(np.abs(grads[rows] - ref).max(axis=(1, 2)) <= 1e-10 * scale)
+
+
+@pytest.fixture(scope="module")
+def hall_world():
+    return WorldConfig()
+
+
+@pytest.mark.parametrize("spacing, length_scale", [(0.7, 0.8), (3.0, 2.25)])
+def test_lattice_blocks_match_dense_reference(hall_world, spacing, length_scale):
+    """The default hall's surveys as the table1 sweep (0.7 m) and the
+    ablation (3 m) build them: every block is a lattice block, and the
+    largest ones and a corner one agree with a dense Cholesky reference."""
+    positions = survey_positions(hall_world, spacing)
+    data = survey_dataset(hall_world, positions, noise_sigma=0.1, seed=3)
+    hyper = GpHyperparams(length_scale=length_scale, noise_variance=0.001)
+    field_map = build_map(data, hyper, block_size=8.0)
+    blocks = sorted(field_map.blocks.values(), key=lambda b: b.n_train)
+    rng = np.random.default_rng(15)
+    for block in blocks[-2:] + [field_map.blocks[(0, 0, 0)]]:
+        assert isinstance(block.fit, _LatticeFit)
+        sub = rng.uniform(block.lo, block.hi, size=(96, 3))  # routed to this block
+        sub[:, 2] = rng.uniform(0.15, 1.5, size=96)
+        means, variances, _ = field_map.query_many(sub)
+        grads, _ = field_map.gradient_many(sub)
+        _assert_matches_dense_reference(field_map, block, sub, means, variances, grads)
+
+
+def test_off_grid_blocks_take_the_cholesky_path(gentle_world, l_shaped_map):
+    """A survey with jittered rows has no product grid, nor has the corner
+    block of the L-shaped map; both keep the Cholesky factor and agree with
+    the dense reference, and their mean-only queries equal the full ones."""
+    positions = survey_positions(gentle_world, 0.5, z_levels=(0.4, 0.9, 1.4), margin=1.0)
+    positions = positions + np.random.default_rng(16).normal(0.0, 0.01, positions.shape)
+    data = survey_dataset(gentle_world, positions, noise_sigma=0.0, seed=0)
+    jittered = build_map(data, GpHyperparams(length_scale=0.7, noise_variance=1e-6),
+                         block_size=10.0)
+    rng = np.random.default_rng(17)
+    for field_map, block in ((jittered, jittered.blocks[(0, 0, 0)]),
+                             (l_shaped_map, l_shaped_map.blocks[(0, 0, 0)])):
+        assert isinstance(block.fit, _CholeskyFit)
+        sub = rng.uniform(block.lo, np.minimum(block.hi, field_map.grid_hi), size=(50, 3))
+        sub[:, 2] = block.train_pos[:, 2].mean()
+        means, variances, _ = field_map.query_many(sub)
+        grads, _ = field_map.gradient_many(sub)
+        _assert_matches_dense_reference(field_map, block, sub, means, variances, grads)
+        assert np.array_equal(field_map.query_many(sub, with_variance=False)[0], means)
+
+
+@pytest.mark.parametrize("nodes, noise_variance", [
+    (np.array([0.0, 1e-12, 1.0]), 0.0),             # two nodes 1e-12 m apart
+    (np.linspace(0.0, 2.0, 41), 0.0),               # 5 cm nodes, l = 1 m, no noise
+])
+def test_singular_lattice_block_raises_naming_the_block(nodes, noise_variance):
+    data = lattice_dataset(lambda p: np.array([20.0 + p[0], 0.0, -40.0]),
+                           nodes, [0.0, 0.5], [0.2])
+    field_map = build_map(data, GpHyperparams(noise_variance=noise_variance),
+                          block_size=4.0)
+    assert list(field_map.blocks) == [(0, 0, 0)]
+    t = np.array([[0.5, 0.25, 0.2]])
+    for query in (field_map.query_many, field_map.gradient_many, field_map.query_many):
+        with pytest.raises(MapError, match=r"map block \(0, 0, 0\): .*noise_variance"):
+            query(t)
 
 
 # ---------------------------------------------------------------------------

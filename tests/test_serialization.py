@@ -260,13 +260,13 @@ def test_save_map_writes_the_bytes_of_json_dump(tmp_path):
 
 
 def test_blocks_are_factored_on_first_query(tmp_path, monkeypatch):
-    factor, calls = magmap.cholesky, []
+    factor, calls = magmap._fit_block, []  # every block fit, lattice or Cholesky
 
     def counted(*args, **kwargs):
         calls.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(magmap, "cholesky", counted)
+    monkeypatch.setattr(magmap, "_fit_block", counted)
     field_map = _three_block_map()
     assert len(calls) == 0
     path = tmp_path / "map.json"

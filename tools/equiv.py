@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/equiv.py SRC_A SRC_B [--work DIR]
+    python tools/equiv.py SRC_A SRC_B [--work DIR] [--rtol R]
 
 SRC_A and SRC_B are directories that hold the ``magcalib`` package (for
 example ``src`` of two checkouts). Each side runs in its own interpreter with
@@ -23,9 +23,12 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   in ``cli/derivatives_report.json``.
 
 Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
-and every output file byte for byte. The exit status is 1 when anything
-differs and 0 when nothing does. Each side takes about 20 s on a 2-core
-x86 host.
+and every output file byte for byte. With ``--rtol R`` a file whose bytes
+differ passes when its text outside the numbers is the same and every
+number is within ``R`` of the larger magnitude of the pair; the largest
+relative deviation of each file is printed. The exit status is 1 when
+anything differs (beyond ``R``) and 0 when nothing does. Each side takes
+about 20 s on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -155,14 +159,51 @@ def _same(x, y) -> bool:
     return type(x) is type(y) and x == y
 
 
-def compare(a: Path, b: Path) -> list:
-    """Every difference between the two output trees, as lines."""
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity")
+
+
+def largest_deviation(text_a: str, text_b: str):
+    """``(relative deviation, where)`` of the two texts' most different pair
+    of numbers, ``(0.0, None)`` when every pair is equal; None when the text
+    around the numbers differs."""
+    if _NUMBER.split(text_a) != _NUMBER.split(text_b):
+        return None
+    worst = (0.0, None)
+    for ma, mb in zip(_NUMBER.finditer(text_a), _NUMBER.finditer(text_b)):
+        x, y = float(ma.group()), float(mb.group())
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        dev = abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+        if dev > worst[0]:
+            line = text_a.count("\n", 0, ma.start()) + 1
+            worst = (dev, f"line {line}: {ma.group()} vs {mb.group()}")
+    return worst
+
+
+def compare(a: Path, b: Path, rtol: float | None = None) -> list:
+    """Every difference between the two output trees, as lines. With
+    ``rtol``, the largest deviation of each differing file is printed and
+    only deviations beyond ``rtol`` are differences."""
     problems = []
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     for rel in sorted(files_a ^ files_b):
         problems.append(f"{rel}: only in {'A' if rel in files_a else 'B'}")
     for rel in sorted(files_a & files_b):
+        if filecmp.cmp(a / rel, b / rel, shallow=False):
+            if rtol is not None:
+                print(f"{rel}: identical bytes")
+            continue
+        if rtol is not None:
+            found = largest_deviation((a / rel).read_text(), (b / rel).read_text())
+            if found is None:
+                problems.append(f"{rel}: text outside the numbers differs")
+                continue
+            dev, where = found
+            print(f"{rel}: largest relative deviation {dev:.3e} ({where})")
+            if dev > rtol:
+                problems.append(f"{rel}: {where} deviates by {dev:.3e} > {rtol:g}")
+            continue
         if rel.name.endswith("_report.json"):
             leaves_a = dict(_leaves(json.loads((a / rel).read_text())))
             leaves_b = dict(_leaves(json.loads((b / rel).read_text())))
@@ -171,8 +212,7 @@ def compare(a: Path, b: Path) -> list:
                     problems.append(f"{rel}{key}: only in {'A' if key in leaves_a else 'B'}")
                 elif not _same(leaves_a[key], leaves_b[key]):
                     problems.append(f"{rel}{key}: {leaves_a[key]!r} != {leaves_b[key]!r}")
-        if not filecmp.cmp(a / rel, b / rel, shallow=False):
-            problems.append(f"{rel}: bytes differ")
+        problems.append(f"{rel}: bytes differ")
     return problems
 
 
@@ -182,6 +222,8 @@ def main(argv=None) -> int:
     parser.add_argument("src_b", type=Path)
     parser.add_argument("--work", type=Path, help="output directory (default: a "
                         "fresh temporary directory, kept for inspection)")
+    parser.add_argument("--rtol", type=float, help="accept numbers within this "
+                        "relative deviation (default: exact)")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:  # child: src_a is the tree to import, src_b the output directory
@@ -198,7 +240,7 @@ def main(argv=None) -> int:
         print(f"running {src} -> {out}", flush=True)
         subprocess.run([sys.executable, __file__, "--dump", str(src), str(out)],
                        check=True)
-    problems = compare(work / "a", work / "b")
+    problems = compare(work / "a", work / "b", args.rtol)
     for line in problems:
         print(line)
     n_files = sum(1 for p in (work / "a").rglob("*") if p.is_file())
