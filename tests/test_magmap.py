@@ -164,7 +164,7 @@ def test_gradient_recovers_linear_field():
         assert np.max(np.abs(grad - gain)) <= 0.01 * np.max(np.abs(gain))
 
 
-def test_queries_invariant_to_fingerprint_order(gentle_world):
+def test_query_mean_invariant_to_fingerprint_order(gentle_world):
     positions = survey_positions(gentle_world, 0.8, z_levels=(0.6, 1.2), margin=1.5)
     data = survey_dataset(gentle_world, positions, noise_sigma=0.05, seed=5)
     hyper = GpHyperparams(length_scale=0.8, noise_variance=0.0025)
@@ -382,24 +382,19 @@ def test_gemm_gradient_matches_einsum_form(l_shaped_map):
             assert np.all(np.abs(grads[rows] - ref).max(axis=(1, 2)) <= 1e-10 * scale)
 
 
-@pytest.fixture(scope="module")
-def hall_world():
-    return WorldConfig()
-
-
 @pytest.mark.parametrize("spacing, length_scale", [(0.7, 0.8), (3.0, 2.25)])
-def test_lattice_blocks_match_dense_reference(hall_world, spacing, length_scale):
+def test_lattice_blocks_match_dense_reference(spacing, length_scale):
     """The default hall's surveys as the table1 sweep (0.7 m) and the
     ablation (3 m) build them: every block is a lattice block, and the
     largest ones and a corner one agree with a dense Cholesky reference."""
-    positions = survey_positions(hall_world, spacing)
-    data = survey_dataset(hall_world, positions, noise_sigma=0.1, seed=3)
+    world = WorldConfig()
+    data = survey_dataset(world, survey_positions(world, spacing), noise_sigma=0.1, seed=3)
     hyper = GpHyperparams(length_scale=length_scale, noise_variance=0.001)
     field_map = build_map(data, hyper, block_size=8.0)
     blocks = sorted(field_map.blocks.values(), key=lambda b: b.n_train)
+    assert all(isinstance(block.fit, _LatticeFit) for block in blocks)
     rng = np.random.default_rng(15)
     for block in blocks[-2:] + [field_map.blocks[(0, 0, 0)]]:
-        assert isinstance(block.fit, _LatticeFit)
         sub = rng.uniform(block.lo, block.hi, size=(96, 3))  # routed to this block
         sub[:, 2] = rng.uniform(0.15, 1.5, size=96)
         means, variances, _ = field_map.query_many(sub)

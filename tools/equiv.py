@@ -182,8 +182,8 @@ def largest_deviation(text_a: str, text_b: str):
 
 def compare(a: Path, b: Path, rtol: float | None = None) -> list:
     """Every difference between the two output trees, as lines. With
-    ``rtol``, the largest deviation of each differing file is printed and
-    only deviations beyond ``rtol`` are differences."""
+    ``rtol``, each file's largest relative deviation (or that its bytes are
+    identical) is printed, and only deviations beyond ``rtol`` count."""
     problems = []
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
