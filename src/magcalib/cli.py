@@ -25,8 +25,7 @@ from .magmap import MapError, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
 from .simulator import PathSpec, WorldConfig, generate_path, sample_dataset, \
     survey_dataset, survey_positions
-from .sweeps import SweepSpec, default_path_specs, run_ablation, \
-    run_success_sweep, run_table1_sweep
+from .sweeps import run_ablation, run_success_sweep, run_table1_sweep
 
 
 def _cmd_simulate(args) -> int:
@@ -49,27 +48,17 @@ def _cmd_simulate(args) -> int:
     survey = survey_dataset(world, positions, args.survey_noise, seed=args.seed + 100)
     io.write_fingerprints(survey, out / "survey.jsonl")
 
-    truth_doc = {
-        "sensors": [
-            {"offset": list(rig.offsets[i]),
-             "gain": rig.distortions[i].gain.tolist(),
-             "bias": list(rig.distortions[i].bias)}
-            for i in range(rig.n_sensors)
-        ]
-    }
+    sensors = [{"offset": list(offset), "gain": dist.gain.tolist(), "bias": list(dist.bias)}
+               for offset, dist in zip(rig.offsets, rig.distortions)]
     with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth_doc, fh, indent=2)
+        json.dump({"sensors": sensors}, fh, indent=2)
     print(f"wrote {rig.n_sensors} sensor dataset(s), survey, truth to {out}")
     return 0
 
 
 def _cmd_build_map(args) -> int:
     fingerprints = io.read_fingerprints(args.fingerprints, from_frame="mag")
-    if args.hyper:
-        hyper, block_size, overlap = io.load_hyper(args.hyper)
-    else:
-        hyper, block_size, overlap = None, 10.0, None
-    field_map = build_map(fingerprints, hyper, block_size, overlap)
+    field_map = build_map(fingerprints, **(io.load_hyper(args.hyper) if args.hyper else {}))
     io.save_map(field_map, args.out)
     print(f"built map from {len(fingerprints)} fingerprints "
           f"({len(field_map.blocks)} blocks) -> {args.out}")
@@ -98,20 +87,13 @@ def _cmd_evaluate(args) -> int:
                                 np.asarray(doc["bias"], float))
     out = {}
     if args.truth:
-        with open(args.truth, "r", encoding="utf-8") as fh:
-            truth = json.load(fh)
-        sensors = truth.get("sensors") if isinstance(truth, dict) else None
-        if not isinstance(sensors, list):
-            raise ValueError(f"{args.truth}: truth document has no 'sensors' list")
-        if not 0 <= args.sensor_index < len(sensors):
-            raise ValueError(f"--sensor-index {args.sensor_index} is out of range "
-                             f"for the {len(sensors)} sensor(s) of {args.truth}")
-        sensor = sensors[args.sensor_index]
-        dist_gt = AffineDistortion(np.asarray(sensor["gain"], float),
-                                   np.asarray(sensor["bias"], float))
-        report = score_result(t_hat, dist_hat, np.asarray(sensor["offset"], float),
-                              dist_gt)
-        out.update(report.as_dict())
+        truth = io.load_rig(args.truth, truth=True)
+        i = args.sensor_index
+        if not 0 <= i < truth.n_sensors:
+            raise ValueError(f"--sensor-index {i} is out of range "
+                             f"for the {truth.n_sensors} sensor(s) of {args.truth}")
+        out.update(score_result(t_hat, dist_hat, truth.offsets[i],
+                                truth.distortions[i]).as_dict())
     if args.validation_map:
         data_path = args.data or doc.get("data")
         if not data_path:
@@ -132,24 +114,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = {}
-    spec = SweepSpec(
-        paths=default_path_specs(**doc.get("path_defaults", {})),
-        noise_levels=tuple(doc.get("noise_levels", [0.1])),
-        n_distortions=int(doc.get("n_distortions", 10)),
-        n_initial_offsets=int(doc.get("n_initial_offsets", 5)),
-        offset_range=float(doc.get("offset_range", 1.0)),
-        seed=int(doc.get("seed", 0)),
-        survey_spacing=float(doc.get("survey_spacing", 1.5)),
-        survey_noise=float(doc.get("survey_noise", 0.1)),
-    )
     runner = {"table1": run_table1_sweep, "success": run_success_sweep,
               "ablation": run_ablation}[args.which]
-    report = runner(spec, out_dir=args.out)
+    report = runner(io.load_sweep_spec(args.spec), out_dir=args.out)
     n_rows = len(report["rows"])
     print(f"{args.which} sweep finished: {n_rows} trials -> {args.out}")
     for key, agg in report["aggregates"].items():
@@ -198,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a calibration result")
     p.add_argument("--result", required=True, help="result JSON")
-    p.add_argument("--truth", help="ground-truth rig JSON")
+    p.add_argument("--truth", help="ground-truth rig JSON, every sensor with its "
+                                   "gain and bias (the truth.json of simulate)")
     p.add_argument("--sensor-index", type=int, default=0)
     p.add_argument("--validation-map", help="validation map JSON")
     p.add_argument("--data", help="measured fingerprints JSONL "

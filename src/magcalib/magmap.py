@@ -423,6 +423,8 @@ def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
 # ---------------------------------------------------------------------------
 # multilinear lattice baseline
 
+_FD_STEP = 1e-3  # m, central-difference step of BilinearMap.gradient_many
+
 
 class BilinearMap:
     """Multilinear interpolation over fingerprints on a regular lattice.
@@ -490,7 +492,7 @@ class BilinearMap:
             means[inside] = self._eval(ts[inside][:, self.active])
         return means, None, inside
 
-    def gradient_many(self, ts: np.ndarray, allow_outside: bool = False, h: float = 1e-3):
+    def gradient_many(self, ts: np.ndarray, allow_outside: bool = False):
         ts, inside = _inside(self, ts, allow_outside, "lattice")
         grads = np.full((ts.shape[0], 3, 3), np.nan)
         if np.any(inside):
@@ -498,7 +500,7 @@ class BilinearMap:
             g = np.zeros((sub.shape[0], 3, 3))
             for col, axis in enumerate(self.active):
                 step = np.zeros(len(self.active))
-                step[col] = h
+                step[col] = _FD_STEP
                 hi_pts = np.minimum(sub + step, self.hi)
                 lo_pts = np.maximum(sub - step, self.lo)
                 denom = hi_pts[:, col] - lo_pts[:, col]

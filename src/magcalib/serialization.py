@@ -1,4 +1,4 @@
-"""File-boundary formats: JSONL fingerprints, map persistence, JSON configs.
+"""File-boundary formats: JSONL fingerprints, map persistence, JSON documents.
 
 In memory rotations are matrices; on disk they are unit quaternions in
 ``[w, x, y, z]`` order. A fingerprint record is one JSON object per line
@@ -12,10 +12,19 @@ malformed record raises naming the file and its 1-based line. Map files are
 versioned JSON containers holding hyperparameters, grid metadata, and
 per-block training arrays; each block's arrays are checked on load and the
 block is factored on its first query.
+
+Every JSON document (world, rig, hyperparameters, calibration config,
+sweep spec, map, result) goes through one reader, :func:`_read`: it and each
+object in it must be a JSON object with its required keys and no other
+unknown key. Bad JSON, a missing or unknown key and a bad value raise
+``ValueError`` naming the file and the key path (``rig.json: sensors[0]:
+unknown key(s) bais``). A document default is stated once: at the
+dataclass it fills or, where the document's differs, at its reader.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -27,11 +36,14 @@ from .geometry import Dataset, reject_rows, row_norms
 from .intrinsic import AffineDistortion
 from .magmap import GpHyperparams, MagMap, MapBlock, MapError
 from .simulator import Box, Dipole, SensorRig, WorldConfig
+from .sweeps import SweepSpec, default_path_specs
 
 MAP_SCHEMA = "magmap/1"
 RESULT_SCHEMA = "calibration-result/1"
 
 QUAT_NORM_TOL = 1e-6
+
+_KERNEL = tuple(f.name for f in fields(GpHyperparams))  # a map's "hyper" keys, in order
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +173,12 @@ def _numbers(row: list) -> bool:
 
 
 def save_map(field_map: MagMap, path) -> None:
-    blocks = []
-    for key, block in field_map.blocks.items():
-        blocks.append({
-            "index": list(key),
-            "lo": list(block.lo),
-            "hi": list(block.hi),
-            "positions": block.train_pos.tolist(),
-            "fields": block.train_field.tolist(),
-        })
+    blocks = [{"index": list(key), "lo": list(block.lo), "hi": list(block.hi),
+               "positions": block.train_pos.tolist(), "fields": block.train_field.tolist()}
+              for key, block in field_map.blocks.items()]
     doc = {
         "schema": MAP_SCHEMA,
-        "hyper": {
-            "length_scale": field_map.hyper.length_scale,
-            "signal_variance": field_map.hyper.signal_variance,
-            "noise_variance": field_map.hyper.noise_variance,
-            "mean_mode": field_map.hyper.mean_mode,
-        },
+        "hyper": {name: getattr(field_map.hyper, name) for name in _KERNEL},
         "block_size": field_map.block_size,
         "overlap": field_map.overlap,
         "grid_lo": list(field_map.grid_lo),
@@ -192,11 +193,11 @@ def _block_arrays(entry: dict) -> tuple:
     """A stored block's ``lo``, ``hi``, ``positions`` and ``fields`` as float
     arrays, checked before the fit so that a bad block raises ``MapError``
     instead of fitting NaN into every query it serves."""
-    where = f"map block {entry.get('index')}"
+    where = f"map block {entry['index']}"
     try:
         arrays = tuple(np.asarray(entry[key], float)
                        for key in ("lo", "hi", "positions", "fields"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise MapError(f"{where}: arrays do not parse: {exc!r}") from None
     shapes = [a.shape for a in arrays]
     n = shapes[2][0] if len(shapes[2]) == 2 else 0
@@ -209,95 +210,127 @@ def _block_arrays(entry: dict) -> tuple:
 
 
 def load_map(path) -> MagMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != MAP_SCHEMA:
-        raise ValueError(f"unsupported map schema {doc.get('schema')!r}, "
-                         f"expected {MAP_SCHEMA!r}")
-    hyper = GpHyperparams(**doc["hyper"])
-    blocks = (MapBlock(tuple(entry["index"]), hyper, *_block_arrays(entry))
-              for entry in doc["blocks"])
-    return MagMap(hyper, doc["block_size"], doc["overlap"],
-                  np.asarray(doc["grid_lo"], float),
-                  np.asarray(doc["grid_shape"], int), {b.index: b for b in blocks})
+    def build(doc):
+        _keys(doc, ("schema", "hyper", "block_size", "overlap", "grid_lo", "grid_shape",
+                    "blocks"), schema=MAP_SCHEMA)
+        hyper = GpHyperparams(**_keys(doc["hyper"], (), _KERNEL, "hyper"))
+        blocks = (MapBlock(tuple(_keys(entry, ("index", "lo", "hi", "positions", "fields"),
+                                       where=f"blocks[{i}]")["index"]),
+                           hyper, *_block_arrays(entry))
+                  for i, entry in enumerate(doc["blocks"]))
+        return MagMap(hyper, doc["block_size"], doc["overlap"],
+                      np.asarray(doc["grid_lo"], float),
+                      np.asarray(doc["grid_shape"], int), {b.index: b for b in blocks})
+    return _read(path, build)
 
 
 # ---------------------------------------------------------------------------
-# configuration files
+# JSON documents
+
+
+def _read(path, build):
+    """``build(doc)`` of the JSON document at ``path``. Bad JSON, and the
+    ``TypeError`` or ``ValueError`` of a bad value, raise ``ValueError``
+    naming the file; ``MapError`` and ``OSError`` pass unchanged."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return build(doc)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: bad JSON: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _keys(doc, required=(), optional=(), where="", schema=None) -> dict:
+    """``doc`` itself, once it is a JSON object (of ``schema``, if given) that
+    holds every ``required`` key and no key outside ``required`` and
+    ``optional``; ``where`` is the key path of a nested object."""
+    at = f"{where}: " if where else ""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{at}must be a JSON object, got {type(doc).__name__}")
+    if schema is not None and doc.get("schema") != schema:
+        raise ValueError(f"unsupported schema {doc.get('schema')!r}, expected {schema!r}")
+    faults = [f"{label} key(s) {', '.join(keys)}" for label, keys in (
+        ("unknown", sorted(set(doc) - set(required) - set(optional))),
+        ("missing", [k for k in required if k not in doc])) if keys]
+    if faults:
+        raise ValueError(at + "; ".join(faults))
+    return doc
 
 
 def load_world(path) -> WorldConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    extent = Box(np.asarray(doc["extent"]["lo"], float),
-                 np.asarray(doc["extent"]["hi"], float))
-    dipoles = None
-    if "dipoles" in doc:
-        dipoles = tuple(Dipole(np.asarray(d["position"], float),
-                               np.asarray(d["moment"], float))
-                        for d in doc["dipoles"])
-    return WorldConfig(extent=extent,
-                       ambient_field=np.asarray(doc.get("ambient", [20.0, 0.0, -45.0]), float),
-                       dipoles=dipoles,
-                       rng_seed=int(doc.get("seed", 0)))
+    def build(doc):
+        _keys(doc, ("extent",), ("ambient", "dipoles", "seed"))
+        world = {"extent": Box(**_keys(doc["extent"], ("lo", "hi"), where="extent"))}
+        if "ambient" in doc:
+            world["ambient_field"] = doc["ambient"]
+        if "seed" in doc:
+            world["rng_seed"] = int(doc["seed"])
+        if "dipoles" in doc:
+            world["dipoles"] = tuple(
+                Dipole(**_keys(d, ("position", "moment"), where=f"dipoles[{i}]"))
+                for i, d in enumerate(doc["dipoles"]))
+        return WorldConfig(**world)
+    return _read(path, build)
 
 
-def load_rig(path) -> SensorRig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    offsets = []
-    distortions = []
-    for sensor in doc["sensors"]:
-        offsets.append(np.asarray(sensor["offset"], float))
-        gain = np.asarray(sensor.get("gain", np.eye(3).tolist()), float)
-        bias = np.asarray(sensor.get("bias", [0.0, 0.0, 0.0]), float)
-        distortions.append(AffineDistortion(gain, bias))
-    return SensorRig(tuple(offsets), tuple(distortions),
-                     float(doc.get("noise_sigma", 0.0)))
+def load_rig(path, truth: bool = False) -> SensorRig:
+    """A rig document: ``sensors``, each an ``offset`` with an optional
+    ``gain`` and ``bias`` (an undistorted sensor without them), and a
+    ``noise_sigma`` that is 0 unless stated. A ``truth`` document (the
+    ``truth.json`` of ``simulate``) must state every gain and bias."""
+    keys = ("offset", "gain", "bias")
+
+    def build(doc):
+        _keys(doc, ("sensors",), ("noise_sigma",))
+        sensors = [_keys(s, keys if truth else keys[:1], keys, f"sensors[{i}]")
+                   for i, s in enumerate(doc["sensors"])]
+        ideal = AffineDistortion.identity()
+        return SensorRig(tuple(s["offset"] for s in sensors),
+                         tuple(AffineDistortion(s.get("gain", ideal.gain),
+                                                s.get("bias", ideal.bias)) for s in sensors),
+                         float(doc.get("noise_sigma", 0.0)))
+    return _read(path, build)
 
 
-def load_hyper(path) -> tuple:
-    """Hyperparameter file: kernel settings plus block geometry.
-
-    Returns ``(GpHyperparams, block_size, overlap_or_None)``. A document
-    that is not an object, or a key that is none of those settings, raises
-    ``ValueError`` naming the file.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: hyperparameter file must be a JSON object, "
-                         f"got {type(doc).__name__}")
-    known = {f.name for f in fields(GpHyperparams)} | {"block_size", "overlap"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"{path}: unknown hyperparameter key(s) {', '.join(unknown)}")
-    hyper = GpHyperparams(
-        length_scale=float(doc.get("length_scale", 1.0)),
-        signal_variance=float(doc.get("signal_variance", 25.0)),
-        noise_variance=float(doc.get("noise_variance", 0.01)),
-        mean_mode=doc.get("mean_mode", "constant_per_block"),
-    )
-    block_size = float(doc.get("block_size", 10.0))
-    overlap = doc.get("overlap")
-    return hyper, block_size, None if overlap is None else float(overlap)
+def load_hyper(path) -> dict:
+    """Hyperparameter file: kernel settings plus block geometry, as the
+    keyword arguments of :func:`build_map` (``hyper``, and ``block_size``
+    and ``overlap`` where the file sets them). Numbers become floats, so a
+    saved map writes a ``1`` of the file as ``1.0``."""
+    def build(doc):
+        _keys(doc, (), (*_KERNEL, "block_size", "overlap"))
+        out = {k: v if k == "mean_mode" else float(v)
+               for k, v in doc.items() if k != "overlap" or v is not None}
+        return {"hyper": GpHyperparams(**{k: out.pop(k) for k in _KERNEL if k in out}),
+                **out}
+    return _read(path, build)
 
 
 def load_calibration_config(path) -> CalibrationConfig:
-    """A :class:`CalibrationConfig` from a JSON object of some of its fields;
-    any other document, key or value raises ``ValueError`` naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: calibration config must be a JSON object, "
-                         f"got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {f.name for f in fields(CalibrationConfig)})
-    if unknown:
-        raise ValueError(f"{path}: unknown calibration config key(s) {', '.join(unknown)}")
-    try:
-        return CalibrationConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """A :class:`CalibrationConfig` from a JSON object of some of its fields."""
+    return _read(path, lambda doc: CalibrationConfig(
+        **_keys(doc, (), [f.name for f in fields(CalibrationConfig)])))
+
+
+def load_sweep_spec(path) -> SweepSpec:
+    """A :class:`SweepSpec` from a sweep spec file, or from none when ``path``
+    is None. ``path_defaults`` holds keyword arguments of
+    :func:`default_path_specs`; unless the spec says otherwise, its mapping
+    survey is 1.5 m apart with 0.1 uT noise, coarser than a ``SweepSpec``'s."""
+    casts = {"noise_levels": tuple, "n_distortions": int, "n_initial_offsets": int,
+             "offset_range": float, "seed": int, "survey_spacing": float,
+             "survey_noise": float}
+
+    def build(doc):
+        doc = {"survey_spacing": 1.5, "survey_noise": 0.1,
+               **_keys(doc, (), (*casts, "path_defaults"))}
+        paths = _keys(doc.pop("path_defaults", {}), (),
+                      inspect.signature(default_path_specs).parameters, "path_defaults")
+        return SweepSpec(paths=default_path_specs(**paths),
+                         **{k: casts[k](v) for k, v in doc.items()})
+    return build({}) if path is None else _read(path, build)
 
 
 def save_result(result: CalibrationResult, path, data_path: str | None = None) -> None:
@@ -320,8 +353,7 @@ def save_result(result: CalibrationResult, path, data_path: str | None = None) -
 
 
 def load_result(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != RESULT_SCHEMA:
-        raise ValueError(f"unsupported result schema {doc.get('schema')!r}")
-    return doc
+    return _read(path, lambda doc: _keys(
+        doc, ("schema", "translation", "gain", "bias"),
+        ("converged", "iterations", "final_rms_ut", "skipped_samples", "message",
+         "cost_trace", "data"), schema=RESULT_SCHEMA))

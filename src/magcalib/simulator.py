@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Dataset, Pose, as_vec3, rot_z
+from .geometry import Dataset, Pose, as_vec3, rot_z, row_norms
 from .intrinsic import AffineDistortion
 
 PATH_KINDS = ("lawnmower", "perimeter", "random_walk", "figure_eight", "diagonal_sweep")
 
 DIPOLE_EXCLUSION = 0.05  # m; the point-dipole model blows up at the source
+
+_CHORD_CHUNK = 256  # curve points per vectorized step of _resample_by_chord
 
 
 @dataclass(frozen=True)
@@ -219,22 +221,23 @@ def _random_walk_points(lo, hi, spacing, n, rng):
 
 
 def _resample_by_chord(curve: np.ndarray, spacing: float, n: int) -> np.ndarray:
-    """Greedy equal-chord resampling of a densely sampled closed curve."""
-    pts = [curve[0]]
-    idx = 0
+    """Greedy equal-chord resampling of a densely sampled closed curve: each
+    next point is the first one after the current, going round the curve,
+    whose chord from it reaches ``spacing``; where none does, the current
+    point repeats. The chords are scanned ``_CHORD_CHUNK`` points at a time
+    through ``row_norms``, bit for bit one ``np.linalg.norm`` per point."""
     total = curve.shape[0]
+    picked = [0]
     for _ in range(n - 1):
-        current = pts[-1]
-        j = idx
-        hops = 0
-        while hops < 4 * total:
-            j = (j + 1) % total
-            hops += 1
-            if np.linalg.norm(curve[j] - current) >= spacing:
+        current = nxt = picked[-1]
+        for start in range(1, total + 1, _CHORD_CHUNK):
+            ahead = (current + np.arange(start, min(start + _CHORD_CHUNK, total + 1))) % total
+            reached = np.flatnonzero(row_norms(curve[ahead] - curve[current]) >= spacing)
+            if reached.size:
+                nxt = int(ahead[reached[0]])
                 break
-        pts.append(curve[j])
-        idx = j
-    return np.asarray(pts)
+        picked.append(nxt)
+    return curve[picked]
 
 
 def _figure_eight_points(lo, hi, spacing, n):

@@ -82,17 +82,6 @@ def _calibrate_argv(workdir, out, *extra, data=None):
             "--out", str(workdir / out), *extra]
 
 
-def test_calibrate_config_with_damping_exits_2(workdir, capsys):
-    # damping is no config field: the loop sets it from the normal matrix
-    (workdir / "bad_config.json").write_text(json.dumps({"damping": -1000}))
-    rc = main(_calibrate_argv(workdir, "bad_result.json",
-                              "--config", str(workdir / "bad_config.json")))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("magcalib calibrate: error: ") and "damping" in err
-    assert not (workdir / "bad_result.json").exists()
-
-
 def test_calibrate_bad_t0_exits_2(workdir, capsys):
     rc = main(_calibrate_argv(workdir, "t0_result.json", "--t0", "1,2"))
     assert rc == 2
@@ -125,31 +114,41 @@ def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
     assert f"--sensor-index {index} is out of range for the 1 sensor(s)" in captured.err
 
 
-def test_build_map_hyper_with_unknown_key_exits_2(workdir, capsys):
-    (workdir / "bad_hyper.json").write_text(json.dumps({"lengthscale": 0.5}))
-    rc = main(["build-map", "--fingerprints", str(workdir / "sim" / "survey.jsonl"),
-               "--hyper", str(workdir / "bad_hyper.json"),
-               "--out", str(workdir / "bad_map.json")])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("magcalib build-map: error: ")
-    assert "bad_hyper.json" in captured.err and "lengthscale" in captured.err
-    assert not (workdir / "bad_map.json").exists()
-
-
-def test_evaluate_truth_without_sensors_exits_2(workdir, capsys):
+@pytest.mark.parametrize("argv, doc, match", [
+    (["simulate", "--path", "lawnmower", "--rig", "{doc}", "--out", "{out}"],
+     {"sensors": [{"offset": [0.3, -0.1, 0.2], "bais": [1.0, 0.0, 0.0]}]},
+     "sensors[0]: unknown key(s) bais"),
+    (["build-map", "--fingerprints", "{sim}/survey.jsonl", "--hyper", "{doc}",
+      "--out", "{out}"], {"lengthscale": 0.5}, "unknown key(s) lengthscale"),
+    (["calibrate", "--map", "{doc}", "--data", "{sim}/mag0.jsonl", "--out", "{out}"],
+     [1, 2], "must be a JSON object, got list"),
+    # damping is no config field: the loop sets it from the normal matrix
+    (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
+      "--out", "{out}"], {"damping": -1000}, "unknown key(s) damping"),
+    (["evaluate", "--result", "{result}", "--truth", "{doc}"], {"sensor": []},
+     "unknown key(s) sensor; missing key(s) sensors"),
+    (["evaluate", "--result", "{result}", "--truth", "{doc}"],
+     {"sensors": [{"offset": [0.3, -0.1, 0.2], "bias": [0.0, 0.0, 0.0]}]},
+     "sensors[0]: missing key(s) gain"),
+    (["sweep", "success", "--spec", "{doc}", "--out", "{out}"], {"n_distortion": 1},
+     "unknown key(s) n_distortion"),
+], ids=["simulate_rig", "build_map_hyper", "calibrate_map", "calibrate_config",
+        "evaluate_truth_sensors", "evaluate_truth_gain", "sweep_spec"])
+def test_bad_document_exits_2(workdir, tmp_path, capsys, argv, doc, match):
+    """A bad document exits 2 with one stderr line naming the file and the
+    key, before any output is written or any trial runs."""
     result = {"schema": "calibration-result/1", "translation": [0.3, -0.1, 0.2],
               "gain": np.eye(3).tolist(), "bias": [0.0, 0.0, 0.0]}
-    (workdir / "sensorless_result.json").write_text(json.dumps(result))
-    (workdir / "sensorless_truth.json").write_text(json.dumps({"sensor": []}))
-    rc = main(["evaluate", "--result", str(workdir / "sensorless_result.json"),
-               "--truth", str(workdir / "sensorless_truth.json")])
+    (tmp_path / "result.json").write_text(json.dumps(result))
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    paths = {"doc": tmp_path / "doc.json", "out": tmp_path / "out", "sim": workdir / "sim",
+             "map": workdir / "map.json", "result": tmp_path / "result.json"}
+    rc = main([arg.format(**paths) for arg in argv])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("magcalib evaluate: error: ")
-    assert "sensorless_truth.json" in captured.err and "'sensors'" in captured.err
+    assert captured.err == f"magcalib {argv[0]}: error: {paths['doc']}: {match}\n"
+    assert not paths["out"].exists()
 
 
 def test_evaluate_against_validation_map(workdir, capsys):

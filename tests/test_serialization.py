@@ -1,4 +1,8 @@
+import copy
+import functools
 import json
+import operator
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,12 +16,14 @@ from magcalib.geometry import Dataset, random_rotation
 from magcalib import magmap
 from magcalib.intrinsic import AffineDistortion
 from magcalib.magmap import GpHyperparams, MapError, build_map
+from magcalib.sweeps import SweepSpec
 from magcalib.serialization import (
     load_calibration_config,
     load_hyper,
     load_map,
     load_result,
     load_rig,
+    load_sweep_spec,
     load_world,
     quat_to_rotmat,
     read_fingerprints,
@@ -420,9 +426,10 @@ def test_config_loaders(tmp_path):
     hp = tmp_path / "hyper.json"
     hp.write_text(json.dumps({"length_scale": 0.9, "block_size": 6.0,
                               "overlap": 1.2}))
-    hyper, block_size, overlap = load_hyper(hp)
-    assert hyper.length_scale == 0.9
-    assert block_size == 6.0 and overlap == 1.2
+    kwargs = load_hyper(hp)
+    assert sorted(kwargs) == ["block_size", "hyper", "overlap"]
+    assert kwargs["hyper"].length_scale == 0.9 and kwargs["hyper"].signal_variance == 25.0
+    assert kwargs["block_size"] == 6.0 and kwargs["overlap"] == 1.2
 
     cp = tmp_path / "config.json"
     cp.write_text(json.dumps({"max_iterations": 40, "lambda_policy": "l_curve"}))
@@ -431,14 +438,101 @@ def test_config_loaders(tmp_path):
     assert config.lambda_policy == "l_curve"
 
 
-@pytest.mark.parametrize("doc, match", [
-    ([40, "l_curve"], "must be a JSON object, got list"),
-    ({"damping": 1.0, "max_iterations": 40, "ridge": 0.1}, r"key\(s\) damping, ridge$"),
-    ({"max_iterations": 0}, r"config\.json: max_iterations must be >= 1"),
-    ({"step_tolerance": "small"}, r"config\.json: '>' not supported"),
-], ids=["not_object", "unknown_keys", "bad_value", "bad_type"])
-def test_calibration_config_rejects_bad_documents(tmp_path, doc, match):
-    cp = tmp_path / "config.json"
-    cp.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=match):
-        load_calibration_config(cp)
+_DROP, _BROKEN = object(), object()
+_SWEEP = {"n_distortions": 1, "path_defaults": {"spacing": 2.5}}
+_DOCS = {  # reader and a document it accepts (the map is saved in the test)
+    "world": (load_world, {"extent": {"lo": [0, 0, 0], "hi": [20, 15, 3]},
+                           "dipoles": [{"position": [5, 5, 2.5], "moment": [0, 0, 40]}]}),
+    "rig": (load_rig, {"sensors": [{"offset": [0.3, -0.1, 0.2]}]}),
+    "truth": (lambda path: load_rig(path, truth=True),
+              {"sensors": [{"offset": [0.3, -0.1, 0.2], "gain": np.eye(3).tolist(),
+                            "bias": [1.0, 2.0, -1.0]}]}),
+    "hyper": (load_hyper, {"length_scale": 0.9}),
+    "config": (load_calibration_config, {"max_iterations": 40}),
+    "sweep": (load_sweep_spec, _SWEEP),
+    "result": (load_result, {"schema": "calibration-result/1", "translation": [0, 0, 0],
+                             "gain": np.eye(3).tolist(), "bias": [0, 0, 0]}),
+    "map": (load_map, None),
+}
+
+
+@pytest.mark.parametrize("kind, keys, value, match", [
+    ("world", (), [1, 2], "must be a JSON object, got list"),
+    ("world", ("ambeint",), [20, 0, -45], r"unknown key\(s\) ambeint$"),
+    ("world", ("dipoles", 0, "tilt"), 3, r"dipoles\[0\]: unknown key\(s\) tilt$"),
+    ("world", ("extent", "hi"), _DROP, r"extent: missing key\(s\) hi$"),
+    ("world", ("ambient",), [5, 0, 0], "ambient magnitude 5.0 uT"),
+    ("world", (), _BROKEN, "bad JSON: Expecting"),
+    ("rig", (), "sensors", "must be a JSON object, got str"),
+    ("rig", ("noise",), 0.1, r"unknown key\(s\) noise$"),
+    ("rig", ("sensors", 0, "bais"), [1, 0, 0], r"sensors\[0\]: unknown key\(s\) bais$"),
+    ("rig", ("sensors",), _DROP, r"missing key\(s\) sensors$"),
+    ("rig", ("noise_sigma",), -1, "noise_sigma must be >= 0"),
+    ("rig", ("sensors", 0, "offset"), [3, 0, 0], "sensor offset .* 2 m"),
+    ("rig", (), _BROKEN, "bad JSON"),
+    ("truth", ("sensors", 0, "gain"), _DROP, r"sensors\[0\]: missing key\(s\) gain$"),
+    ("truth", ("sensors", 0, "gain"), [[1, 0, 0], [1, 0, 0], [0, 0, 1]], "gain matrix"),
+    ("hyper", (), 0.9, "must be a JSON object, got float"),
+    ("hyper", ("lengthscale",), 0.5, r"unknown key\(s\) lengthscale$"),
+    ("hyper", ("length_scale",), -1, "length_scale must be > 0"),
+    ("hyper", (), _BROKEN, "bad JSON"),
+    ("config", (), [40, "l_curve"], "must be a JSON object, got list"),
+    ("config", (), {"damping": 1.0, "max_iterations": 40, "ridge": 0.1},
+     r"unknown key\(s\) damping, ridge$"),
+    ("config", ("max_iterations",), 0, "max_iterations must be >= 1"),
+    ("config", ("step_tolerance",), "small", "'>' not supported"),
+    ("config", (), _BROKEN, "bad JSON"),
+    ("sweep", (), None, "must be a JSON object, got NoneType"),
+    ("sweep", ("n_distortion",), 10, r"unknown key\(s\) n_distortion$"),
+    ("sweep", ("path_defaults", "spcing"), 2, r"path_defaults: unknown key\(s\) spcing$"),
+    ("sweep", ("path_defaults", "n_samples"), 1, "n_samples must be >= 2"),
+    ("sweep", (), _BROKEN, "bad JSON"),
+    ("result", (), 7, "must be a JSON object, got int"),
+    ("result", ("translaton",), [0, 0, 0], r"unknown key\(s\) translaton$"),
+    ("result", ("gain",), _DROP, r"missing key\(s\) gain$"),
+    ("result", ("schema",), "other/9", "unsupported schema 'other/9'"),
+    ("result", (), _BROKEN, "bad JSON"),
+    ("map", (), [], "must be a JSON object, got list"),
+    ("map", ("extra",), 1, r"unknown key\(s\) extra$"),
+    ("map", ("hyper", "lengthscale"), 1, r"hyper: unknown key\(s\) lengthscale$"),
+    ("map", ("blocks", 1, "weights"), [], r"blocks\[1\]: unknown key\(s\) weights$"),
+    ("map", ("blocks", 0, "index"), _DROP, r"blocks\[0\]: missing key\(s\) index$"),
+    ("map", ("hyper", "mean_mode"), "median", "unknown mean_mode 'median'"),
+    ("map", ("grid_shape",), "wide", "invalid literal"),
+    ("map", (), _BROKEN, "bad JSON"),
+])
+def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, match):
+    """Each reader raises ``ValueError`` naming its file, then the key path
+    of a nested object, then the fault."""
+    reader, doc = _DOCS[kind]
+    if doc is None:
+        doc = _three_block_map_doc(tmp_path)[1]
+    path = tmp_path / f"{kind}.json"
+    if value is _BROKEN:
+        path.write_text(json.dumps(doc)[:-1] + ",\n")
+    elif not keys:
+        path.write_text(json.dumps(value))
+    else:
+        doc = copy.deepcopy(doc)
+        parent = functools.reduce(operator.getitem, keys[:-1], doc)
+        if value is _DROP:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {match}"):
+        reader(path)
+
+
+def test_sweep_spec_defaults(tmp_path):
+    """A spec's survey defaults to 1.5 m and 0.1 uT; the rest comes from
+    ``SweepSpec`` and ``default_path_specs``."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_SWEEP))
+    spec, default = load_sweep_spec(path), SweepSpec()
+    assert (spec.survey_spacing, spec.survey_noise) == (1.5, 0.1)
+    assert load_sweep_spec(None).survey_spacing == 1.5
+    assert spec.n_distortions == 1 and spec.noise_levels == default.noise_levels
+    assert spec.n_initial_offsets == default.n_initial_offsets and spec.seed == default.seed
+    assert [p.sample_spacing for p in spec.paths] == [2.5] * 5
+    assert [p.seed for p in spec.paths] == [p.seed for p in default.paths]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magcalib import simulator
 from magcalib.intrinsic import AffineDistortion, compensate_many
 from magcalib.simulator import (
     Box,
@@ -15,6 +16,7 @@ from magcalib.simulator import (
     survey_dataset,
     survey_positions,
 )
+from magcalib.sweeps import default_experiment_world, default_path_specs
 
 AMBIENT = np.array([20.0, 0.0, -45.0])
 
@@ -136,6 +138,49 @@ def test_paths_stay_inside_margin(calib_world, kind):
         heading = pose.rotation @ np.array([1.0, 0.0, 0.0])
         cosang = heading[:2] @ d[:2] / np.linalg.norm(d[:2])
         assert cosang > 0.99
+
+
+def _chord_scan_one_by_one(curve, spacing, n):
+    """Reference for ``_resample_by_chord``: one ``np.linalg.norm`` per step
+    round the curve, staying put after 4 laps without reaching ``spacing``."""
+    pts = [curve[0]]
+    idx = 0
+    total = curve.shape[0]
+    for _ in range(n - 1):
+        current = pts[-1]
+        j = idx
+        hops = 0
+        while hops < 4 * total:
+            j = (j + 1) % total
+            hops += 1
+            if np.linalg.norm(curve[j] - current) >= spacing:
+                break
+        pts.append(curve[j])
+        idx = j
+    return np.asarray(pts)
+
+
+def test_chord_resampling_matches_one_by_one_scan(monkeypatch):
+    u = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
+    circle = np.stack([np.cos(u), np.sin(u)], axis=1)
+    wobbly = circle * (1.0 + 0.3 * np.sin(5.0 * u))[:, None]
+    square = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1]], float)
+    # short steps over several laps; every next point; chords exactly at the
+    # spacing; long hops; no chord reaching the spacing
+    for curve, spacing, n in [(circle, 0.3, 50), (wobbly, 0.05, 700), (circle, 1e-3, 30),
+                              (square, 1.0, 12), (wobbly, 2.2, 30), (circle, 2.5, 8)]:
+        expected = _chord_scan_one_by_one(curve, spacing, n)
+        assert np.array_equal(simulator._resample_by_chord(curve, spacing, n), expected)
+    # table1's figure eight: 200 samples 2.5 m apart in the sweeps' hall
+    spec = next(p for p in default_path_specs() if p.kind == "figure_eight")
+    world = default_experiment_world()
+    fast = generate_path(spec, world)
+    monkeypatch.setattr(simulator, "_resample_by_chord", _chord_scan_one_by_one)
+    slow = generate_path(spec, world)
+    assert len(fast) == len(slow) == 200
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a.translation, b.translation)
+        assert np.array_equal(a.rotation, b.rotation)
 
 
 def test_path_rejects_tiny_world():

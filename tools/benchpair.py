@@ -20,7 +20,11 @@ op wall times, set-up samples and provenance, with the commit the side ran:
 ``run.py`` itself records ``git_commit: "unknown"`` in an export), the
 per-side medians and quartiles with the head's wins and the verdict, both
 computed by the head export's ``magbench/compare.py``, and that script's own
-printout. The exports and their ``magbench/out`` records stay in DIR.
+printout. Each paired seed's largest relative deviation between the sides'
+accuracy values is recorded too; a seed is listed under
+``accuracy_differs_at_seeds`` only beyond ``ACCURACY_RTOL``, and the bound
+is printed with the largest deviation. The exports and their
+``magbench/out`` records stay in DIR.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -40,6 +45,7 @@ PROTOCOL = ("alternating base/head pairs on one host through each export's own "
             "seeds; one seed per pair (compare.py keys records by workload and seed); "
             "medians, quartiles, wins and verdict from the head export's "
             "magbench/compare.py")
+ACCURACY_RTOL = 1e-10  # ROADMAP: an equivalent refactor stays within 1e-10 of the old outputs
 
 
 def export(commit: str, dest: Path) -> None:
@@ -85,9 +91,27 @@ def run_entry(side, commit, workload, seed, pair, ran_first, name, record) -> di
             "provenance": record["provenance"]}
 
 
+def accuracy_deviation(base: dict | None, head: dict | None) -> float:
+    """Largest relative deviation between two runs' accuracy values: 0 where
+    every value is equal (NaN equal to NaN), inf where the keys differ or a
+    value is not finite on one side only."""
+    if not base or not head or base.keys() != head.keys():
+        return 0.0 if base == head else math.inf
+    worst = 0.0
+    for key, x in base.items():
+        y = head[key]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y)
+                    else math.inf)
+    return worst
+
+
 def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> dict:
     """Per-metric medians, quartiles, wins and verdict, as compare.py scores
-    them, over the seeds whose runs are correct on both sides."""
+    them, over the seeds whose runs are correct on both sides, and each
+    paired seed's largest relative accuracy deviation; a seed counts as
+    differing only beyond ``ACCURACY_RTOL``."""
     by_key = {(r["side"], r["seed"]): r for r in runs if r["workload"] == workload}
     paired = [s for s in seeds if by_key[("base", s)]["correct"]
               and by_key[("head", s)]["correct"]]
@@ -109,10 +133,21 @@ def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> d
         out[f"{side}_failed"] = sum(r["failed"] for r in side_runs)
         out[f"{side}_attempted"] = sum(r["attempted"] for r in side_runs)
         out[f"{side}_incorrect_runs"] = sum(not r["correct"] for r in side_runs)
-    out["accuracy_differs_at_seeds"] = [
-        s for s in paired
-        if by_key[("base", s)]["accuracy"] != by_key[("head", s)]["accuracy"]]
+    deviation = {s: accuracy_deviation(by_key[("base", s)]["accuracy"],
+                                       by_key[("head", s)]["accuracy"]) for s in paired}
+    out["accuracy_rtol"] = ACCURACY_RTOL
+    out["accuracy_deviation_at_seeds"] = deviation
+    out["accuracy_largest_deviation"] = max(deviation.values(), default=0.0)
+    out["accuracy_differs_at_seeds"] = [s for s, d in deviation.items() if d > ACCURACY_RTOL]
     return out
+
+
+def print_accuracy(workload: str, summary: dict) -> None:
+    differs = summary["accuracy_differs_at_seeds"]
+    verdict = f"beyond it at seeds {differs}" if differs else "within it at every seed"
+    print(f"{workload}: largest relative accuracy deviation "
+          f"{summary['accuracy_largest_deviation']:.3g}, bound {summary['accuracy_rtol']:g}: "
+          f"{verdict}")
 
 
 def main(argv=None) -> int:
@@ -178,14 +213,16 @@ def main(argv=None) -> int:
     print(printout, end="")
     host = {k: v for k, v in runs[0]["provenance"].items()
             if k not in ("git_commit", "seed", "default_seed")}
+    summary = {w: summarize(compare, bench, runs, w, args.seeds) for w in args.workload}
+    for workload, entry in summary.items():
+        print_accuracy(workload, entry)
     doc = {"what": args.what,
            "command": f"python3 magbench/run.py --workload WORKLOAD --seed SEED "
                       f"--seconds {seconds:g} --trace 0",
            "protocol": PROTOCOL,
            "base_commit": commits["base"], "head_commit": commits["head"],
            "host": host,
-           "summary": {w: summarize(compare, bench, runs, w, args.seeds)
-                       for w in args.workload},
+           "summary": summary,
            "compare_py": printout.splitlines(),
            "traced": traced,
            "runs": runs}

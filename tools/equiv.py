@@ -17,7 +17,9 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   ``calibrate`` from a ``--config`` file (unweighted ridge TLS, L-curve
   ridge) and a non-zero ``--t0`` with its ``evaluate --truth``, a second
   ``simulate`` and ``build-map`` for a validation map, and ``evaluate
-  --validation-map``, with every command's standard output;
+  --validation-map``, and a ``sweep success`` from a ``--spec`` file (1 x 1
+  trials per offset bin, seed 5, ``path_defaults``), with every command's
+  standard output;
 * ``extrinsic.residual`` and ``extrinsic.jacobian`` of that session's map
   and sensor data at one fixed lever arm and distortion, next to each other
   in ``cli/derivatives_report.json``.
@@ -67,6 +69,8 @@ _RIG = {
 }
 _HYPER = {"length_scale": 0.8, "noise_variance": 0.001, "block_size": 8.0}
 _CONFIG = {"intrinsic_solver": "rrtls", "lambda_policy": "l_curve"}
+_SPEC = {"noise_levels": [0.1], "n_distortions": 1, "n_initial_offsets": 1,
+         "offset_range": 0.3, "seed": 5, "path_defaults": {"spacing": 2.5}}
 _DERIVATIVES_AT = [0.25, -0.05, 0.15]  # lever arm [m] of the residual/jacobian step
 
 # the CLI session, run from the output directory so that recorded paths match
@@ -94,6 +98,7 @@ _SESSION = (
                               "--hyper", "hyper.json", "--out", "valmap.json"]),
     ("evaluate_validation", ["evaluate", "--result", "result.json",
                              "--validation-map", "valmap.json"]),
+    ("sweep_success", ["sweep", "success", "--spec", "spec.json", "--out", "sweep"]),
 )
 
 
@@ -123,7 +128,7 @@ def dump(out: Path) -> None:
     session = out / "cli"
     session.mkdir(parents=True)
     for name, doc in (("world", _WORLD), ("rig", _RIG), ("hyper", _HYPER),
-                      ("config", _CONFIG)):
+                      ("config", _CONFIG), ("spec", _SPEC)):
         (session / f"{name}.json").write_text(json.dumps(doc))
     os.chdir(session)
     for name, argv in _SESSION:
