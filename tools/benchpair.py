@@ -39,6 +39,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from equiv import largest_deviation  # tools/equiv.py, beside this script
+
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL = ("alternating base/head pairs on one host through each export's own "
             "magbench/run.py --trace 0: base first at odd seeds, head first at even "
@@ -92,19 +94,10 @@ def run_entry(side, commit, workload, seed, pair, ran_first, name, record) -> di
 
 
 def accuracy_deviation(base: dict | None, head: dict | None) -> float:
-    """Largest relative deviation between two runs' accuracy values: 0 where
-    every value is equal (NaN equal to NaN), inf where the keys differ or a
-    value is not finite on one side only."""
-    if not base or not head or base.keys() != head.keys():
-        return 0.0 if base == head else math.inf
-    worst = 0.0
-    for key, x in base.items():
-        y = head[key]
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            continue
-        worst = max(worst, abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y)
-                    else math.inf)
-    return worst
+    """Largest relative deviation between two runs' accuracy values, as
+    ``equiv.largest_deviation`` measures it; inf where the keys differ."""
+    found = largest_deviation(json.dumps(base), json.dumps(head))
+    return math.inf if found is None else found[0]
 
 
 def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> dict:
