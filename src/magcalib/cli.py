@@ -25,7 +25,7 @@ from .magmap import MapError, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
 from .simulator import PathSpec, WorldConfig, generate_path, sample_dataset, \
     survey_dataset, survey_positions
-from .sweeps import run_ablation, run_success_sweep, run_table1_sweep
+from .sweeps import SweepSpec, run_ablation, run_success_sweep, run_table1_sweep
 
 
 def _cmd_simulate(args) -> int:
@@ -175,7 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an experiment battery")
     p.add_argument("which", choices=["table1", "success", "ablation"])
-    p.add_argument("--spec", help="sweep spec JSON (defaults applied otherwise)")
+    p.add_argument("--spec", help=(
+        "sweep spec JSON (defaults applied otherwise); without survey_spacing and "
+        f"survey_noise the survey is {io.SWEEP_SURVEY['survey_spacing']} m apart with "
+        f"{io.SWEEP_SURVEY['survey_noise']} uT noise, coarser than SweepSpec's "
+        f"{SweepSpec.survey_spacing} m and {SweepSpec.survey_noise} uT"))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sweep)
 

@@ -15,13 +15,19 @@ and Cunningham 2015). Any other block keeps a Cholesky factor, whose
 triangular solve makes the variance O(n^2) per point.
 
 Batched queries find each point's block through a dense cell -> block table
-built once per map: one floor/clip over all points, one nearest-populated-
-centre ``argmin`` for points whose cell holds no training data, then a
-stable sort that groups points by block while keeping their input order.
-On a Cholesky block the gradient of the mean reuses the kernel columns
-``k`` in two GEMMs, ``(k^T (alpha_a * X_s) - x_s * k^T alpha_a) / l^2``,
-taken in block-centred coordinates so that the cancellation scales with the
-block size and not with the distance from the world origin.
+built once per map: one floor/clip over all points, then one nearest-
+populated-centre ``argmin`` for points whose cell holds no training data.
+Every lattice block a query reaches is evaluated by a fixed number of
+batched numpy calls, however many blocks there are: the map keeps the
+lattice factors in padded stacks, groups the points per block into chunks
+of a fixed row count, and gives every GEMM the same shape, so that a
+point's result is bit for bit the same whatever else the query holds
+(:class:`_LatticeStacks`). Cholesky blocks are evaluated one block at a
+time, each seeing its points in input order. On a Cholesky block the
+gradient of the mean reuses the kernel columns ``k`` in two GEMMs, ``(k^T
+(alpha_a * X_s) - x_s * k^T alpha_a) / l^2``, taken in block-centred
+coordinates so that the cancellation scales with the block size and not
+with the distance from the world origin.
 
 A multilinear interpolation baseline over lattice fingerprints is provided
 for ablation studies; it exposes the same query surface (mean, variance,
@@ -128,9 +134,13 @@ class MapBlock:
         return self.train_pos.shape[0]
 
     @cached_property
+    def grid(self):
+        """:func:`_product_grid` of the training positions, or None."""
+        return _product_grid(self.train_pos)
+
+    @cached_property
     def fit(self):
-        """:class:`_LatticeFit` or :class:`_CholeskyFit`, both answering
-        ``query(sub, with_variance)`` and ``gradient(sub)``."""
+        """:class:`_LatticeFit` or :class:`_CholeskyFit`."""
         return _fit_block(self)
 
 
@@ -148,8 +158,16 @@ def _product_grid(pos: np.ndarray):
 
 def _fit_block(block: MapBlock):
     """Factor a block exactly: per axis on a product grid, else by Cholesky."""
-    grid = _product_grid(block.train_pos)
-    return _CholeskyFit(block) if grid is None else _LatticeFit(block, *grid)
+    return _CholeskyFit(block) if block.grid is None else _LatticeFit(block, *block.grid)
+
+
+def _clip_variance(var: np.ndarray) -> np.ndarray:
+    """Variances clipped at 0, warning when one fell below -1e-8 before."""
+    if np.any(var < -1e-8):
+        warnings.warn(
+            f"pre-clamp predictive variance reached {var.min():.3e} uT^2; "
+            "Gram matrix is ill-conditioned", RuntimeWarning)
+    return np.clip(var, 0.0, None)
 
 
 class _CholeskyFit:
@@ -189,18 +207,17 @@ class _CholeskyFit:
         return (k_ax - k_a[:, :, None] * x_sub[:, None, :]) * inv_ls2
 
 
-def _contract(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``out[m] = sum_abc fx[m, a] fy[m, b] fz[m, c] t[a, b, c]``: each row's
-    Kronecker product ``fx (x) fy (x) fz`` (m, n_a each) against a grid
-    tensor ``t`` (nx, ny, nz, k), one axis at a time: (m, k)."""
-    m, (nx, ny, nz, k) = len(fx), t.shape
-    a = (fx @ t.reshape(nx, -1)).reshape(m, ny, nz * k)
-    b = np.einsum("mb,mbk->mk", fy, a).reshape(m, nz, k)
-    return np.einsum("mc,mck->mk", fz, b)
+def _unit_kernel(d: np.ndarray, length_scale: float) -> np.ndarray:
+    """Unit-variance SE kernel of coordinate differences ``d`` along one axis,
+    computed in place in the order of ``exp(-0.5 * (d / l)**2)``."""
+    k = d / length_scale
+    k *= k
+    k *= -0.5
+    return np.exp(k, out=k)
 
 
 class _LatticeFit:
-    """A block whose training positions are a full product grid.
+    """The factor of a block whose training positions are a full product grid.
 
     The SE kernel is a product over axes, so in grid order ``K + noise*I =
     Q (s2 Lx (x) Ly (x) Lz + noise*I) Q^T`` with ``Q = Qx (x) Qy (x) Qz``, where
@@ -210,56 +227,155 @@ class _LatticeFit:
     projects to ``Q^T k = s2 w`` with ``w = (Qx^T kx) (x) (Qy^T ky) (x) (Qz^T
     kz)``, so the mean is ``w gamma`` and the variance ``s2 - (w*w) (s2^2
     D)``, both contracted one axis at a time in O(n) per point; the gradient
-    along an axis swaps that axis's ``ka`` for its derivative. An eigenvalue
-    of ``K + noise*I`` at or below n eps of the largest, where a Cholesky
-    factor would break down, raises the singular-block error.
+    along an axis swaps that axis's ``ka`` for its derivative. The map
+    evaluates these in :class:`_LatticeStacks`, batched over blocks. An
+    eigenvalue of ``K + noise*I`` at or below n eps of the largest, where a
+    Cholesky factor would break down, raises the singular-block error.
     """
 
     def __init__(self, block: MapBlock, nodes: tuple, cell: np.ndarray):
         hyper = block.hyper
         s2 = hyper.signal_variance
-        self.mean, self.nodes, self.length_scale = block.mean, nodes, hyper.length_scale
-        self.signal_variance = s2
-        eigvals, self.q = zip(*(np.linalg.eigh(self._unit_kernel(c[:, None] - c))
+        self.nodes = nodes
+        eigvals, self.q = zip(*(np.linalg.eigh(_unit_kernel(c[:, None] - c,
+                                                            hyper.length_scale))
                                 for c in nodes))
         lam = s2 * np.einsum("i,j,k->ijk", *eigvals) + hyper.noise_variance
         if not lam.min() > lam.size * np.finfo(float).eps * lam.max():
             raise MapError(f"map block {block.index}: {_SINGULAR}")
         resid = np.empty_like(block.train_field)
-        resid[cell] = block.train_field - self.mean
+        resid[cell] = block.train_field - block.mean
         proj = resid.reshape(*lam.shape, 3)  # grid order
         for axis, q in enumerate(self.q):   # Q^T resid, one axis at a time
             proj = np.moveaxis(np.tensordot(q, proj, axes=(0, axis)), 0, axis)
         self.gamma = (s2 / lam)[..., None] * proj   # (nx, ny, nz, 3)
-        self.s4d = (s2 * s2 / lam)[..., None]       # (nx, ny, nz, 1)
+        self.s4d = s2 * s2 / lam                    # (nx, ny, nz)
 
-    def _unit_kernel(self, d: np.ndarray) -> np.ndarray:
-        """Unit-variance SE kernel of coordinate differences ``d`` along one axis."""
-        return np.exp(-0.5 * (d / self.length_scale) ** 2)
 
-    def _axis_rows(self, sub: np.ndarray):
-        """Per axis ``(ka, d, Qa)``: the kernel rows (m, n_a) between the
-        query points and the axis nodes, the differences ``x - c`` behind
-        them, and ``Qa``."""
-        for axis, (c, q) in enumerate(zip(self.nodes, self.q)):
-            d = sub[:, axis, None] - c
-            yield self._unit_kernel(d), d, q
+_CHUNK_ROWS = 4        # query rows of every lattice GEMM, whatever the query holds
+_CHUNKS_PER_CALL = 32  # chunks per batched call, which bounds the gathered temporaries
 
-    def query(self, sub: np.ndarray, with_variance: bool) -> tuple:
-        """``(means (m, 3), variances (m,) before clipping, or None)``."""
-        p = [k @ q for k, _, q in self._axis_rows(sub)]
-        mu = self.mean + _contract(*p, self.gamma)
-        if not with_variance:
-            return mu, None
-        return mu, self.signal_variance - _contract(*(f * f for f in p), self.s4d)[:, 0]
 
-    def gradient(self, sub: np.ndarray) -> np.ndarray:
-        """Gradients of the mean (m, 3 field axes, 3 spatial axes)."""
-        rows = list(self._axis_rows(sub))
-        p = [k @ q for k, _, q in rows]
-        dp = [((k * d) @ q) * (-1.0 / self.length_scale**2) for k, d, q in rows]
-        return np.stack([_contract(*(dp[a] if a == s else p[a] for a in range(3)),
-                                   self.gamma) for s in range(3)], axis=2)
+def _along(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``out[g, w, j] = sum_b t[g, w, j, b] f[g, w, b]`` for ``t`` (G, W, J * n_b)."""
+    return np.einsum("gwjb,gwb->gwj", t.reshape(*f.shape[:2], -1, f.shape[2]), f)
+
+
+class _LatticeStacks:
+    """The lattice blocks of one map, stacked so that a fixed number of batched
+    numpy calls evaluates points from any number of blocks.
+
+    Slot ``o`` belongs to block ordinal ``o``: its per-axis nodes and ``Qa``,
+    its prior mean, and ``gamma`` and ``s2^2 D`` as (n_x, k n_z n_y)
+    matrices, all padded to the map's largest lattice per axis. A padded node
+    sits at a far, finite coordinate whose kernel is exactly 0, and padded
+    ``Q``, ``gamma`` and ``s2^2 D`` entries are 0, so padded lanes add exact
+    zeros. A slot is filled when its block is factored.
+
+    Points are grouped per block, in input order, into chunks of
+    ``_CHUNK_ROWS`` rows; padded rows repeat the chunk's first point and are
+    dropped. A chunk's x projections meet its block's ``gamma`` in one GEMM,
+    then each row contracts y and z with its own projections. Every GEMM has
+    the same shape, and since BLAS results depend on the row count, a
+    point's result is bit for bit the same whatever else the query holds.
+    Up to ``_CHUNKS_PER_CALL`` chunks go through each batched call, with each
+    chunk's slot gathered.
+    """
+
+    def __init__(self, blocks: list, hyper: GpHyperparams, far: float):
+        grids = [block.grid for block in blocks]
+        self.is_lattice = np.array([grid is not None for grid in grids])
+        counts = [[len(c) for c in grid[0]] for grid in grids if grid is not None]
+        self.shape = tuple(np.max(counts, axis=0)) if counts else (1, 1, 1)
+        nx, ny, nz = self.shape
+        n, width = len(blocks), max(self.shape)
+        self.length_scale, self.signal_variance = hyper.length_scale, hyper.signal_variance
+        self.nodes = np.full((n, 3, width), far)
+        self.q = np.zeros((n, 3, width, width))
+        self.gamma = np.zeros((n, nx, 3 * nz * ny))
+        self.s4d = np.zeros((n, nx, nz * ny))
+        self.mean = np.array([block.mean for block in blocks])
+        self.filled = np.zeros(n, bool)
+
+    def fill(self, blocks: list, slots: np.ndarray) -> None:
+        """Factor the blocks of ``slots`` whose slot is empty and copy them in;
+        a block that fails to factor raises and leaves its slot empty."""
+        nx, ny, nz = self.shape
+        for o in np.unique(slots[~self.filled[slots]]):
+            fit = blocks[o].fit
+            for axis, (c, q) in enumerate(zip(fit.nodes, fit.q)):
+                self.nodes[o, axis, :len(c)] = c
+                self.q[o, axis, :len(c), :len(c)] = q
+            bx, by, bz = fit.s4d.shape  # stored (x, k, z, y): y varies fastest
+            gamma = self.gamma[o].reshape(nx, 3, nz, ny)
+            gamma[:bx, :, :bz, :by] = fit.gamma.transpose(0, 3, 2, 1)
+            self.s4d[o].reshape(nx, nz, ny)[:bx, :bz, :by] = fit.s4d.transpose(0, 2, 1)
+            self.filled[o] = True
+
+    def _chunks(self, pts: np.ndarray, slots: np.ndarray):
+        """Yield ``(rows, valid, sub, slot)`` per batched call: the query rows
+        of the real lanes in the order of the (G, W) mask ``valid``, the chunk
+        points (G, W, 3) and the chunk slots (G,)."""
+        if not len(slots):
+            return
+        order = np.argsort(slots, kind="stable")
+        ordered = slots[order]
+        index = np.arange(len(order))
+        starts = np.ones(len(order), bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        lane = (index - np.maximum.accumulate(np.where(starts, index, 0))) % _CHUNK_ROWS
+        first = lane == 0
+        table = np.full((np.count_nonzero(first), _CHUNK_ROWS), -1)
+        table[np.cumsum(first) - 1, lane] = order
+        chunk_slot = ordered[first]
+        for start in range(0, len(table), _CHUNKS_PER_CALL):
+            part = table[start:start + _CHUNKS_PER_CALL]
+            valid = part >= 0
+            yield (part[valid], valid, pts[np.where(valid, part, part[:, :1])],
+                   chunk_slot[start:start + _CHUNKS_PER_CALL])
+
+    def _kernel_rows(self, sub: np.ndarray, slot: np.ndarray) -> tuple:
+        """``(k, d)`` (G, 3, W, n): per chunk, axis and row, the kernel
+        against the padded axis nodes and the differences ``x - c`` behind it."""
+        d = sub.transpose(0, 2, 1)[..., None] - self.nodes[slot][:, :, None, :]
+        return _unit_kernel(d, self.length_scale), d
+
+    def _axes(self, p: np.ndarray) -> tuple:
+        """Per-axis projections (G, W, n_a) out of the stacked (G, 3, W, n)."""
+        return tuple(p[:, axis, :, :n] for axis, n in enumerate(self.shape))
+
+    def query(self, pts: np.ndarray, slots: np.ndarray, with_variance: bool) -> tuple:
+        """``(means (m, 3), variances (m,) before clipping, or None)`` of the
+        points ``pts`` (m, 3), each in the block of its slot."""
+        means = np.empty((len(pts), 3))
+        variances = np.empty(len(pts)) if with_variance else None
+        for rows, valid, sub, slot in self._chunks(pts, slots):
+            k, _ = self._kernel_rows(sub, slot)
+            px, py, pz = self._axes(k @ self.q[slot])
+            mu = self.mean[slot, None] + _along(_along(px @ self.gamma[slot], py), pz)
+            means[rows] = mu[valid]
+            if with_variance:
+                w2 = _along(_along((px * px) @ self.s4d[slot], py * py), pz * pz)
+                variances[rows] = (self.signal_variance - w2[..., 0])[valid]
+        return means, variances
+
+    def gradient(self, pts: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Gradients of the mean (m, 3 field axes, 3 spatial axes); the first
+        axis's contraction ``px gamma`` serves both the y and z derivatives."""
+        grads = np.empty((len(pts), 3, 3))
+        w = _CHUNK_ROWS
+        for rows, valid, sub, slot in self._chunks(pts, slots):
+            k, d = self._kernel_rows(sub, slot)
+            # rows :w project the kernel, rows w: l^2 times its derivative
+            p = np.concatenate((k, -k * d), axis=2) @ self.q[slot]
+            _, py, pz = self._axes(p[:, :, :w])
+            _, dy, dz = self._axes(p[:, :, w:])
+            a = p[:, 0, :, :self.shape[0]] @ self.gamma[slot]  # px gamma, then dx gamma
+            g = np.stack([_along(_along(a[:, w:], py), pz),
+                          _along(_along(a[:, :w], dy), pz),
+                          _along(_along(a[:, :w], py), dz)], axis=-1)
+            grads[rows] = g[valid] / self.length_scale**2
+        return grads
 
 
 class MagMap:
@@ -298,10 +414,9 @@ class MagMap:
         hi = self.grid_hi + self.overlap
         return np.all((ts >= lo) & (ts <= hi), axis=1)
 
-    def _group_by_block(self, ts: np.ndarray):
-        """Yield ``(block, rows)``: the clipped cell's block, or for a cell
-        with no training data the block with the nearest centre; ``rows``
-        ascend, so each block sees its points in input order."""
+    def _ordinals(self, ts: np.ndarray) -> np.ndarray:
+        """Each point's block ordinal: the clipped cell's block, or for a cell
+        with no training data the block with the nearest centre."""
         idx = np.floor((ts - self.grid_lo) / self.block_size).astype(int)
         idx = np.clip(idx, 0, self.grid_shape - 1)
         ordinal = self._cell_block[tuple(idx.T)]
@@ -309,10 +424,36 @@ class MagMap:
         if np.any(empty):
             d2 = ((self._centers[None, :, :] - ts[empty, None, :]) ** 2).sum(axis=2)
             ordinal[empty] = np.argmin(d2, axis=1)
+        return ordinal
+
+    def _group_by_block(self, ts: np.ndarray):
+        """Yield ``(block, rows)`` per block of :meth:`_ordinals`; ``rows``
+        ascend, so each block sees its points in input order."""
+        if not len(ts):
+            return
+        ordinal = self._ordinals(ts)
         order = np.argsort(ordinal, kind="stable")
         starts = np.flatnonzero(np.diff(ordinal[order])) + 1
         for rows in np.split(order, starts):
             yield self._blocks[ordinal[rows[0]]], rows
+
+    @cached_property
+    def _lattice(self) -> _LatticeStacks:
+        """The lattice blocks' stacks, made by the first query. Padded nodes
+        lie 64 length scales beyond any point the map contains."""
+        reach = np.abs(np.r_[self.grid_lo - self.overlap, self.grid_hi + self.overlap]).max()
+        return _LatticeStacks(self._blocks, self.hyper, reach + 64.0 * self.hyper.length_scale)
+
+    def _split(self, pts: np.ndarray) -> tuple:
+        """``(stacks, rows, slots, other)``: the lattice stacks, the points in
+        lattice blocks and their block ordinals, whose blocks this factors,
+        and the other points."""
+        stacks = self._lattice
+        ordinal = self._ordinals(pts)
+        lattice = stacks.is_lattice[ordinal]
+        rows = np.flatnonzero(lattice)
+        stacks.fill(self._blocks, ordinal[rows])
+        return stacks, rows, ordinal[rows], np.flatnonzero(~lattice)
 
     # -- queries ----------------------------------------------------------
 
@@ -334,17 +475,14 @@ class MagMap:
             return means, variances, inside
         idx_in = np.flatnonzero(inside)
         pts = ts[idx_in]
-        for block, rows in self._group_by_block(pts):
-            mu, var = block.fit.query(pts[rows], with_variance)
+        stacks, rows, slots, other = self._split(pts)
+        parts = [(rows, *stacks.query(pts[rows], slots, with_variance))]
+        parts += [(other[sub], *block.fit.query(pts[other[sub]], with_variance))
+                  for block, sub in self._group_by_block(pts[other])]
+        for rows, mu, var in parts:
             means[idx_in[rows]] = mu
-            if not with_variance:
-                continue
-            if np.any(var < -1e-8):
-                warnings.warn(
-                    f"pre-clamp predictive variance reached {var.min():.3e} uT^2; "
-                    "Gram matrix is ill-conditioned", RuntimeWarning)
-            var = np.clip(var, 0.0, None)
-            variances[idx_in[rows]] = var[:, None]
+            if with_variance:
+                variances[idx_in[rows]] = _clip_variance(var)[:, None]
         return means, variances, inside
 
     def gradient_many(self, ts: np.ndarray, allow_outside: bool = False):
@@ -357,8 +495,10 @@ class MagMap:
             return grads, inside
         idx_in = np.flatnonzero(inside)
         pts = ts[idx_in]
-        for block, rows in self._group_by_block(pts):
-            grads[idx_in[rows]] = block.fit.gradient(pts[rows])
+        stacks, rows, slots, other = self._split(pts)
+        grads[idx_in[rows]] = stacks.gradient(pts[rows], slots)
+        for block, sub in self._group_by_block(pts[other]):
+            grads[idx_in[other[sub]]] = block.fit.gradient(pts[other[sub]])
         return grads, inside
 
     # -- introspection ------------------------------------------------------

@@ -44,6 +44,7 @@ RESULT_SCHEMA = "calibration-result/1"
 QUAT_NORM_TOL = 1e-6
 
 _KERNEL = tuple(f.name for f in fields(GpHyperparams))  # a map's "hyper" keys, in order
+SWEEP_SURVEY = {"survey_spacing": 1.5, "survey_noise": 0.1}  # a sweep spec's survey default
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +319,14 @@ def load_sweep_spec(path) -> SweepSpec:
     """A :class:`SweepSpec` from a sweep spec file, or from none when ``path``
     is None. ``path_defaults`` holds keyword arguments of
     :func:`default_path_specs`; unless the spec says otherwise, its mapping
-    survey is 1.5 m apart with 0.1 uT noise, coarser than a ``SweepSpec``'s."""
+    survey is :data:`SWEEP_SURVEY` (1.5 m apart with 0.1 uT noise), coarser
+    than a ``SweepSpec``'s."""
     casts = {"noise_levels": tuple, "n_distortions": int, "n_initial_offsets": int,
              "offset_range": float, "seed": int, "survey_spacing": float,
              "survey_noise": float}
 
     def build(doc):
-        doc = {"survey_spacing": 1.5, "survey_noise": 0.1,
-               **_keys(doc, (), (*casts, "path_defaults"))}
+        doc = {**SWEEP_SURVEY, **_keys(doc, (), (*casts, "path_defaults"))}
         paths = _keys(doc.pop("path_defaults", {}), (),
                       inspect.signature(default_path_specs).parameters, "path_defaults")
         return SweepSpec(paths=default_path_specs(**paths),
@@ -352,8 +353,23 @@ def save_result(result: CalibrationResult, path, data_path: str | None = None) -
         json.dump(doc, fh, indent=2)
 
 
+_RESULT_SHAPES = {"translation": (3,), "gain": (3, 3), "bias": (3,)}
+
+
 def load_result(path) -> dict:
-    return _read(path, lambda doc: _keys(
-        doc, ("schema", "translation", "gain", "bias"),
-        ("converged", "iterations", "final_rms_ut", "skipped_samples", "message",
-         "cost_trace", "data"), schema=RESULT_SCHEMA))
+    """The result document as read; its ``translation``, ``gain`` and
+    ``bias`` must hold 3, 3 x 3 and 3 finite numbers."""
+    def build(doc):
+        _keys(doc, ("schema", *_RESULT_SHAPES),
+              ("converged", "iterations", "final_rms_ut", "skipped_samples", "message",
+               "cost_trace", "data"), schema=RESULT_SCHEMA)
+        for key, shape in _RESULT_SHAPES.items():
+            try:
+                value = np.asarray(doc[key], float)
+            except (TypeError, ValueError):
+                value = None
+            if value is None or value.shape != shape or not np.isfinite(value).all():
+                raise ValueError(f"{key}: must be {' x '.join(map(str, shape))} finite "
+                                 f"numbers, got {json.dumps(doc[key])}")
+        return doc
+    return _read(path, build)

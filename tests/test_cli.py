@@ -151,6 +151,20 @@ def test_bad_document_exits_2(workdir, tmp_path, capsys, argv, doc, match):
     assert not paths["out"].exists()
 
 
+def test_evaluate_result_with_short_translation_exits_2(workdir, tmp_path, capsys):
+    """A result whose translation holds 2 numbers exits 2 with one stderr
+    line naming the file and the key, not a numpy broadcast error."""
+    path = tmp_path / "short_result.json"
+    path.write_text(json.dumps({"schema": "calibration-result/1", "translation": [0.3, -0.1],
+                                "gain": np.eye(3).tolist(), "bias": [0.0, 0.0, 0.0]}))
+    rc = main(["evaluate", "--result", str(path), "--truth", str(workdir / "sim" / "truth.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"magcalib evaluate: error: {path}: translation: must be 3 finite "
+                            "numbers, got [0.3, -0.1]\n")
+
+
 def test_evaluate_against_validation_map(workdir, capsys):
     # build a second, independent map as the validation reference
     rc = main(["simulate", "--world", str(workdir / "world.json"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -400,6 +402,91 @@ def test_lattice_blocks_match_dense_reference(spacing, length_scale):
         means, variances, _ = field_map.query_many(sub)
         grads, _ = field_map.gradient_many(sub)
         _assert_matches_dense_reference(field_map, block, sub, means, variances, grads)
+
+
+@pytest.fixture(scope="module")
+def survey_map():
+    """The default hall's 0.7 m survey, mapped as the table1 sweep maps it:
+    30 lattice blocks, the edge ones with 7 nodes along x or 4 along y."""
+    world = WorldConfig()
+    data = survey_dataset(world, survey_positions(world, 0.7), noise_sigma=0.03, seed=3)
+    return build_map(data, GpHyperparams(length_scale=0.8, noise_variance=0.001),
+                     block_size=8.0)
+
+
+def _survey_queries(field_map, rng):
+    """11 points in every block's cell (chunks of 4, 4 and 3 rows) and 20 on
+    either side of the grid in the overlap padding, shuffled so that blocks
+    interleave."""
+    pad = field_map.overlap
+    pts = np.vstack([rng.uniform(b.lo, b.hi, size=(11, 3)) for b in field_map.blocks.values()]
+                    + [rng.uniform(field_map.grid_lo - pad, field_map.grid_lo, size=(20, 3)),
+                       rng.uniform(field_map.grid_hi, field_map.grid_hi + pad, size=(20, 3))])
+    pts[:, 2] = rng.uniform(0.15, 1.5, size=len(pts))
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("name", ["survey_map", "l_shaped_map"])
+def test_lattice_results_do_not_depend_on_the_rest_of_the_query(name, request):
+    """Each point in a lattice block gets bit for bit the same mean, variance
+    and gradient alone, with its block's points only, and inside one query
+    over every block, and mean-only queries give the same means. The survey
+    map's edge blocks have fewer nodes than the largest block (7 along x, 4
+    along y); the L-shaped map routes points in empty cells to the nearest
+    centre."""
+    field_map = request.getfixturevalue(name)
+    rng = np.random.default_rng(18)
+    queries = _survey_queries if name == "survey_map" else _l_shaped_queries
+    pts = queries(field_map, rng)
+    keys = _reference_blocks(field_map, pts)
+    lattice = [isinstance(field_map.blocks[key].fit, _LatticeFit) for key in keys]
+    pts = pts[lattice]
+    keys = [key for key, keep in zip(keys, lattice) if keep]
+    if name == "survey_map":
+        counts = np.array([[len(c) for c in b.grid[0]] for b in field_map.blocks.values()])
+        assert len(keys) == len(pts) == 30 * 11 + 40
+        assert 7 in counts[:, 0] and counts[:, 0].max() > 7
+        assert 4 in counts[:, 1] and counts[:, 1].max() > 4
+    else:
+        idx = np.clip(np.floor((pts - field_map.grid_lo) / field_map.block_size),
+                      0, field_map.grid_shape - 1).astype(int)
+        assert sum(tuple(i) not in field_map.blocks for i in idx.tolist()) >= 100
+
+    means, variances, _ = field_map.query_many(pts)
+    grads, _ = field_map.gradient_many(pts)
+    assert np.array_equal(field_map.query_many(pts, with_variance=False)[0], means)
+    for key in set(keys):
+        rows = np.array([i for i, k in enumerate(keys) if k == key])
+        m, v, _ = field_map.query_many(pts[rows])
+        g, _ = field_map.gradient_many(pts[rows])
+        assert np.array_equal(m, means[rows])
+        assert np.array_equal(v, variances[rows])
+        assert np.array_equal(g, grads[rows])
+    for i in range(len(pts)):
+        m, v, _ = field_map.query_many(pts[i:i + 1])
+        g, _ = field_map.gradient_many(pts[i:i + 1])
+        assert np.array_equal(m[0], means[i])
+        assert np.array_equal(v[0], variances[i])
+        assert np.array_equal(g[0], grads[i])
+
+
+def test_large_query_keeps_temporaries_small(survey_map):
+    """A 2,000-point query and gradient, the size of a lever-arm re-seed
+    batch, allocate under 4 MiB at their peak: chunks go through the batched
+    calls a bounded number at a time, so their copies of the block factors
+    stay small whatever the query's size."""
+    rng = np.random.default_rng(19)
+    pts = rng.uniform(survey_map.grid_lo, survey_map.grid_hi, size=(2000, 3))
+    pts[:, 2] = rng.uniform(0.15, 1.5, size=2000)
+    survey_map.query_many(pts)  # factor every block before measuring
+    tracemalloc.start()
+    try:
+        survey_map.query_many(pts)
+        survey_map.gradient_many(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_off_grid_blocks_take_the_cholesky_path(gentle_world, l_shaped_map):

@@ -524,6 +524,28 @@ def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, matc
         reader(path)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("translation", [0.3, -0.1], r"translation: must be 3 finite numbers, got \[0\.3, -0\.1\]$"),
+    ("translation", [0.3, float("nan"), 0.2], "translation: must be 3 finite numbers"),
+    ("gain", [[1, 0, 0], [0, 1, 0]], "gain: must be 3 x 3 finite numbers"),
+    ("gain", [[1, 0, 0], [0, 1], [0, 0, 1]], "gain: must be 3 x 3 finite numbers"),
+    ("bias", ["a", "b", "c"], "bias: must be 3 finite numbers"),
+    ("bias", None, "bias: must be 3 finite numbers, got null$"),
+])
+def test_load_result_rejects_bad_values(tmp_path, key, value, match):
+    """``translation``, ``gain`` and ``bias`` must hold 3, 3 x 3 and 3 finite
+    numbers; a bad one raises naming the file and the key, and a good
+    document loads as it was written."""
+    doc = copy.deepcopy(_DOCS["result"][1])
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(doc))
+    assert load_result(path) == doc
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {match}"):
+        load_result(path)
+
+
 def test_sweep_spec_defaults(tmp_path):
     """A spec's survey defaults to 1.5 m and 0.1 uT; the rest comes from
     ``SweepSpec`` and ``default_path_specs``."""
