@@ -253,7 +253,9 @@ class _LatticeFit:
 
 
 _CHUNK_ROWS = 4        # query rows of every lattice GEMM, whatever the query holds
-_CHUNKS_PER_CALL = 32  # chunks per batched call, which bounds the gathered temporaries
+_CHUNKS_PER_CALL = 64  # chunks per batched call: one call for nearly every path query
+                       # (table1: 59 chunks at the 95th percentile), and a bound on the
+                       # gathered copies of block factors (2 MB on the 0.7 m map)
 
 
 def _along(t: np.ndarray, f: np.ndarray) -> np.ndarray:

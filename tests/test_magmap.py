@@ -415,9 +415,9 @@ def survey_map():
 
 
 def _survey_queries(field_map, rng):
-    """11 points in every block's cell (chunks of 4, 4 and 3 rows) and 20 on
-    either side of the grid in the overlap padding, shuffled so that blocks
-    interleave."""
+    """11 points in every block's cell (chunks of 4, 4 and 3 rows) and 20
+    beyond each x-y corner of the grid in the overlap padding, at surveyed
+    heights, shuffled so that blocks interleave."""
     pad = field_map.overlap
     pts = np.vstack([rng.uniform(b.lo, b.hi, size=(11, 3)) for b in field_map.blocks.values()]
                     + [rng.uniform(field_map.grid_lo - pad, field_map.grid_lo, size=(20, 3)),
@@ -472,7 +472,7 @@ def test_lattice_results_do_not_depend_on_the_rest_of_the_query(name, request):
 
 def test_large_query_keeps_temporaries_small(survey_map):
     """A 2,000-point query and gradient, the size of a lever-arm re-seed
-    batch, allocate under 4 MiB at their peak: chunks go through the batched
+    batch, allocate under 6 MiB at their peak: chunks go through the batched
     calls a bounded number at a time, so their copies of the block factors
     stay small whatever the query's size."""
     rng = np.random.default_rng(19)
@@ -486,7 +486,7 @@ def test_large_query_keeps_temporaries_small(survey_map):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_off_grid_blocks_take_the_cholesky_path(gentle_world, l_shaped_map):
