@@ -268,11 +268,11 @@ class _LatticeStacks:
     numpy calls evaluates points from any number of blocks.
 
     Slot ``o`` belongs to block ordinal ``o``: its per-axis nodes and ``Qa``,
-    its prior mean, and ``gamma`` and ``s2^2 D`` as (n_x, k n_z n_y)
-    matrices, all padded to the map's largest lattice per axis. A padded node
-    sits at a far, finite coordinate whose kernel is exactly 0, and padded
-    ``Q``, ``gamma`` and ``s2^2 D`` entries are 0, so padded lanes add exact
-    zeros. A slot is filled when its block is factored.
+    its prior mean, ``gamma`` as an (n_x, 3 n_z n_y) matrix and ``s2^2 D`` as
+    an (n_x, n_z n_y) one, all padded to the map's largest lattice per axis.
+    A padded node sits at a far, finite coordinate whose kernel is exactly 0,
+    and padded ``Q``, ``gamma`` and ``s2^2 D`` entries are 0, so padded lanes
+    add exact zeros. A slot is filled when its block is factored.
 
     Points are grouped per block, in input order, into chunks of
     ``_CHUNK_ROWS`` rows; padded rows repeat the chunk's first point and are
