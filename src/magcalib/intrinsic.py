@@ -222,13 +222,11 @@ def solve_tls(prob: RegressionProblem) -> AffineDistortion:
     return AffineDistortion(gain, bias)
 
 
-def _weighted_normal(prob: RegressionProblem):
-    """Truncated (observed, design) and the ridge-free weighted normal
-    equations on them: the Gram matrix (4, 4) and the right-hand side (4, 3)."""
+def _weighted_parts(prob: RegressionProblem):
+    """The weighted rank-truncated design and observations, ``(W Xb, W Yb)``."""
     obs_bar, design_bar = _truncated_parts(prob)
     w = prob.weights[:, None]
-    xw = design_bar * w
-    return obs_bar, design_bar, xw.T @ xw, xw.T @ (obs_bar * w)
+    return design_bar * w, obs_bar * w
 
 
 def solve_wrrtls(prob: RegressionProblem) -> AffineDistortion:
@@ -239,14 +237,14 @@ def solve_wrrtls(prob: RegressionProblem) -> AffineDistortion:
     is the ridge-regularized TLS baseline; with additionally ridge=0 and
     tsvd_rank=7 it reduces to ordinary least squares.
     """
-    _, _, gram, rhs = _weighted_normal(prob)
-    normal = gram + prob.ridge * np.eye(4)
+    xw, yw = _weighted_parts(prob)
+    normal = xw.T @ xw + prob.ridge * np.eye(4)
     cond = np.linalg.cond(normal)
     if not np.isfinite(cond) or cond > _MAX_NORMAL_COND:
         raise RegressionError(
             f"weighted normal matrix is numerically singular (cond={cond:.3g}); "
             "increase the ridge factor")
-    a = np.linalg.solve(normal, rhs).T  # (3, 4)
+    a = np.linalg.solve(normal, xw.T @ yw).T  # (3, 4)
     return AffineDistortion(a[:, :3], a[:, 3])
 
 
@@ -259,27 +257,43 @@ def solve_rrtls(prob: RegressionProblem) -> AffineDistortion:
 
 def _lcurve(prob: RegressionProblem, ridges: np.ndarray):
     """Residual norms rho and solution norms eta of the weighted fit at every
-    ridge, all from one rank truncation.
+    ridge of the ascending ``ridges``, all from one rank truncation.
 
-    Raises what ``solve_wrrtls`` raises at the first ridge of ``ridges`` (in
-    order) whose normal matrix is singular or whose gain is.
+    Every ridge's coefficients come from one batched solve of the normal
+    equations, so they and eta are those of ``solve_wrrtls``. Each rho comes
+    from one thin QR of the weighted design, ``W Xb = QR``: with
+    ``B = W Yb``, ``rho^2 = ||R c - Q'B||^2 + ||B - QQ'B||^2``, and the
+    second term, the part of B outside the design's column space, does not
+    depend on the ridge. No (N, 3) residual is formed per ridge.
+
+    Raises what ``solve_wrrtls`` raises at the first ridge (in order) whose
+    normal matrix is singular or whose gain is. Only the smallest ridge's
+    normal matrix is tested for singularity.
     """
-    obs_bar, design_bar, gram, rhs = _weighted_normal(prob)
+    xw, yw = _weighted_parts(prob)
+    gram = xw.T @ xw
+    # The Gram matrix is symmetric positive semi-definite, so the singular
+    # values of gram + r I are its eigenvalues plus r, and cond(gram + r I)
+    # = (s_max + r) / (s_min + r) does not rise with r: if any ridge's normal
+    # matrix is singular, the smallest ridge's is.
+    cond = np.linalg.cond(gram + ridges[0] * np.eye(4))
+    if not np.isfinite(cond) or cond > _MAX_NORMAL_COND:
+        solve_wrrtls(prob.with_ridge(float(ridges[0])))  # raises that ridge's error
     normal = gram + ridges[:, None, None] * np.eye(4)
-    cond = np.linalg.cond(normal)
-    singular = ~np.isfinite(cond) | (cond > _MAX_NORMAL_COND)
-    n_ok = int(np.argmax(singular)) if singular.any() else ridges.size
-    # rhs[None]: a stack of matrices for numpy 1.x too, which reads a 2-D b
+    # [None]: a stack of matrices for numpy 1.x too, which reads a 2-D b
     # against a 3-D a as a stack of vectors
-    coeffs = np.linalg.solve(normal[:n_ok], rhs[None])  # (n_ok, 4, 3) = [gain | bias]^T
+    coeffs = np.linalg.solve(normal, (xw.T @ yw)[None])  # (K, 4, 3) = [gain | bias]^T
     gains = coeffs[:, :3].transpose(0, 2, 1)
     bad_gain = (~np.isfinite(coeffs).all(axis=(1, 2))
                 | (np.abs(np.linalg.det(gains)) <= _SINGULAR_GAIN_DET))
-    if bad_gain.any() or n_ok < ridges.size:
-        k = int(np.argmax(bad_gain)) if bad_gain.any() else n_ok
-        solve_wrrtls(prob.with_ridge(float(ridges[k])))  # raises that ridge's error
-    resid = (design_bar @ coeffs - obs_bar) * prob.weights[:, None]
-    rho = np.sqrt(np.einsum("kij,kij->k", resid, resid))
+    if bad_gain.any():
+        solve_wrrtls(prob.with_ridge(float(ridges[int(np.argmax(bad_gain))])))
+    q, r = np.linalg.qr(xw)
+    qtb = q.T @ yw
+    outside = yw - q @ qtb
+    inside = r @ coeffs - qtb
+    rho = np.sqrt(np.einsum("kij,kij->k", inside, inside)
+                  + np.einsum("ij,ij->", outside, outside))
     eta = np.sqrt(np.einsum("kij,kij->k", coeffs, coeffs))
     return rho, eta
 
@@ -306,8 +320,12 @@ def select_lambda(prob: RegressionProblem, grid: np.ndarray | None = None) -> fl
 
     The rank truncation of the stacked data does not depend on the ridge, so
     the whole curve is traced from one truncation: one weighted Gram matrix,
-    with every ridge of the sweep solved in one batch. A ridge at which
-    ``solve_wrrtls`` would fail makes this fail the same way. The grid must
+    with every ridge of the sweep solved in one batch, and every residual
+    norm from one thin QR of the weighted design. A ridge at which
+    ``solve_wrrtls`` would fail makes this fail the same way; as the
+    condition number of the normal matrix does not rise with the ridge, one
+    condition number, at the smallest ridge of the sweep, decides whether
+    any is singular. The grid must
     be non-empty, finite and >= 0, and > 0 where it is swept (3 or more
     values), as the sweep is log-spaced.
     """

@@ -573,7 +573,8 @@ class BilinearMap:
 
     Baseline field model for ablations. Provides no predictive variance
     (``variance_at`` returns None, callers fall back to uniform weights);
-    gradients come from central finite differences of the interpolant.
+    gradients come from central finite differences of the interpolant, with
+    every shifted point of a query evaluated in one interpolator call.
     Axes along which the lattice is degenerate (single level) are treated
     as directions of no field change.
     """
@@ -639,14 +640,16 @@ class BilinearMap:
         grads = np.full((ts.shape[0], 3, 3), np.nan)
         if np.any(inside):
             sub = ts[inside][:, self.active]
-            g = np.zeros((sub.shape[0], 3, 3))
-            for col, axis in enumerate(self.active):
-                step = np.zeros(len(self.active))
-                step[col] = _FD_STEP
-                hi_pts = np.minimum(sub + step, self.hi)
-                lo_pts = np.maximum(sub - step, self.lo)
-                denom = hi_pts[:, col] - lo_pts[:, col]
-                denom[denom == 0] = np.inf
-                g[:, :, axis] = (self._eval(hi_pts) - self._eval(lo_pts)) / denom[:, None]
+            n, k = sub.shape
+            steps = _FD_STEP * np.eye(k)[:, None]  # (k, 1, k): one shift per active axis
+            hi_pts = np.minimum(sub + steps, self.hi)  # (k, n, k)
+            lo_pts = np.maximum(sub - steps, self.lo)
+            shifted = np.concatenate([hi_pts, lo_pts]).reshape(-1, k)
+            hi_vals, lo_vals = self._eval(shifted).reshape(2, k, n, 3)
+            axis = np.arange(k)
+            denom = hi_pts[axis, :, axis] - lo_pts[axis, :, axis]  # (k, n)
+            denom[denom == 0] = np.inf
+            g = np.zeros((n, 3, 3))
+            g[:, :, self.active] = ((hi_vals - lo_vals) / denom[..., None]).transpose(1, 2, 0)
             grads[inside] = g
         return grads, inside

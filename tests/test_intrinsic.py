@@ -344,7 +344,7 @@ def _reference_lcurve(prob, ridges):
     """The L-curve traced ridge by ridge: one full solve and one truncation each."""
     rho, eta = [], []
     for lam in ridges:
-        dist = solve_wrrtls(prob.with_ridge(lam))
+        dist = intrinsic.solve_wrrtls(prob.with_ridge(lam))
         obs_bar, design_bar = intrinsic._truncated_parts(prob)
         a = np.hstack([dist.gain, dist.bias[:, None]])
         rho.append(np.linalg.norm((design_bar @ a.T - obs_bar) * prob.weights[:, None]))
@@ -409,6 +409,95 @@ def test_select_lambda_singular_gain_raises():
     prob = RegressionProblem.from_pairs(x, 1e-3 * x)  # |det(gain)| = 1e-9
     with pytest.raises(RegressionError, match="gain matrix is numerically singular"):
         select_lambda(prob)
+
+
+def _dense(grid):
+    """The internal sweep ``select_lambda`` traces for a sorted grid."""
+    return np.logspace(np.log10(grid[0]), np.log10(grid[-1]), 160)
+
+
+def _select_outcome(monkeypatch, prob, grid, lcurve):
+    """``("picked", ridge)``, or ``("raised", ridge, message)`` with the
+    ridge of the ``solve_wrrtls`` call the error came from, of
+    ``select_lambda`` with ``intrinsic._lcurve`` set to ``lcurve``."""
+    ridges = []
+
+    def recording(p):
+        ridges.append(p.ridge)
+        return solve_wrrtls(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(intrinsic, "_lcurve", lcurve)
+        m.setattr(intrinsic, "solve_wrrtls", recording)
+        try:
+            return ("picked", select_lambda(prob, grid))
+        except RegressionError as err:
+            return ("raised", ridges[-1], str(err))
+
+
+def _near_singular_problem(seed):
+    """Noise-free readings on a plane 2 um thick: the weighted normal matrix
+    is near-singular at small ridges, the gain is not."""
+    rng = np.random.default_rng(seed)
+    truth = _random_affine(rng)
+    x = _planar_excitation(rng, 400, thickness=2e-6)
+    return RegressionProblem.from_pairs(x, truth.apply_many(x))
+
+
+def _grids_straddling_max_cond(prob):
+    """Two grids whose first dense ridge gives a normal-matrix condition
+    number just above and just below ``_MAX_NORMAL_COND``, by bisection on
+    the grid's smallest value."""
+    xw, _ = intrinsic._weighted_parts(prob)
+    gram = xw.T @ xw
+
+    def grid(log_first):
+        return np.array([10.0 ** log_first, 1e-4, 1e2])
+
+    def first_cond(log_first):
+        return np.linalg.cond(gram + _dense(grid(log_first))[0] * np.eye(4))
+
+    above, below = -14.0, -5.0
+    assert first_cond(above) > intrinsic._MAX_NORMAL_COND >= first_cond(below)
+    for _ in range(60):
+        mid = 0.5 * (above + below)
+        if first_cond(mid) > intrinsic._MAX_NORMAL_COND:
+            above = mid
+        else:
+            below = mid
+    assert first_cond(above) < 1.001 * intrinsic._MAX_NORMAL_COND
+    assert first_cond(below) > 0.999 * intrinsic._MAX_NORMAL_COND
+    return grid(above), grid(below)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_select_lambda_near_singular_normal_matrix_fails_like_per_ridge_solves(
+        monkeypatch, seed):
+    # only the smallest ridge's condition number is taken: at the threshold
+    # it must decide exactly as solving every ridge in turn does
+    prob = _near_singular_problem(seed)
+    above, below = _grids_straddling_max_cond(prob)
+    outcomes = [_select_outcome(monkeypatch, prob, grid, intrinsic._lcurve)
+                for grid in (above, below)]
+    assert outcomes == [_select_outcome(monkeypatch, prob, grid, _reference_lcurve)
+                        for grid in (above, below)]
+    raised, picked = outcomes
+    assert raised[:2] == ("raised", _dense(above)[0])
+    assert "normal matrix is numerically singular" in raised[2]
+    assert picked[0] == "picked"
+
+
+def test_select_lambda_gain_singular_from_a_middle_ridge_raises_there(monkeypatch):
+    # |det(gain)| = 1.16e-9 at small ridges; the ridge shrinks the gain
+    # until its determinant falls below 1e-9 inside the sweep
+    rng = np.random.default_rng(20)
+    x = _rich_excitation(rng, 40)
+    prob = RegressionProblem.from_pairs(x, 1.05e-3 * x)
+    grid = np.logspace(-8.0, 4.0, 7)
+    outcome = _select_outcome(monkeypatch, prob, grid, intrinsic._lcurve)
+    assert outcome == _select_outcome(monkeypatch, prob, grid, _reference_lcurve)
+    assert outcome[0] == "raised" and "gain matrix is numerically singular" in outcome[2]
+    assert _dense(grid)[0] < outcome[1] < _dense(grid)[-1]
 
 
 @pytest.mark.parametrize("grid, problem", [

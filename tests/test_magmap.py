@@ -12,6 +12,7 @@ from magcalib.magmap import (
     OutOfMapError,
     _CholeskyFit,
     _LatticeFit,
+    _FD_STEP,
     _kernel,
     build_map,
 )
@@ -590,3 +591,52 @@ def test_bilinear_gradient_near_linear_field():
     g = grid.gradient_many(np.array([[1.3, 2.1, 0.9]]))[0][0]
     expected = np.array([[2.0, -1.0, 0.0], [0.0, 0.0, 0.5], [1.0, 0.0, 0.0]])
     assert np.allclose(g, expected, atol=1e-6)
+
+
+def _per_axis_gradient(grid, ts):
+    """The bilinear gradient one active axis at a time, two interpolator
+    calls per axis: the reference for the batched ``gradient_many``."""
+    sub = np.asarray(ts, float)[:, grid.active]
+    g = np.zeros((sub.shape[0], 3, 3))
+    for col, axis in enumerate(grid.active):
+        step = np.zeros(len(grid.active))
+        step[col] = _FD_STEP
+        hi_pts = np.minimum(sub + step, grid.hi)
+        lo_pts = np.maximum(sub - step, grid.lo)
+        denom = hi_pts[:, col] - lo_pts[:, col]
+        denom[denom == 0] = np.inf
+        g[:, :, axis] = (grid._eval(hi_pts) - grid._eval(lo_pts)) / denom[:, None]
+    return g
+
+
+def _wavy(p):
+    return np.array([20.0 + np.sin(1.3 * p[0]) * np.cos(0.7 * p[1]) + p[2] ** 2,
+                     5.0 + np.cos(0.9 * p[0] + 0.4 * p[2]), -40.0 + p[0] * p[1]])
+
+
+@pytest.mark.parametrize("zs", [np.linspace(0.2, 1.4, 4), [0.5]])
+def test_bilinear_gradient_matches_per_axis_reference(zs):
+    xs = np.linspace(0.0, 3.0, 5)
+    ys = np.linspace(-1.0, 2.0, 7)
+    grid = BilinearMap(lattice_dataset(_wavy, xs, ys, zs))
+    lo = np.array([xs[0], ys[0], zs[0]])
+    hi = np.array([xs[-1], ys[-1], zs[-1]])
+    rng = np.random.default_rng(31)
+    interior = rng.uniform(lo, hi, size=(40, 3))
+    faces = rng.uniform(lo, hi, size=(30, 3))
+    axis = rng.integers(0, 3, 30)
+    faces[np.arange(30), axis] = np.where(rng.random(30) < 0.5, lo[axis], hi[axis])
+    # within one step of a face, so that step is clipped
+    near = rng.uniform(lo, hi, size=(30, 3))
+    near[:, 0] = np.where(rng.random(30) < 0.5, lo[0] + 0.3 * _FD_STEP,
+                          hi[0] - 0.7 * _FD_STEP)
+    nodes = lattice_dataset(_wavy, xs, ys, zs).positions()[::3]
+    corners = np.array([lo, hi, [lo[0], hi[1], lo[2]], [hi[0], lo[1], hi[2]]])
+    pts = np.vstack([interior, faces, near, nodes, corners])
+    grads, inside = grid.gradient_many(pts)
+    assert inside.all()
+    assert len(grid.active) == (3 if len(zs) > 1 else 2)
+    assert np.array_equal(grads, _per_axis_gradient(grid, pts))
+    for i in range(0, pts.shape[0], 17):  # alone, as in one LM sample
+        assert np.array_equal(grid.gradient_many(pts[i:i + 1])[0],
+                              _per_axis_gradient(grid, pts[i:i + 1]))
