@@ -232,8 +232,7 @@ def _jacobian(field_map, state: _EvalState) -> np.ndarray:
     """Stacked (3*n_in, 3) lever-arm derivative of ``state``'s residuals."""
     grads, _ = field_map.gradient_many(state.positions, allow_outside=False)
     rot = state.rotations
-    return np.einsum("ab,nbc,ncd,nde->nae", state.distortion.gain,
-                     rot.transpose(0, 2, 1), grads, rot).reshape(-1, 3)
+    return (state.distortion.gain @ (rot.transpose(0, 2, 1) @ grads @ rot)).reshape(-1, 3)
 
 
 def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
