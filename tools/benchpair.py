@@ -17,10 +17,13 @@ one ``--trace 1`` run at seed S per workload, base first.
 
 The output file holds every run (its record's end-to-end values, accuracy,
 op wall times, set-up samples and provenance, with the commit the side ran:
-``run.py`` itself records ``git_commit: "unknown"`` in an export), the
-per-side medians and quartiles with the head's wins and the verdict, both
-computed by the head export's ``magbench/compare.py``, and that script's own
-printout. Each paired seed's largest relative deviation between the sides'
+``run.py`` itself records ``git_commit: "unknown"`` in an export, and the
+CPU seconds the run's process and its children used), the per-side medians
+and quartiles with the head's wins and the verdict, both computed by the
+head export's ``magbench/compare.py``, each side's median CPU seconds per
+trial, and that script's own printout. On a shared host the wall time of
+identical code swings with the time other tenants take; the CPU time
+swings far less, so it tells host steal from a change in the code. Each paired seed's largest relative deviation between the sides'
 accuracy values is recorded too; a seed is listed under
 ``accuracy_differs_at_seeds`` only beyond ``ACCURACY_RTOL``, and the bound
 is printed with the largest deviation. The exports and their
@@ -33,6 +36,7 @@ import argparse
 import importlib.util
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -65,27 +69,35 @@ def seed_range(text: str) -> list:
     return seeds
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """One ``run.py`` invocation in ``tree``: ``(record file name, record)``."""
+    """One ``run.py`` invocation in ``tree``: ``(record file name, record,
+    CPU seconds of the run's process and the children it waited for)``."""
     out = tree / "magbench" / "out"
     before = set(out.glob("*.json"))
+    cpu_before = _children_cpu_s()
     proc = subprocess.run(
         [sys.executable, "magbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
+    cpu_s = _children_cpu_s() - cpu_before
     written = sorted(set(out.glob("*.json")) - before)
     if len(written) != 1:
         raise RuntimeError(f"{tree.name} {workload} seed {seed}: run.py exited "
                            f"{proc.returncode} without one record:\n{proc.stderr[-2000:]}")
-    return written[0].name, json.loads(written[0].read_text())
+    return written[0].name, json.loads(written[0].read_text()), cpu_s
 
 
-def run_entry(side, commit, workload, seed, pair, ran_first, name, record) -> dict:
+def run_entry(side, commit, workload, seed, pair, ran_first, name, record, cpu_s) -> dict:
     result, extra = record["result"], record["extra"]
     return {"side": side, "commit": commit, "workload": workload, "seed": seed,
             "pair": pair, "ran_first": ran_first, "record": name,
             "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "cpu_s": cpu_s,
             "values": {k: v["value"] for k, v in result["metrics"].items()},
             "accuracy": extra.get("accuracy"), "ops": extra.get("ops"),
             "op_wall_s": extra.get("op_wall_s"),
@@ -102,9 +114,10 @@ def accuracy_deviation(base: dict | None, head: dict | None) -> float:
 
 def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> dict:
     """Per-metric medians, quartiles, wins and verdict, as compare.py scores
-    them, over the seeds whose runs are correct on both sides, and each
-    paired seed's largest relative accuracy deviation; a seed counts as
-    differing only beyond ``ACCURACY_RTOL``."""
+    them, over the seeds whose runs are correct on both sides, each side's
+    median CPU seconds per trial over those runs, and each paired seed's
+    largest relative accuracy deviation; a seed counts as differing only
+    beyond ``ACCURACY_RTOL``."""
     by_key = {(r["side"], r["seed"]): r for r in runs if r["workload"] == workload}
     paired = [s for s in seeds if by_key[("base", s)]["correct"]
               and by_key[("head", s)]["correct"]]
@@ -121,6 +134,10 @@ def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> d
                      "head_over_base": statistics.median(h) / statistics.median(b),
                      "head_wins": wins,
                      "verdict": compare.verdict(metric, b, h, wins, len(paired))}
+    if paired:
+        cpu = {side: statistics.median(by_key[(side, s)]["cpu_s"] / by_key[(side, s)]["attempted"]
+                                       for s in paired) for side in ("base", "head")}
+        out["cpu_s_per_trial"] = {**cpu, "head_over_base": cpu["head"] / cpu["base"]}
     for side in ("base", "head"):
         side_runs = [by_key[(side, s)] for s in seeds]
         out[f"{side}_failed"] = sum(r["failed"] for r in side_runs)
@@ -135,12 +152,17 @@ def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> d
     return out
 
 
-def print_accuracy(workload: str, summary: dict) -> None:
+def print_summary(workload: str, summary: dict) -> None:
+    """The accuracy deviation and, when any pair is correct, the CPU per trial."""
     differs = summary["accuracy_differs_at_seeds"]
     verdict = f"beyond it at seeds {differs}" if differs else "within it at every seed"
     print(f"{workload}: largest relative accuracy deviation "
           f"{summary['accuracy_largest_deviation']:.3g}, bound {summary['accuracy_rtol']:g}: "
           f"{verdict}")
+    cpu = summary.get("cpu_s_per_trial")
+    if cpu:
+        print(f"{workload}: median CPU s per trial base {cpu['base']:.4g} "
+              f"head {cpu['head']:.4g} (head/base {cpu['head_over_base']:.3f})")
 
 
 def main(argv=None) -> int:
@@ -176,19 +198,23 @@ def main(argv=None) -> int:
         for pair, seed in enumerate(args.seeds, 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
             for side in order:
-                name, record = run(trees[side], workload, seed, seconds, 0)
+                name, record, cpu_s = run(trees[side], workload, seed, seconds, 0)
                 runs.append(run_entry(side, commits[side], workload, seed, pair,
-                                      side == order[0], name, record))
-            values = {r["side"]: r["values"].get("trials_per_s") for r in runs[-2:]}
-            print(f"{workload} pair {pair}/{len(args.seeds)} seed {seed}: "
-                  f"trials_per_s base {values['base']} head {values['head']}", flush=True)
+                                      side == order[0], name, record, cpu_s))
+            last = {r["side"]: r for r in runs[-2:]}
+            print(f"{workload} pair {pair}/{len(args.seeds)} seed {seed}: trials_per_s "
+                  f"base {last['base']['values'].get('trials_per_s')} "
+                  f"head {last['head']['values'].get('trials_per_s')}; CPU s "
+                  f"base {last['base']['cpu_s']:.1f} head {last['head']['cpu_s']:.1f}",
+                  flush=True)
         if args.trace_seed is not None:
             traced[workload] = {}
             for side in ("base", "head"):
-                name, record = run(trees[side], workload, args.trace_seed, seconds, 1)
+                name, record, cpu_s = run(trees[side], workload, args.trace_seed,
+                                          seconds, 1)
                 traced[workload][side] = {
                     "commit": commits[side], "seed": args.trace_seed, "record": name,
-                    "correct": record["result"]["correct"],
+                    "correct": record["result"]["correct"], "cpu_s": cpu_s,
                     "metrics": {k: v["value"]
                                 for k, v in record["result"]["metrics"].items()},
                     **{k: record["extra"].get(k) for k in
@@ -208,7 +234,7 @@ def main(argv=None) -> int:
             if k not in ("git_commit", "seed", "default_seed")}
     summary = {w: summarize(compare, bench, runs, w, args.seeds) for w in args.workload}
     for workload, entry in summary.items():
-        print_accuracy(workload, entry)
+        print_summary(workload, entry)
     doc = {"what": args.what,
            "command": f"python3 magbench/run.py --workload WORKLOAD --seed SEED "
                       f"--seconds {seconds:g} --trace 0",
