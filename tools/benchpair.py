@@ -21,12 +21,12 @@ op wall times, set-up samples and provenance, with the commit the side ran:
 CPU seconds the run's process and its children used), the per-side medians
 and quartiles with the head's wins and the verdict, both computed by the
 head export's ``magbench/compare.py``, each side's median CPU seconds per
-trial, and that script's own printout. On a shared host the wall time of
-identical code swings with the time other tenants take; the CPU time
-swings far less, so it tells host steal from a change in the code. Each paired seed's largest relative deviation between the sides'
-accuracy values is recorded too; a seed is listed under
-``accuracy_differs_at_seeds`` only beyond ``ACCURACY_RTOL``, and the bound
-is printed with the largest deviation. The exports and their
+trial, and that script's own printout. CPU time leaves out the time a run
+waited for a core, so on a shared host it tells time taken by other
+tenants from a change in the code. Each paired seed's largest relative
+deviation between the sides' accuracy values is recorded too; a seed is
+listed under ``accuracy_differs_at_seeds`` only beyond ``ACCURACY_RTOL``,
+and the bound is printed with the largest deviation. The exports and their
 ``magbench/out`` records stay in DIR.
 """
 
@@ -135,8 +135,9 @@ def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> d
                      "head_wins": wins,
                      "verdict": compare.verdict(metric, b, h, wins, len(paired))}
     if paired:
-        cpu = {side: statistics.median(by_key[(side, s)]["cpu_s"] / by_key[(side, s)]["attempted"]
-                                       for s in paired) for side in ("base", "head")}
+        cpu = {side: statistics.median(r["cpu_s"] / r["attempted"]
+                                       for r in (by_key[(side, s)] for s in paired))
+               for side in ("base", "head")}
         out["cpu_s_per_trial"] = {**cpu, "head_over_base": cpu["head"] / cpu["base"]}
     for side in ("base", "head"):
         side_runs = [by_key[(side, s)] for s in seeds]
