@@ -148,12 +148,15 @@ def _product_grid(pos: np.ndarray):
     """``(nodes, cell)`` when the rows of ``pos`` (n, 3) are the n distinct
     nodes of a full product grid: each axis's ascending node coordinates
     and each row's flat C-order grid cell. None otherwise."""
-    nodes, codes = zip(*(np.unique(pos[:, axis], return_inverse=True) for axis in range(3)))
+    nodes = tuple(np.unique(pos[:, axis]) for axis in range(3))
     shape = tuple(len(c) for c in nodes)
     if np.prod(shape) != len(pos):
         return None
-    cell = np.ravel_multi_index(codes, shape)
-    return (nodes, cell) if np.unique(cell).size == len(pos) else None
+    cell = np.ravel_multi_index([np.searchsorted(c, pos[:, axis])
+                                 for axis, c in enumerate(nodes)], shape)
+    seen = np.zeros(len(pos), bool)
+    seen[cell] = True  # n rows fill all n cells only when no two share one
+    return (nodes, cell) if seen.all() else None
 
 
 def _fit_block(block: MapBlock):
@@ -396,6 +399,12 @@ class MagMap:
         self.overlap = float(overlap)
         self.grid_lo = np.asarray(grid_lo, float)
         self.grid_shape = np.asarray(grid_shape, int)
+        if not (np.isfinite(self.block_size) and self.block_size > 0):
+            raise MapError(f"block_size must be finite and > 0, got {self.block_size}")
+        if not (np.isfinite(self.overlap) and self.overlap >= 0):
+            raise MapError(f"overlap must be finite and >= 0, got {self.overlap}")
+        if not np.isfinite(self.grid_lo).all():
+            raise MapError(f"grid_lo must be finite, got {self.grid_lo.tolist()}")
         self.grid_hi = self.grid_lo + self.grid_shape * self.block_size
         self.blocks = blocks  # {(i,j,k): MapBlock}, non-empty cells only
         keys = np.array(list(blocks), int)

@@ -8,9 +8,13 @@ with fixed field order::
 
 positions in meters, readings in uT. A fingerprint file is read into
 columns and converted and validated once per file, not once per record; a
-malformed record raises naming the file and its 1-based line. Map files are
-versioned JSON containers holding hyperparameters, grid metadata, and
-per-block training arrays; each block's arrays are checked on load and the
+malformed record raises naming the file and its 1-based line. A map file
+(schema ``magmap/2``) is one JSON document holding hyperparameters, grid
+metadata and per-block training arrays. A block's ``lo`` and ``hi`` are
+lists of 3 numbers; its ``positions`` and ``fields`` are each an (n, 3)
+array packed as the base64 text of its little-endian float64 bytes in C
+order (``"<f8"``), so that a map round-trips bit for bit without printing
+or parsing decimal text. Each block's arrays are checked on load and the
 block is factored on its first query.
 
 Every JSON document (world, rig, hyperparameters, calibration config,
@@ -24,6 +28,7 @@ dataclass it fills or, where the document's differs, at its reader.
 
 from __future__ import annotations
 
+import base64
 import inspect
 import json
 from dataclasses import fields
@@ -38,7 +43,7 @@ from .magmap import GpHyperparams, MagMap, MapBlock, MapError
 from .simulator import Box, Dipole, SensorRig, WorldConfig
 from .sweeps import SweepSpec, default_path_specs
 
-MAP_SCHEMA = "magmap/1"
+MAP_SCHEMA = "magmap/2"
 RESULT_SCHEMA = "calibration-result/1"
 
 QUAT_NORM_TOL = 1e-6
@@ -173,9 +178,25 @@ def _numbers(row: list) -> bool:
 # map persistence
 
 
+def _pack(rows: np.ndarray) -> str:
+    """An (n, 3) array as the base64 text of its ``<f8`` C-order bytes."""
+    return base64.b64encode(np.ascontiguousarray(rows, "<f8").tobytes()).decode("ascii")
+
+
+def _unpack(text) -> np.ndarray:
+    """The owned (n, 3) float array that :func:`_pack` wrote as ``text``."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % 24:
+        raise ValueError(f"{len(raw)} bytes is not a whole number of 3 x 8-byte rows")
+    return np.frombuffer(raw, "<f8").reshape(-1, 3).astype(float)
+
+
 def save_map(field_map: MagMap, path) -> None:
+    """Write ``field_map`` as a ``magmap/2`` document: each block's training
+    ``positions`` and ``fields`` (n, 3) are base64 text of their ``<f8``
+    bytes in C order (see :func:`_pack`), so the arrays load bit for bit."""
     blocks = [{"index": list(key), "lo": list(block.lo), "hi": list(block.hi),
-               "positions": block.train_pos.tolist(), "fields": block.train_field.tolist()}
+               "positions": _pack(block.train_pos), "fields": _pack(block.train_field)}
               for key, block in field_map.blocks.items()]
     doc = {
         "schema": MAP_SCHEMA,
@@ -193,15 +214,16 @@ def save_map(field_map: MagMap, path) -> None:
 def _block_arrays(entry: dict) -> tuple:
     """A stored block's ``lo``, ``hi``, ``positions`` and ``fields`` as float
     arrays, checked before the fit so that a bad block raises ``MapError``
-    instead of fitting NaN into every query it serves."""
+    instead of fitting NaN into every query it serves. A payload that is not
+    valid base64 of whole (n, 3) rows does not parse."""
     where = f"map block {entry['index']}"
     try:
-        arrays = tuple(np.asarray(entry[key], float)
-                       for key in ("lo", "hi", "positions", "fields"))
+        arrays = (np.asarray(entry["lo"], float), np.asarray(entry["hi"], float),
+                  _unpack(entry["positions"]), _unpack(entry["fields"]))
     except (TypeError, ValueError) as exc:
         raise MapError(f"{where}: arrays do not parse: {exc!r}") from None
     shapes = [a.shape for a in arrays]
-    n = shapes[2][0] if len(shapes[2]) == 2 else 0
+    n = shapes[2][0]
     if n == 0 or shapes != [(3,), (3,), (n, 3), (n, 3)]:
         raise MapError(f"{where}: lo, hi, positions, fields need shapes (3,), (3,), "
                        f"(n, 3), (n, 3) with n >= 1, not {shapes}")
@@ -211,6 +233,10 @@ def _block_arrays(entry: dict) -> tuple:
 
 
 def load_map(path) -> MagMap:
+    """Read a ``magmap/2`` document written by :func:`save_map`; any other
+    schema raises naming ``magmap/2``. Block ``positions`` and ``fields``
+    decode from base64 ``<f8`` C-order bytes to (n, 3) arrays, and nothing
+    is factored until a query reaches a block."""
     def build(doc):
         _keys(doc, ("schema", "hyper", "block_size", "overlap", "grid_lo", "grid_shape",
                     "blocks"), schema=MAP_SCHEMA)

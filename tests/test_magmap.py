@@ -14,6 +14,7 @@ from magcalib.magmap import (
     _LatticeFit,
     _FD_STEP,
     _kernel,
+    _product_grid,
     build_map,
 )
 from magcalib.simulator import WorldConfig, field_at_many, survey_dataset, survey_positions
@@ -525,6 +526,45 @@ def test_singular_lattice_block_raises_naming_the_block(nodes, noise_variance):
     for query in (field_map.query_many, field_map.gradient_many, field_map.query_many):
         with pytest.raises(MapError, match=r"map block \(0, 0, 0\): .*noise_variance"):
             query(t)
+
+
+def _reference_product_grid(pos):
+    """The grid test as two ``np.unique`` passes: per axis with the inverse
+    codes, then over the flat cells."""
+    nodes, codes = zip(*(np.unique(pos[:, axis], return_inverse=True) for axis in range(3)))
+    shape = tuple(len(c) for c in nodes)
+    if np.prod(shape) != len(pos):
+        return None
+    cell = np.ravel_multi_index(codes, shape)
+    return (nodes, cell) if np.unique(cell).size == len(pos) else None
+
+
+def _lattice_rows():
+    x, y, z = np.meshgrid([0.0, 0.7, 1.4, 2.1], [-1.0, 0.5, 2.0], [0.3, 0.9], indexing="ij")
+    return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+
+
+def _duplicated_row(pos):
+    pos = pos.copy()
+    pos[5] = pos[17]  # n rows over n cells, one cell twice and one empty
+    return pos
+
+
+@pytest.mark.parametrize("edit, is_grid", [
+    (lambda pos: pos, True),
+    (lambda pos: np.random.default_rng(3).permutation(pos), True),
+    (_duplicated_row, False),
+    (lambda pos: np.vstack([pos, pos[4]]), False),
+    (lambda pos: np.delete(pos, 9, axis=0), False),
+    (lambda pos: pos + np.random.default_rng(4).normal(0.0, 1e-3, pos.shape), False),
+])
+def test_product_grid_matches_reference(edit, is_grid):
+    pos = edit(_lattice_rows())
+    got, want = _product_grid(pos), _reference_product_grid(pos)
+    assert (got is not None) == (want is not None) == is_grid
+    if is_grid:
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import base64
 import copy
 import functools
 import json
@@ -218,18 +219,26 @@ def test_jsonl_errors_name_file_and_line(tmp_path, bad, error, match):
 
 
 def test_map_save_load_round_trip(tmp_path, gentle_map):
+    """The packed arrays load bit for bit, so every query answers the same."""
     path = tmp_path / "map.json"
     save_map(gentle_map, path)
     loaded = load_map(path)
+    assert list(loaded.blocks) == list(gentle_map.blocks)
+    for key, block in gentle_map.blocks.items():
+        other = loaded.blocks[key]
+        for a, b in ((block.lo, other.lo), (block.hi, other.hi),
+                     (block.train_pos, other.train_pos),
+                     (block.train_field, other.train_field)):
+            assert np.array_equal(a, b)
     rng = np.random.default_rng(2)
     pts = rng.uniform([2.0, 2.0, 0.6], [6.0, 6.0, 1.2], size=(25, 3))
     a_mean, a_var, _ = gentle_map.query_many(pts)
     b_mean, b_var, _ = loaded.query_many(pts)
-    assert np.allclose(a_mean, b_mean, atol=1e-9)
-    assert np.allclose(a_var, b_var, atol=1e-9)
+    assert np.array_equal(a_mean, b_mean)
+    assert np.array_equal(a_var, b_var)
     ga, _ = gentle_map.gradient_many(pts)
     gb, _ = loaded.gradient_many(pts)
-    assert np.allclose(ga, gb, atol=1e-9)
+    assert np.array_equal(ga, gb)
 
 
 def test_map_schema_guard(tmp_path):
@@ -353,9 +362,30 @@ def test_map_block_index_outside_grid_is_labeled_error(tmp_path, index):
         load_map(path)
 
 
+def _decode(text):
+    return np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, 3)
+
+
+def _encode(rows):
+    return base64.b64encode(np.asarray(rows, "<f8").tobytes()).decode("ascii")
+
+
 def _set_block(key, row, value):
+    """Edit one row of a block: in place for ``lo`` and ``hi``, through
+    decode, edit and encode for the packed ``positions`` and ``fields``."""
     def edit(block):
-        block[key][row] = value
+        if key in ("lo", "hi"):
+            block[key][row] = value
+        else:
+            rows = _decode(block[key]).copy()
+            rows[row] = value
+            block[key] = _encode(rows)
+    return edit
+
+
+def _repack(key, fn):
+    def edit(block):
+        block[key] = _encode(fn(_decode(block[key])))
     return edit
 
 
@@ -364,13 +394,22 @@ def _set_block(key, row, value):
     (_set_block("positions", 0, [0.0, float("inf"), 0.5]), "finite"),
     (_set_block("fields", 2, [20.0, float("nan"), -40.0]), "finite"),
     (_set_block("fields", 0, [float("-inf"), 0.0, -40.0]), "finite"),
-    (lambda block: block["fields"].pop(), "need shapes"),
-    (lambda block: block.update(positions=[], fields=[]), "need shapes"),
+    (_repack("fields", lambda rows: rows[:-1]), "need shapes"),
+    (lambda block: block.update(positions=_encode(np.empty((0, 3))),
+                                fields=_encode(np.empty((0, 3)))), "need shapes"),
     (_set_block("lo", 0, float("nan")), "finite"),
     (_set_block("hi", 2, float("inf")), "finite"),
-    (lambda block: block["positions"][1].pop(), "do not parse"),
+    (lambda block: block.update(positions=_decode(block["positions"]).tolist()),
+     "do not parse"),
+    (lambda block: block.update(positions="AAAA*AAA"), "do not parse"),
+    (lambda block: block.update(positions=base64.b64encode(
+        base64.b64decode(block["positions"])[:-8]).decode("ascii")), "do not parse"),
+    (_repack("positions", lambda rows: np.vstack([rows, rows[-1:] + 0.5])), "need shapes"),
 ])
 def test_map_block_arrays_are_checked_on_load(tmp_path, edit, match):
+    """A stored block's payload is decoded, edited and re-encoded; each fault
+    raises ``MapError``. A ``magmap/1`` list of rows, text that is not base64
+    and a byte count that is not whole rows of 3 floats do not parse."""
     path, doc = _three_block_map_doc(tmp_path)
     edit(doc["blocks"][1])
     path.write_text(json.dumps(doc))
@@ -378,64 +417,40 @@ def test_map_block_arrays_are_checked_on_load(tmp_path, edit, match):
         load_map(path)
 
 
-def test_result_round_trip(tmp_path):
-    result = CalibrationResult(
-        translation=np.array([0.3, -0.1, 0.2]),
-        distortion=AffineDistortion(np.eye(3) * 1.05, np.array([1.0, -2.0, 0.5])),
-        converged=True,
-        iterations=7,
-        final_rms=0.12,
-        trace=[(np.zeros(3), 5.0), (np.array([0.3, -0.1, 0.2]), 1.0)],
-        skipped_samples=0,
-    )
-    path = tmp_path / "result.json"
-    save_result(result, path, data_path="data.jsonl")
-    doc = load_result(path)
-    assert doc["converged"] is True
-    assert doc["iterations"] == 7
-    assert doc["data"] == "data.jsonl"
-    assert np.allclose(doc["translation"], [0.3, -0.1, 0.2])
-    assert len(doc["cost_trace"]) == 2
+def test_map_stores_packed_float64_rows(tmp_path):
+    """``positions`` and ``fields`` are base64 of (n, 3) ``<f8`` C-order bytes."""
+    path, doc = _three_block_map_doc(tmp_path)
+    assert doc["schema"] == "magmap/2"
+    for entry, block in zip(doc["blocks"], _three_block_map().blocks.values()):
+        assert entry["positions"] == _encode(block.train_pos)
+        assert np.array_equal(_decode(entry["fields"]), block.train_field)
 
 
-def test_config_loaders(tmp_path):
-    world_doc = {
-        "extent": {"lo": [0, 0, 0], "hi": [20, 15, 3]},
-        "ambient": [30.0, 0.0, -30.0],
-        "dipoles": [{"position": [5, 5, 2.5], "moment": [0, 0, 40]}],
-        "seed": 3,
-    }
-    wp = tmp_path / "world.json"
-    wp.write_text(json.dumps(world_doc))
-    world = load_world(wp)
-    assert world.rng_seed == 3
-    assert len(world.dipoles) == 1
+def test_magmap_1_document_is_rejected_naming_magmap_2(tmp_path):
+    """A ``magmap/1`` map, with rows as lists of numbers, has no reader."""
+    path, doc = _three_block_map_doc(tmp_path)
+    doc["schema"] = "magmap/1"
+    for entry in doc["blocks"]:
+        for key in ("positions", "fields"):
+            entry[key] = _decode(entry[key]).tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"unsupported schema 'magmap/1', expected "
+                                         r"'magmap/2'"):
+        load_map(path)
 
-    rig_doc = {
-        "noise_sigma": 0.2,
-        "sensors": [{"offset": [0.3, -0.1, 0.2],
-                     "gain": (np.eye(3) * 1.1).tolist(),
-                     "bias": [1.0, 2.0, -1.0]}],
-    }
-    rp = tmp_path / "rig.json"
-    rp.write_text(json.dumps(rig_doc))
-    rig = load_rig(rp)
-    assert rig.n_sensors == 1
-    assert rig.noise_sigma == 0.2
 
-    hp = tmp_path / "hyper.json"
-    hp.write_text(json.dumps({"length_scale": 0.9, "block_size": 6.0,
-                              "overlap": 1.2}))
-    kwargs = load_hyper(hp)
-    assert sorted(kwargs) == ["block_size", "hyper", "overlap"]
-    assert kwargs["hyper"].length_scale == 0.9 and kwargs["hyper"].signal_variance == 25.0
-    assert kwargs["block_size"] == 6.0 and kwargs["overlap"] == 1.2
-
-    cp = tmp_path / "config.json"
-    cp.write_text(json.dumps({"max_iterations": 40, "lambda_policy": "l_curve"}))
-    config = load_calibration_config(cp)
-    assert config.max_iterations == 40
-    assert config.lambda_policy == "l_curve"
+@pytest.mark.parametrize("key, value", [
+    ("block_size", 0.0), ("block_size", -2.0), ("block_size", float("inf")),
+    ("overlap", -5.0), ("overlap", float("nan")), ("grid_lo", [0.0, float("nan"), 0.0]),
+])
+def test_map_grid_metadata_is_checked_on_load(tmp_path, key, value):
+    """Bad grid metadata raises ``MapError`` naming the key, instead of a map
+    that puts every query outside its volume."""
+    path, doc = _three_block_map_doc(tmp_path)
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapError, match=f"^{key} must be finite"):
+        load_map(path)
 
 
 _DROP, _BROKEN = object(), object()

@@ -22,7 +22,13 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   standard output;
 * ``extrinsic.residual`` and ``extrinsic.jacobian`` of that session's map
   and sensor data at one fixed lever arm and distortion, next to each other
-  in ``cli/derivatives_report.json``.
+  in ``cli/derivatives_report.json``;
+* the decoded contents of the session's ``map.json`` and ``valmap.json``, as
+  that tree's own ``serialization.load_map`` reads them (hyperparameters,
+  block size, overlap, grid origin and shape, and each block's index,
+  bounds and training positions and fields), in ``cli/map_contents.json``.
+  Two trees that store maps differently but load the same map differ only
+  in the bytes of the two map files.
 
 Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
 and every output file byte for byte. With ``--rtol R`` a file whose bytes
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import filecmp
 import io
 import json
@@ -102,6 +109,17 @@ _SESSION = (
 )
 
 
+def map_contents(field_map) -> dict:
+    """What a loaded map holds, whatever the file format it came from."""
+    return {"hyper": dataclasses.asdict(field_map.hyper), "block_size": field_map.block_size,
+            "overlap": field_map.overlap, "grid_lo": field_map.grid_lo.tolist(),
+            "grid_shape": field_map.grid_shape.tolist(),
+            "blocks": [{"index": [int(i) for i in block.index], "lo": block.lo.tolist(),
+                        "hi": block.hi.tolist(), "positions": block.train_pos.tolist(),
+                        "fields": block.train_field.tolist()}
+                       for block in field_map.blocks.values()]}
+
+
 def dump(out: Path) -> None:
     """Run every spec and the CLI session with the ``magcalib`` on sys.path."""
     import magcalib
@@ -145,6 +163,9 @@ def dump(out: Path) -> None:
     Path("derivatives_report.json").write_text(json.dumps({
         "residual": residual(inp, _DERIVATIVES_AT, dist).tolist(),
         "jacobian": jacobian(inp, _DERIVATIVES_AT, dist).tolist()}))
+    Path("map_contents.json").write_text(json.dumps(
+        {name: map_contents(serialization.load_map(f"{name}.json"))
+         for name in ("map", "valmap")}))
 
 
 def _leaves(doc, prefix=""):
