@@ -401,15 +401,18 @@ def _repack(key, fn):
     (_set_block("hi", 2, float("inf")), "finite"),
     (lambda block: block.update(positions=_decode(block["positions"]).tolist()),
      "do not parse"),
-    (lambda block: block.update(positions="AAAA*AAA"), "do not parse"),
+    (lambda block: block.update(positions=block["positions"][:8] + "*" + block["positions"][8:]),
+     "do not parse"),
     (lambda block: block.update(positions=base64.b64encode(
-        base64.b64decode(block["positions"])[:-8]).decode("ascii")), "do not parse"),
+        base64.b64decode(block["positions"])[:-8]).decode("ascii")),
+     "do not parse: .*bytes is not a whole number of 3 x 8-byte rows"),
     (_repack("positions", lambda rows: np.vstack([rows, rows[-1:] + 0.5])), "need shapes"),
 ])
 def test_map_block_arrays_are_checked_on_load(tmp_path, edit, match):
     """A stored block's payload is decoded, edited and re-encoded; each fault
-    raises ``MapError``. A ``magmap/1`` list of rows, text that is not base64
-    and a byte count that is not whole rows of 3 floats do not parse."""
+    raises ``MapError``. A ``magmap/1`` list of rows, a character outside the
+    base64 alphabet (which a lax decoder would skip) and a byte count that is
+    not whole rows of 3 floats do not parse."""
     path, doc = _three_block_map_doc(tmp_path)
     edit(doc["blocks"][1])
     path.write_text(json.dumps(doc))
