@@ -114,7 +114,7 @@ def map_contents(field_map) -> dict:
     return {"hyper": dataclasses.asdict(field_map.hyper), "block_size": field_map.block_size,
             "overlap": field_map.overlap, "grid_lo": field_map.grid_lo.tolist(),
             "grid_shape": field_map.grid_shape.tolist(),
-            "blocks": [{"index": [int(i) for i in block.index], "lo": block.lo.tolist(),
+            "blocks": [{"index": list(block.index), "lo": block.lo.tolist(),
                         "hi": block.hi.tolist(), "positions": block.train_pos.tolist(),
                         "fields": block.train_field.tolist()}
                        for block in field_map.blocks.values()]}
