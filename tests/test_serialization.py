@@ -404,8 +404,9 @@ def _repack(key, fn):
     (lambda block: block.update(positions=block["positions"][:8] + "*" + block["positions"][8:]),
      "do not parse"),
     (lambda block: block.update(positions=base64.b64encode(
-        base64.b64decode(block["positions"])[:-8]).decode("ascii")),
-     "do not parse: .*bytes is not a whole number of 3 x 8-byte rows"),
+        base64.b64decode(block["positions"])[:-8]).decode("ascii")), "do not parse"),
+    (lambda block: block.update(positions=base64.b64encode(
+        base64.b64decode(block["positions"])[:-4]).decode("ascii")), "do not parse"),
     (_repack("positions", lambda rows: np.vstack([rows, rows[-1:] + 0.5])), "need shapes"),
 ])
 def test_map_block_arrays_are_checked_on_load(tmp_path, edit, match):
@@ -418,6 +419,66 @@ def test_map_block_arrays_are_checked_on_load(tmp_path, edit, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(MapError, match=match):
         load_map(path)
+
+
+def test_result_round_trip(tmp_path):
+    result = CalibrationResult(
+        translation=np.array([0.3, -0.1, 0.2]),
+        distortion=AffineDistortion(np.eye(3) * 1.05, np.array([1.0, -2.0, 0.5])),
+        converged=True,
+        iterations=7,
+        final_rms=0.12,
+        trace=[(np.zeros(3), 5.0), (np.array([0.3, -0.1, 0.2]), 1.0)],
+        skipped_samples=0,
+    )
+    path = tmp_path / "result.json"
+    save_result(result, path, data_path="data.jsonl")
+    doc = load_result(path)
+    assert doc["converged"] is True
+    assert doc["iterations"] == 7
+    assert doc["data"] == "data.jsonl"
+    assert np.allclose(doc["translation"], [0.3, -0.1, 0.2])
+    assert len(doc["cost_trace"]) == 2
+
+
+def test_config_loaders(tmp_path):
+    world_doc = {
+        "extent": {"lo": [0, 0, 0], "hi": [20, 15, 3]},
+        "ambient": [30.0, 0.0, -30.0],
+        "dipoles": [{"position": [5, 5, 2.5], "moment": [0, 0, 40]}],
+        "seed": 3,
+    }
+    wp = tmp_path / "world.json"
+    wp.write_text(json.dumps(world_doc))
+    world = load_world(wp)
+    assert world.rng_seed == 3
+    assert len(world.dipoles) == 1
+
+    rig_doc = {
+        "noise_sigma": 0.2,
+        "sensors": [{"offset": [0.3, -0.1, 0.2],
+                     "gain": (np.eye(3) * 1.1).tolist(),
+                     "bias": [1.0, 2.0, -1.0]}],
+    }
+    rp = tmp_path / "rig.json"
+    rp.write_text(json.dumps(rig_doc))
+    rig = load_rig(rp)
+    assert rig.n_sensors == 1
+    assert rig.noise_sigma == 0.2
+
+    hp = tmp_path / "hyper.json"
+    hp.write_text(json.dumps({"length_scale": 0.9, "block_size": 6.0,
+                              "overlap": 1.2}))
+    kwargs = load_hyper(hp)
+    assert sorted(kwargs) == ["block_size", "hyper", "overlap"]
+    assert kwargs["hyper"].length_scale == 0.9 and kwargs["hyper"].signal_variance == 25.0
+    assert kwargs["block_size"] == 6.0 and kwargs["overlap"] == 1.2
+
+    cp = tmp_path / "config.json"
+    cp.write_text(json.dumps({"max_iterations": 40, "lambda_policy": "l_curve"}))
+    config = load_calibration_config(cp)
+    assert config.max_iterations == 40
+    assert config.lambda_policy == "l_curve"
 
 
 def test_map_stores_packed_float64_rows(tmp_path):
