@@ -383,6 +383,13 @@ class _LatticeStacks:
         return grads
 
 
+def _check_block_geometry(block_size: float, overlap: float) -> None:
+    if not (np.isfinite(block_size) and block_size > 0):
+        raise MapError(f"block_size must be finite and > 0, got {block_size}")
+    if not (np.isfinite(overlap) and overlap >= 0):
+        raise MapError(f"overlap must be finite and >= 0, got {overlap}")
+
+
 class MagMap:
     """Immutable GP field map over a regular grid of blocks.
 
@@ -399,10 +406,7 @@ class MagMap:
         self.overlap = float(overlap)
         self.grid_lo = np.asarray(grid_lo, float)
         self.grid_shape = np.asarray(grid_shape, int)
-        if not (np.isfinite(self.block_size) and self.block_size > 0):
-            raise MapError(f"block_size must be finite and > 0, got {self.block_size}")
-        if not (np.isfinite(self.overlap) and self.overlap >= 0):
-            raise MapError(f"overlap must be finite and >= 0, got {self.overlap}")
+        _check_block_geometry(self.block_size, self.overlap)
         if not np.isfinite(self.grid_lo).all():
             raise MapError(f"grid_lo must be finite, got {self.grid_lo.tolist()}")
         self.grid_hi = self.grid_lo + self.grid_shape * self.block_size
@@ -525,14 +529,19 @@ def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
     Readings are rotated into the map frame using each fingerprint's pose.
     Every training point is assigned to all blocks whose overlap-inflated
     bounds contain it, so queries near block edges see both sides' data.
-    Nothing is factored here: each block fits on its first query. Exact
-    duplicate positions with zero ``noise_variance`` are rejected up front.
+    Membership is tested once per axis and cell interval, and a block's rows
+    are the AND of its three intervals' tests, kept in input order. Nothing
+    is factored here: each block fits on its first query. A ``block_size``
+    that is not finite and > 0, an ``overlap`` that is not finite and >= 0,
+    and exact duplicate positions with zero ``noise_variance`` are rejected
+    up front.
     """
     if len(fingerprints) < 1:
         raise MapError("need at least one fingerprint to build a map")
     hyper = hyper or GpHyperparams()
     if overlap is None:
         overlap = 2.0 * hyper.length_scale
+    _check_block_geometry(float(block_size), float(overlap))
     if block_size <= 2.0 * hyper.length_scale:
         warnings.warn(
             f"block_size {block_size} m <= 2*length_scale; blocks will lean "
@@ -549,22 +558,24 @@ def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
     hi = positions.max(axis=0)
     shape = np.maximum(np.ceil((hi - lo) / block_size - 1e-12).astype(int), 1)
 
-    blocks: dict[tuple, MapBlock] = {}
     # micron-scale buffer so block membership is immune to float rounding of
     # shifted coordinates (keeps whole-frame translations exactly equivariant)
     buffer = 1e-6
+    inside = []  # per axis: (cells, points), point within the inflated cell interval
+    for a in range(3):
+        starts = lo[a] + np.arange(shape[a])[:, None] * block_size
+        inside.append((positions[:, a] >= starts - overlap - buffer)
+                      & (positions[:, a] <= starts + block_size + overlap + buffer))
+    blocks: dict[tuple, MapBlock] = {}
     for i in range(shape[0]):
         for j in range(shape[1]):
+            in_ij = inside[0][i] & inside[1][j]
             for k in range(shape[2]):
-                cell_lo = lo + np.array([i, j, k]) * block_size
-                cell_hi = cell_lo + block_size
-                mask = np.all(
-                    (positions >= cell_lo - overlap - buffer)
-                    & (positions <= cell_hi + overlap + buffer),
-                    axis=1)
+                mask = in_ij & inside[2][k]
                 if not np.any(mask):
                     continue
-                blocks[(i, j, k)] = MapBlock((i, j, k), hyper, cell_lo, cell_hi,
+                cell_lo = lo + np.array([i, j, k]) * block_size
+                blocks[(i, j, k)] = MapBlock((i, j, k), hyper, cell_lo, cell_lo + block_size,
                                              positions[mask], fields[mask])
     if not blocks:
         raise MapError("no block received training data")

@@ -7,8 +7,11 @@ with fixed field order::
     {"t": <seconds>, "p": [x, y, z], "q": [w, x, y, z], "B": [bx, by, bz]}
 
 positions in meters, readings in uT. A fingerprint file is read into
-columns and converted and validated once per file, not once per record; a
-malformed record raises naming the file and its 1-based line. A map file
+columns and converted and validated once per file, not once per record. A
+file whose every line has exactly the writer's layout is parsed as one
+JSON array of numbers; any other file, and any file that fails on the
+way, is read again one record per line, and that reader words every
+error, naming the file and the record's 1-based line. A map file
 (schema ``magmap/2``) is one JSON document holding hyperparameters, grid
 metadata and per-block training arrays. A block's ``lo`` and ``hi`` are
 lists of 3 numbers; its ``positions`` and ``fields`` are each an (n, 3)
@@ -31,6 +34,7 @@ from __future__ import annotations
 import base64
 import inspect
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -113,23 +117,69 @@ def rotmat_to_quat(R) -> np.ndarray:
 # fingerprint JSONL
 
 
+def _record(t, p, q, b) -> str:
+    """One fingerprint line, as :func:`write_fingerprints` writes it."""
+    return json.dumps({"t": t, "p": p, "q": q, "B": b}) + "\n"
+
+
 def write_fingerprints(dataset: Dataset, path) -> None:
     columns = (dataset.timestamps().tolist(), dataset.positions().tolist(),
                rotmat_to_quat(dataset.rotations()).tolist(), dataset.readings().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps({"t": t, "p": p, "q": q, "B": b}) + "\n"
-                      for t, p, q, b in zip(*columns))
+        fh.writelines(_record(*row) for row in zip(*columns))
+
+
+# The writer's layout with a run of the JSON number alphabet in each of its
+# 11 value slots, and the table that turns lines of it into the items of one
+# JSON array: every other character of the layout goes and each newline
+# becomes a comma. Both come from _record, so reader and writer cannot drift.
+_LAYOUT = _record(0, [0] * 3, [0] * 4, [0] * 3)
+_LINES = re.compile("(?:%s)*" % "[-+.eE0-9]+".join(map(re.escape, _LAYOUT.split("0"))))
+_TO_ITEMS = str.maketrans({**dict.fromkeys(set(_LAYOUT) - set("0,\n")), "\n": ","})
 
 
 def read_fingerprints(path, sensor_id: str | None = None,
                       from_frame: str = "lidar") -> Dataset:
     """Read a fingerprint JSONL file into one :class:`Dataset`.
 
+    A file whose every line has exactly the layout :func:`write_fingerprints`
+    writes, a number in each value slot, is parsed as one JSON array of
+    numbers: one ``json.loads`` and one ``np.array`` for the whole file,
+    with the same number scanner, and so the same bits, as a parse per
+    record. Both read in text mode, so CRLF line ends count as newlines.
+    Any other file (another key order or spacing, a number outside its
+    slot, blank lines, no final newline), and any file that fails on the
+    way (a number JSON rejects, one too large for a float, or a row the
+    :class:`Dataset` rejects), is read again line by line
+    (:func:`_read_lines`), and every error comes from that reader.
+
     Blank lines are skipped. A malformed record raises a ``ValueError``
-    naming the file and its line: bad JSON, a missing key, a field of the
-    wrong length or type, a quaternion off unit norm, a non-finite value, an
-    unphysical reading or a timestamp that does not increase.
+    naming the file and its 1-based line: bad JSON, a missing key, a field
+    of the wrong length or type, a number outside the float range, a
+    quaternion off unit norm, a non-finite value, an unphysical reading or
+    a timestamp that does not increase.
     """
+    sensor_id = sensor_id or Path(path).stem
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if _LINES.fullmatch(text):
+            values = json.loads("[" + text.translate(_TO_ITEMS)[:-1] + "]")
+            return _dataset(sensor_id, from_frame, np.array(values, float).reshape(-1, 11))
+    except (ValueError, OverflowError):
+        pass  # _read_lines finds and words the fault
+    return _read_lines(path, sensor_id, from_frame)
+
+
+def _dataset(sensor_id: str, from_frame: str, cols: np.ndarray) -> Dataset:
+    """The dataset of (n, 11) rows ``t, p, q, B``."""
+    return Dataset(sensor_id, from_frame, cols[:, 0], quat_to_rotmat(cols[:, 4:8]),
+                   cols[:, 1:4], cols[:, 8:])
+
+
+def _read_lines(path, sensor_id: str, from_frame: str) -> Dataset:
+    """:func:`read_fingerprints` one ``json.loads`` per line, for any layout;
+    its errors name the line."""
     lines, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -155,12 +205,12 @@ def read_fingerprints(path, sensor_id: str | None = None,
             rows.append([t, *p, *q, *b])
     try:
         cols = np.array(rows, dtype=float).reshape(-1, 11)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number, row = next((n, r) for n, r in zip(lines, rows) if not _numbers(r))
-        raise ValueError(f"{path}, line {number}: values must be numbers, got {row}") from None
+        raise ValueError(f"{path}, line {number}: values must be numbers in the float "
+                         f"range, got {row}") from None
     try:
-        return Dataset(sensor_id or Path(path).stem, from_frame, cols[:, 0],
-                       quat_to_rotmat(cols[:, 4:8]), cols[:, 1:4], cols[:, 8:])
+        return _dataset(sensor_id, from_frame, cols)
     except ValueError as exc:
         if not hasattr(exc, "row"):
             raise
@@ -170,7 +220,7 @@ def read_fingerprints(path, sensor_id: str | None = None,
 def _numbers(row: list) -> bool:
     try:
         return np.array(row, dtype=float).shape == (len(row),)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 

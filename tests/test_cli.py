@@ -100,6 +100,18 @@ def test_calibrate_malformed_jsonl_exits_2(workdir, capsys):
     assert not (workdir / "jsonl_result.json").exists()
 
 
+def test_build_map_number_too_large_exits_2(workdir, tmp_path, capsys):
+    lines = (workdir / "sim" / "mag0.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), "t": 10**400}) + "\n"
+    bad = tmp_path / "survey.jsonl"
+    bad.write_text("".join(lines))
+    rc = main(["build-map", "--fingerprints", str(bad), "--hyper", str(workdir / "hyper.json"),
+               "--out", str(tmp_path / "map.json")])
+    assert rc == 2
+    assert "line 3: values must be numbers in the float range" in capsys.readouterr().err
+    assert not (tmp_path / "map.json").exists()
+
+
 @pytest.mark.parametrize("index", ["-1", "1"])
 def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
     result = {"schema": "calibration-result/1", "translation": [0.3, -0.1, 0.2],

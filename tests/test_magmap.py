@@ -567,6 +567,65 @@ def test_product_grid_matches_reference(edit, is_grid):
         assert np.array_equal(got[1], want[1])
 
 
+def _reference_membership(positions, fields, block_size, overlap):
+    """Block membership as one full-width mask per cell of the grid."""
+    lo = positions.min(axis=0)
+    hi = positions.max(axis=0)
+    shape = np.maximum(np.ceil((hi - lo) / block_size - 1e-12).astype(int), 1)
+    blocks = {}
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            for k in range(shape[2]):
+                cell_lo = lo + np.array([i, j, k]) * block_size
+                cell_hi = cell_lo + block_size
+                mask = np.all((positions >= cell_lo - overlap - 1e-6)
+                              & (positions <= cell_hi + overlap + 1e-6), axis=1)
+                if np.any(mask):
+                    blocks[(i, j, k)] = (cell_lo, cell_hi, positions[mask], fields[mask])
+    return blocks
+
+
+@pytest.mark.parametrize("block_size, overlap", [(2.0, 0.5), (0.7, 1.6), (3.0, 0.0)])
+def test_block_membership_matches_reference(block_size, overlap):
+    # every inflated cell bound of each axis, and the floats one ulp either side
+    lo, hi = np.array([0.3, -1.1, 0.15]), np.array([5.3, 2.9, 1.35])
+    shape = np.maximum(np.ceil((hi - lo) / block_size - 1e-12).astype(int), 1)
+    axes = []
+    for a in range(3):
+        starts = lo[a] + np.arange(shape[a]) * block_size
+        bounds = np.concatenate([starts - overlap - 1e-6,
+                                 starts + block_size + overlap + 1e-6])
+        values = np.concatenate([bounds, np.nextafter(bounds, -np.inf),
+                                 np.nextafter(bounds, np.inf), [lo[a], hi[a]]])
+        axes.append(values[(values >= lo[a]) & (values <= hi[a])])
+    rng = np.random.default_rng(8)
+    positions = np.vstack([lo, hi, np.stack([rng.choice(v, 600) for v in axes], axis=1)])
+    data = identity_dataset(positions, rng.uniform(10.0, 50.0, positions.shape))
+    field_map = build_map(data, GpHyperparams(length_scale=0.3, noise_variance=1e-3),
+                          block_size=block_size, overlap=overlap)
+    fields = np.einsum("nij,nj->ni", data.rotations(), data.readings())
+    want = _reference_membership(positions, fields, block_size, overlap)
+    assert list(field_map.blocks) == list(want)
+    for key, block in field_map.blocks.items():
+        got = (block.lo, block.hi, block.train_pos, block.train_field)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want[key]))
+
+
+@pytest.mark.parametrize("block_size, overlap, match", [
+    (0.0, None, "block_size must be finite and > 0, got 0.0"),
+    (-1.0, None, "block_size must be finite and > 0, got -1.0"),
+    (np.nan, None, "block_size must be finite and > 0, got nan"),
+    (np.inf, None, "block_size must be finite and > 0, got inf"),
+    (4.0, -1.0, "overlap must be finite and >= 0, got -1.0"),
+    (4.0, np.nan, "overlap must be finite and >= 0, got nan"),
+])
+def test_build_map_rejects_bad_block_geometry(block_size, overlap, match):
+    data = identity_dataset(np.zeros((1, 3)), [(15.0, -5.0, -40.0)])
+    with pytest.raises(MapError, match=match):
+        build_map(data, GpHyperparams(length_scale=1.0), block_size=block_size,
+                  overlap=overlap)
+
+
 # ---------------------------------------------------------------------------
 # multilinear baseline
 

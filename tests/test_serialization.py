@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from magcalib.extrinsic import CalibrationResult
 from magcalib.geometry import Dataset, random_rotation
-from magcalib import magmap
+from magcalib import magmap, serialization
 from magcalib.intrinsic import AffineDistortion
 from magcalib.magmap import GpHyperparams, MapError, build_map
 from magcalib.sweeps import SweepSpec
@@ -208,6 +208,8 @@ def _line(**changes):
     (_line(t=float("nan")), ValueError, "line 2: timestamp nan is not finite"),
     (_line(t=1.0, B=[0.0, 0.0, 0.0]), ValueError, "line 2: reading magnitude"),
     (_line(t=0.0), ValueError, "line 2: timestamp 0.0 does not follow 0.0"),
+    pytest.param(_line(t=10**400), ValueError,
+                 "line 2: values must be numbers in the float range", id="int-too-large"),
 ])
 def test_jsonl_errors_name_file_and_line(tmp_path, bad, error, match):
     path = tmp_path / "fp.jsonl"
@@ -216,6 +218,95 @@ def test_jsonl_errors_name_file_and_line(tmp_path, bad, error, match):
     with pytest.raises(error, match=match.replace("line 2", "line 3")) as info:
         read_fingerprints(path)
     assert str(path) in str(info.value)
+
+
+def _outcome(read, path):
+    """The bytes of every column ``read(path)`` gives, or its exception's
+    type and message."""
+    try:
+        ds = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.sensor_id, ds.frame, *(getattr(ds, column)().tobytes() for column in (
+        "timestamps", "positions", "rotations", "readings"))
+
+
+def _per_line(path):
+    return serialization._read_lines(path, path.stem, "lidar")
+
+
+_NUMBER_TOKEN = re.compile(r"[-+.eE0-9]+")
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(0, 54),
+       st.sampled_from(["+1", "01", ".5", "1.", "-0", "-0.0", "1e999", "NaN", "1" + "0" * 400,
+                        "1E+05", "", '"1"', "true", "1.2.3"]))
+def test_one_array_parse_matches_per_line_reader(tmp_path_factory, n, seed, slot, token):
+    # one number of a written file replaced: the same bits, or the same error
+    path = tmp_path_factory.mktemp("token") / "fp.jsonl"
+    write_fingerprints(_dataset(n, seed), path)
+    lines = path.read_text().splitlines(keepends=True)
+    line, k = divmod(slot % (11 * n), 11)
+    match = list(_NUMBER_TOKEN.finditer(lines[line]))[k]
+    lines[line] = lines[line][:match.start()] + token + lines[line][match.end():]
+    path.write_text("".join(lines))
+    assert _outcome(read_fingerprints, path) == _outcome(_per_line, path)
+
+
+def _reorder_keys(line):
+    return json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
+
+
+_LAYOUT_EDITS = {
+    "reordered keys": lambda text, i: _edit_line(text, i, _reorder_keys),
+    "extra space": lambda text, i: _edit_line(text, i, lambda s: s.replace(", ", ",  ", 1)),
+    "space before a comma": lambda text, i: _edit_line(text, i, lambda s: s.replace(",", " ,", 1)),
+    "blank line": lambda text, i: _edit_line(text, i, lambda s: "\n" + s),
+    "CRLF": lambda text, i: text.replace("\n", "\r\n"),
+    "no final newline": lambda text, i: text[:-1],
+    # a number moved out of its slot, past a bracket: bad JSON per line
+    "number after its list": lambda text, i: _edit_line(
+        text, i, lambda s: re.sub(r"(, )([-+.eE0-9]+)\]", r"\1]\2", s, count=1)),
+    "number before its list": lambda text, i: _edit_line(
+        text, i, lambda s: re.sub(r"\[([-+.eE0-9]+)", r"\1[", s, count=1)),
+}
+
+
+def _edit_line(text, i, edit):
+    lines = text.splitlines(keepends=True)
+    lines[i % len(lines)] = edit(lines[i % len(lines)])
+    return "".join(lines)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(0, 4),
+       st.sampled_from(sorted(_LAYOUT_EDITS)))
+def test_other_layouts_read_as_per_line(tmp_path_factory, n, seed, line, edit):
+    path = tmp_path_factory.mktemp("layout") / "fp.jsonl"
+    write_fingerprints(_dataset(n, seed), path)
+    path.write_bytes(_LAYOUT_EDITS[edit](path.read_text(), line).encode())
+    assert _outcome(read_fingerprints, path) == _outcome(_per_line, path)
+
+
+def test_written_file_is_parsed_by_one_json_loads(tmp_path, monkeypatch):
+    ds = _dataset(n=40)
+    positions = ds.positions().copy()
+    positions[0] = [1e-07, 1e22, -2.5e-300]  # written with exponents
+    path = tmp_path / "fp.jsonl"
+    write_fingerprints(Dataset("unit", "lidar", ds.timestamps(), ds.rotations(), positions,
+                               ds.readings()), path)
+    assert "e-07" in path.read_text() and "e+22" in path.read_text()
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
+    read_fingerprints(path)
+    assert len(calls) == 1
+    # a blank line leaves the writer's layout: one parse per record
+    path.write_text(path.read_text() + "\n")
+    calls.clear()
+    read_fingerprints(path)
+    assert len(calls) == 40
 
 
 def test_map_save_load_round_trip(tmp_path, gentle_map):

@@ -29,6 +29,10 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   bounds and training positions and fields), in ``cli/map_contents.json``.
   Two trees that store maps differently but load the same map differ only
   in the bytes of the two map files.
+* the columns (timestamps, positions, rotations and readings, with the
+  sensor id and frame) that that tree's own
+  ``serialization.read_fingerprints`` decodes from every JSONL file of the
+  session, in ``cli/fingerprint_contents.json``.
 
 Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
 and every output file byte for byte. With ``--rtol R`` a file whose bytes
@@ -120,6 +124,13 @@ def map_contents(field_map) -> dict:
                        for block in field_map.blocks.values()]}
 
 
+def fingerprint_contents(dataset) -> dict:
+    """What a fingerprint file decodes to, whatever parse produced it."""
+    return {"sensor_id": dataset.sensor_id, "frame": dataset.frame,
+            **{column: getattr(dataset, column)().tolist()
+               for column in ("timestamps", "positions", "rotations", "readings")}}
+
+
 def dump(out: Path) -> None:
     """Run every spec and the CLI session with the ``magcalib`` on sys.path."""
     import magcalib
@@ -166,6 +177,9 @@ def dump(out: Path) -> None:
     Path("map_contents.json").write_text(json.dumps(
         {name: map_contents(serialization.load_map(f"{name}.json"))
          for name in ("map", "valmap")}))
+    Path("fingerprint_contents.json").write_text(json.dumps(
+        {str(path): fingerprint_contents(serialization.read_fingerprints(path))
+         for path in sorted(Path(".").rglob("*.jsonl"))}))
 
 
 def _leaves(doc, prefix=""):
