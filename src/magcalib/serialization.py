@@ -178,8 +178,8 @@ def _dataset(sensor_id: str, from_frame: str, cols: np.ndarray) -> Dataset:
 
 
 def _read_lines(path, sensor_id: str, from_frame: str) -> Dataset:
-    """:func:`read_fingerprints` one ``json.loads`` per line, for any layout;
-    its errors name the line."""
+    """:func:`read_fingerprints` for any layout, one ``json.loads`` per
+    line; its errors name the line."""
     lines, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
