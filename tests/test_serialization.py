@@ -6,6 +6,7 @@ import operator
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,11 +239,15 @@ def _per_line(path):
 _NUMBER_TOKEN = re.compile(r"[-+.eE0-9]+")
 
 
+_CHUNKS = [1, 300, 1 << 16]  # characters per parsed chunk: one line, a few, all
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(0, 54),
        st.sampled_from(["+1", "01", ".5", "1.", "-0", "-0.0", "1e999", "NaN", "1" + "0" * 400,
-                        "1E+05", "", '"1"', "true", "1.2.3"]))
-def test_one_array_parse_matches_per_line_reader(tmp_path_factory, n, seed, slot, token):
+                        "1E+05", "", '"1"', "true", "1.2.3"]),
+       st.sampled_from(_CHUNKS))
+def test_array_parse_matches_per_line_reader(tmp_path_factory, n, seed, slot, token, chunk):
     # one number of a written file replaced: the same bits, or the same error
     path = tmp_path_factory.mktemp("token") / "fp.jsonl"
     write_fingerprints(_dataset(n, seed), path)
@@ -251,7 +256,8 @@ def test_one_array_parse_matches_per_line_reader(tmp_path_factory, n, seed, slot
     match = list(_NUMBER_TOKEN.finditer(lines[line]))[k]
     lines[line] = lines[line][:match.start()] + token + lines[line][match.end():]
     path.write_text("".join(lines))
-    assert _outcome(read_fingerprints, path) == _outcome(_per_line, path)
+    with mock.patch.object(serialization, "_CHUNK", chunk):
+        assert _outcome(read_fingerprints, path) == _outcome(_per_line, path)
 
 
 def _reorder_keys(line):
@@ -281,15 +287,16 @@ def _edit_line(text, i, edit):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(0, 4),
-       st.sampled_from(sorted(_LAYOUT_EDITS)))
-def test_other_layouts_read_as_per_line(tmp_path_factory, n, seed, line, edit):
+       st.sampled_from(sorted(_LAYOUT_EDITS)), st.sampled_from(_CHUNKS))
+def test_other_layouts_read_as_per_line(tmp_path_factory, n, seed, line, edit, chunk):
     path = tmp_path_factory.mktemp("layout") / "fp.jsonl"
     write_fingerprints(_dataset(n, seed), path)
     path.write_bytes(_LAYOUT_EDITS[edit](path.read_text(), line).encode())
-    assert _outcome(read_fingerprints, path) == _outcome(_per_line, path)
+    with mock.patch.object(serialization, "_CHUNK", chunk):
+        assert _outcome(read_fingerprints, path) == _outcome(_per_line, path)
 
 
-def test_written_file_is_parsed_by_one_json_loads(tmp_path, monkeypatch):
+def test_written_file_is_parsed_one_json_loads_per_chunk(tmp_path, monkeypatch):
     ds = _dataset(n=40)
     positions = ds.positions().copy()
     positions[0] = [1e-07, 1e22, -2.5e-300]  # written with exponents
@@ -302,6 +309,12 @@ def test_written_file_is_parsed_by_one_json_loads(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
     read_fingerprints(path)
     assert len(calls) == 1
+    # 1,000-character chunks of whole lines: one parse each
+    calls.clear()
+    with mock.patch.object(serialization, "_CHUNK", 1000):
+        read_fingerprints(path)
+    with open(path, encoding="utf-8") as fh:
+        assert len(calls) == len(list(iter(lambda: fh.readlines(1000), []))) > 1
     # a blank line leaves the writer's layout: one parse per record
     path.write_text(path.read_text() + "\n")
     calls.clear()
