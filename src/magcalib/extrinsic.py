@@ -71,7 +71,8 @@ class CalibrationConfig:
     (re-select the ridge factor every iteration). ``intrinsic_solver`` picks
     the inner closed-form solver: ``wrrtls`` (weighted, default), ``rrtls``
     (unweighted), or ``ols``. ``out_of_map_policy`` is ``skip_sample`` or
-    ``abort``.
+    ``abort``. ``max_iterations`` (>= 1) and ``tsvd_rank`` (in [1, 7]) are
+    integers, not bools.
     """
 
     max_iterations: int = 100
@@ -84,8 +85,14 @@ class CalibrationConfig:
     measurement_noise: float = 0.1  # uT, folded into the per-sample weights
 
     def __post_init__(self):
+        for name in ("max_iterations", "tsvd_rank"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not 1 <= self.tsvd_rank <= 7:
+            raise ValueError(f"tsvd_rank must be in [1, 7], got {self.tsvd_rank}")
         if not self.step_tolerance > 0:
             raise ValueError(f"step_tolerance must be > 0, got {self.step_tolerance}")
         for name in ("lambda_value", "measurement_noise"):

@@ -3,8 +3,9 @@
 The ambient field is modeled as three independent scalar GPs (one per field
 axis) sharing a single squared-exponential kernel and one Gram matrix per
 spatial block, factored on the first query that reaches the block, so that
-building or loading a map fits nothing. A map is immutable and safe for
-concurrent reads; its factor cache fills on first use.
+building or loading a map fits nothing. A map cuts its survey into blocks
+itself, so a map file stores the survey once. A map is immutable and safe
+for concurrent reads; its factor cache fills on first use.
 
 A block whose training positions form a full product grid (every survey
 lattice, and every box cut from one) is factored exactly through the
@@ -36,6 +37,7 @@ gradient) so the calibration loop can consume either model.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,8 +64,8 @@ class GpHyperparams:
 
     ``length_scale`` [m] and ``signal_variance`` [uT^2] parameterize the
     squared-exponential kernel; ``noise_variance`` [uT^2] is the assumed
-    iid observation noise. ``mean_mode`` selects the prior mean: the
-    per-block average of the training fields, or zero.
+    iid observation noise. All three must be finite. ``mean_mode`` selects
+    the prior mean: the per-block average of the training fields, or zero.
     """
 
     length_scale: float = 1.0
@@ -72,6 +74,9 @@ class GpHyperparams:
     mean_mode: str = "constant_per_block"
 
     def __post_init__(self):
+        for name in ("length_scale", "signal_variance", "noise_variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.length_scale <= 0:
             raise ValueError("length_scale must be > 0")
         if self.signal_variance <= 0:
@@ -383,43 +388,73 @@ class _LatticeStacks:
         return grads
 
 
-def _check_block_geometry(block_size: float, overlap: float) -> None:
-    if not (np.isfinite(block_size) and block_size > 0):
-        raise MapError(f"block_size must be finite and > 0, got {block_size}")
-    if not (np.isfinite(overlap) and overlap >= 0):
-        raise MapError(f"overlap must be finite and >= 0, got {overlap}")
-
-
 class MagMap:
-    """Immutable GP field map over a regular grid of blocks.
+    """Immutable GP field map of one survey, over a regular grid of blocks.
 
-    Built via :func:`build_map`. Answers batched queries for the posterior
-    mean, the predictive variance, and the spatial gradient of the mean.
-    Queries outside the (overlap-padded) grid raise
+    Made from the survey's ``positions`` and map-frame ``fields`` (n, 3),
+    the kernel and the block geometry, which is all a map file stores; the
+    map cuts the blocks itself (:meth:`_cut`). Rows that are not finite (n,
+    3) of equal n >= 1, a ``block_size`` that is not finite and > 0, an
+    ``overlap`` that is not finite and >= 0, and duplicate positions at zero
+    ``noise_variance`` raise :class:`MapError`. Answers batched queries for
+    the posterior mean, the predictive variance, and the spatial gradient
+    of the mean; queries outside the (overlap-padded) grid raise
     :class:`OutOfMapError`.
     """
 
-    def __init__(self, hyper: GpHyperparams, block_size: float, overlap: float,
-                 grid_lo: np.ndarray, grid_shape: np.ndarray, blocks: dict):
+    def __init__(self, positions, fields, hyper: GpHyperparams, block_size: float,
+                 overlap: float):
         self.hyper = hyper
         self.block_size = float(block_size)
         self.overlap = float(overlap)
-        self.grid_lo = np.asarray(grid_lo, float)
-        self.grid_shape = np.asarray(grid_shape, int)
-        _check_block_geometry(self.block_size, self.overlap)
-        if not np.isfinite(self.grid_lo).all():
-            raise MapError(f"grid_lo must be finite, got {self.grid_lo.tolist()}")
+        if not (np.isfinite(self.block_size) and self.block_size > 0):
+            raise MapError(f"block_size must be finite and > 0, got {self.block_size}")
+        if not (np.isfinite(self.overlap) and self.overlap >= 0):
+            raise MapError(f"overlap must be finite and >= 0, got {self.overlap}")
+        self.positions, self.fields = rows = [np.array(a, float) for a in (positions, fields)]
+        n = len(self.positions) if self.positions.ndim else 0
+        if n == 0 or [a.shape for a in rows] != [(n, 3)] * 2:
+            raise MapError(f"positions and fields need shapes (n, 3), (n, 3) with n >= 1, "
+                           f"not {[a.shape for a in rows]}")
+        if not all(np.isfinite(a).all() for a in rows):
+            raise MapError("positions and fields must be finite")
+        self.positions.flags.writeable = self.fields.flags.writeable = False
+        if hyper.noise_variance == 0 and len(np.unique(self.positions, axis=0)) < n:
+            raise MapError(_SINGULAR)
+        self.grid_lo = self.positions.min(axis=0)
+        extent = self.positions.max(axis=0) - self.grid_lo
+        self.grid_shape = np.maximum(np.ceil(extent / self.block_size - 1e-12).astype(int), 1)
         self.grid_hi = self.grid_lo + self.grid_shape * self.block_size
-        self.blocks = blocks  # {(i,j,k): MapBlock}, non-empty cells only
-        keys = np.array(list(blocks), int)
-        if not blocks or keys.shape != (len(blocks), 3):
-            raise MapError("map needs at least one block, indexed by 3 integers")
-        if np.any(keys < 0) or np.any(keys >= self.grid_shape):
-            raise MapError(f"block index outside the {self.grid_shape.tolist()} grid")
-        self._blocks = list(blocks.values())
+        self.blocks = self._cut()  # {(i,j,k): MapBlock}, non-empty cells only
+        keys = np.array(list(self.blocks), int)
+        self._blocks = list(self.blocks.values())
         self._centers = np.array([b.center for b in self._blocks])
         self._cell_block = np.full(self.grid_shape, -1)  # cell -> block ordinal
         self._cell_block[tuple(keys.T)] = np.arange(len(keys))
+
+    def _cut(self) -> dict:
+        """One block per grid cell that holds survey rows: every row goes to
+        all blocks whose overlap-inflated bounds contain it, so queries near
+        block edges see both sides' data. Membership is tested once per axis
+        and cell interval; a block's rows are the AND of its three intervals'
+        tests, in survey order."""
+        # micron-scale buffer so block membership is immune to float rounding of
+        # shifted coordinates (keeps whole-frame translations exactly equivariant)
+        buffer = 1e-6
+        lo, size, pad = self.grid_lo, self.block_size, self.overlap
+        inside = []  # per axis: (cells, points), point within the inflated cell interval
+        for a in range(3):
+            starts = lo[a] + np.arange(self.grid_shape[a])[:, None] * size
+            inside.append((self.positions[:, a] >= starts - pad - buffer)
+                          & (self.positions[:, a] <= starts + size + pad + buffer))
+        blocks = {}
+        for i, j, k in np.ndindex(*self.grid_shape):
+            mask = inside[0][i] & inside[1][j] & inside[2][k]
+            if np.any(mask):
+                cell_lo = lo + np.array([i, j, k]) * size
+                blocks[(i, j, k)] = MapBlock((i, j, k), self.hyper, cell_lo, cell_lo + size,
+                                             self.positions[mask], self.fields[mask])
+        return blocks
 
     # -- geometry ---------------------------------------------------------
 
@@ -524,62 +559,22 @@ class MagMap:
 
 def build_map(fingerprints: Dataset, hyper: GpHyperparams | None = None,
               block_size: float = 10.0, overlap: float | None = None) -> MagMap:
-    """Partition a fingerprint dataset into the blocks of a GP map.
-
-    Readings are rotated into the map frame using each fingerprint's pose.
-    Every training point is assigned to all blocks whose overlap-inflated
-    bounds contain it, so queries near block edges see both sides' data.
-    Membership is tested once per axis and cell interval, and a block's rows
-    are the AND of its three intervals' tests, kept in input order. Nothing
-    is factored here: each block fits on its first query. A ``block_size``
-    that is not finite and > 0, an ``overlap`` that is not finite and >= 0,
-    and exact duplicate positions with zero ``noise_variance`` are rejected
-    up front.
+    """The :class:`MagMap` of a fingerprint dataset: each reading rotated
+    into the map frame by its fingerprint's pose. ``overlap`` defaults to
+    two length scales. Nothing is factored here: each block fits on its
+    first query. Warns when ``block_size`` is at most two length scales,
+    since the blocks then lean heavily on overlap data.
     """
-    if len(fingerprints) < 1:
-        raise MapError("need at least one fingerprint to build a map")
     hyper = hyper or GpHyperparams()
     if overlap is None:
         overlap = 2.0 * hyper.length_scale
-    _check_block_geometry(float(block_size), float(overlap))
-    if block_size <= 2.0 * hyper.length_scale:
+    fields = np.einsum("nij,nj->ni", fingerprints.rotations(), fingerprints.readings())
+    field_map = MagMap(fingerprints.positions(), fields, hyper, block_size, overlap)
+    if field_map.block_size <= 2.0 * hyper.length_scale:
         warnings.warn(
             f"block_size {block_size} m <= 2*length_scale; blocks will lean "
             "heavily on overlap data", RuntimeWarning)
-
-    positions = fingerprints.positions()
-    rotations = fingerprints.rotations()
-    readings = fingerprints.readings()
-    fields = np.einsum("nij,nj->ni", rotations, readings)  # sensor frame -> map frame
-    if hyper.noise_variance == 0 and len(np.unique(positions, axis=0)) < len(positions):
-        raise MapError(_SINGULAR)
-
-    lo = positions.min(axis=0)
-    hi = positions.max(axis=0)
-    shape = np.maximum(np.ceil((hi - lo) / block_size - 1e-12).astype(int), 1)
-
-    # micron-scale buffer so block membership is immune to float rounding of
-    # shifted coordinates (keeps whole-frame translations exactly equivariant)
-    buffer = 1e-6
-    inside = []  # per axis: (cells, points), point within the inflated cell interval
-    for a in range(3):
-        starts = lo[a] + np.arange(shape[a])[:, None] * block_size
-        inside.append((positions[:, a] >= starts - overlap - buffer)
-                      & (positions[:, a] <= starts + block_size + overlap + buffer))
-    blocks: dict[tuple, MapBlock] = {}
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            in_ij = inside[0][i] & inside[1][j]
-            for k in range(shape[2]):
-                mask = in_ij & inside[2][k]
-                if not np.any(mask):
-                    continue
-                cell_lo = lo + np.array([i, j, k]) * block_size
-                blocks[(i, j, k)] = MapBlock((i, j, k), hyper, cell_lo, cell_lo + block_size,
-                                             positions[mask], fields[mask])
-    if not blocks:
-        raise MapError("no block received training data")
-    return MagMap(hyper, block_size, overlap, lo, shape, blocks)
+    return field_map
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +587,10 @@ class BilinearMap:
     """Multilinear interpolation over fingerprints on a regular lattice.
 
     Baseline field model for ablations. Provides no predictive variance
-    (``variance_at`` returns None, callers fall back to uniform weights);
-    gradients come from central finite differences of the interpolant, with
-    every shifted point of a query evaluated in one interpolator call.
+    (``query_many`` returns None variances, and callers fall back to
+    uniform weights); gradients come from central finite differences of the
+    interpolant, with every shifted point of a query evaluated in one
+    interpolator call.
     Axes along which the lattice is degenerate (single level) are treated
     as directions of no field change.
     """

@@ -12,13 +12,13 @@ file whose every line has exactly the writer's layout is parsed as JSON
 arrays of numbers, one per chunk of whole lines; any other file, and any
 file that fails on the way, is read again one record per line by the
 reader that words every error, naming the file and 1-based line. A map file
-(schema ``magmap/2``) is one JSON document holding hyperparameters, grid
-metadata and per-block training arrays. A block's ``lo`` and ``hi`` are
-lists of 3 numbers; its ``positions`` and ``fields`` are each an (n, 3)
-array packed as the base64 text of its little-endian float64 bytes in C
+(schema ``magmap/3``) is one JSON document holding what a :class:`MagMap`
+is made from: the kernel ``hyper``, ``block_size``, ``overlap`` and the
+survey's map-frame ``positions`` and ``fields``, each an (n, 3) array
+packed once as the base64 text of its little-endian float64 bytes in C
 order (``"<f8"``), so that a map round-trips bit for bit without printing
-or parsing decimal text. Each block's arrays are checked on load and the
-block is factored on its first query.
+or parsing decimal text. Loading a map checks the survey and cuts the same
+blocks again; each block is factored on its first query.
 
 Every JSON document (world, rig, hyperparameters, calibration config,
 sweep spec, map, result) goes through one reader, :func:`_read`: it and each
@@ -43,11 +43,11 @@ import numpy as np
 from .extrinsic import CalibrationConfig, CalibrationResult
 from .geometry import Dataset, reject_rows, row_norms
 from .intrinsic import AffineDistortion
-from .magmap import GpHyperparams, MagMap, MapBlock, MapError
+from .magmap import GpHyperparams, MagMap, MapError
 from .simulator import Box, Dipole, SensorRig, WorldConfig
 from .sweeps import SweepSpec, default_path_specs
 
-MAP_SCHEMA = "magmap/2"
+MAP_SCHEMA = "magmap/3"
 RESULT_SCHEMA = "calibration-result/1"
 
 QUAT_NORM_TOL = 1e-6
@@ -249,69 +249,44 @@ def _pack(rows: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(rows, "<f8").tobytes()).decode("ascii")
 
 
-def _unpack(text) -> np.ndarray:
-    """The owned (n, 3) float array that :func:`_pack` wrote as ``text``."""
-    raw = base64.b64decode(text, validate=True)
-    return np.frombuffer(raw, "<f8").reshape(-1, 3).astype(float)
+def _unpack(doc: dict, key: str) -> np.ndarray:
+    """The (n, 3) float array that :func:`_pack` wrote as ``doc[key]``; text
+    that is not base64 of whole (n, 3) ``<f8`` rows raises ``MapError``."""
+    try:
+        return np.frombuffer(base64.b64decode(doc[key], validate=True), "<f8").reshape(-1, 3)
+    except (TypeError, ValueError) as exc:
+        raise MapError(f"map {key} do not parse as base64 <f8 rows: {exc!r}") from None
 
 
 def save_map(field_map: MagMap, path) -> None:
-    """Write ``field_map`` as a ``magmap/2`` document: each block's training
-    ``positions`` and ``fields`` (n, 3) are base64 text of their ``<f8``
-    bytes in C order (see :func:`_pack`), so the arrays load bit for bit."""
-    blocks = [{"index": list(key), "lo": list(block.lo), "hi": list(block.hi),
-               "positions": _pack(block.train_pos), "fields": _pack(block.train_field)}
-              for key, block in field_map.blocks.items()]
+    """Write ``field_map`` as a ``magmap/3`` document: its kernel, block
+    geometry and survey, whose ``positions`` and ``fields`` (n, 3) are base64
+    text of their ``<f8`` bytes in C order (see :func:`_pack`), so that the
+    arrays load bit for bit and the map cuts the same blocks again."""
     doc = {
         "schema": MAP_SCHEMA,
         "hyper": {name: getattr(field_map.hyper, name) for name in _KERNEL},
         "block_size": field_map.block_size,
         "overlap": field_map.overlap,
-        "grid_lo": list(field_map.grid_lo),
-        "grid_shape": [int(v) for v in field_map.grid_shape],
-        "blocks": blocks,
+        "positions": _pack(field_map.positions),
+        "fields": _pack(field_map.fields),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))  # one-shot C encoder; json.dump streams in Python
 
 
-def _block_arrays(entry: dict) -> tuple:
-    """A stored block's ``lo``, ``hi``, ``positions`` and ``fields`` as float
-    arrays, checked before the fit so that a bad block raises ``MapError``
-    instead of fitting NaN into every query it serves. A payload that is not
-    valid base64 of whole (n, 3) rows does not parse."""
-    where = f"map block {entry['index']}"
-    try:
-        arrays = (np.asarray(entry["lo"], float), np.asarray(entry["hi"], float),
-                  _unpack(entry["positions"]), _unpack(entry["fields"]))
-    except (TypeError, ValueError) as exc:
-        raise MapError(f"{where}: arrays do not parse: {exc!r}") from None
-    shapes = [a.shape for a in arrays]
-    n = shapes[2][0]
-    if n == 0 or shapes != [(3,), (3,), (n, 3), (n, 3)]:
-        raise MapError(f"{where}: lo, hi, positions, fields need shapes (3,), (3,), "
-                       f"(n, 3), (n, 3) with n >= 1, not {shapes}")
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise MapError(f"{where}: lo, hi, positions and fields must be finite")
-    return arrays
-
-
 def load_map(path) -> MagMap:
-    """Read a ``magmap/2`` document written by :func:`save_map`; any other
-    schema raises naming ``magmap/2``. Block ``positions`` and ``fields``
-    decode from base64 ``<f8`` C-order bytes to (n, 3) arrays, and nothing
-    is factored until a query reaches a block."""
+    """Read a ``magmap/3`` document written by :func:`save_map`; any other
+    schema raises naming ``magmap/3``. The survey ``positions`` and
+    ``fields`` decode from base64 ``<f8`` C-order bytes, and :class:`MagMap`
+    checks them and cuts the blocks; nothing is factored until a query
+    reaches a block."""
     def build(doc):
-        _keys(doc, ("schema", "hyper", "block_size", "overlap", "grid_lo", "grid_shape",
-                    "blocks"), schema=MAP_SCHEMA)
+        _keys(doc, ("schema", "hyper", "block_size", "overlap", "positions", "fields"),
+              schema=MAP_SCHEMA)
         hyper = GpHyperparams(**_keys(doc["hyper"], (), _KERNEL, "hyper"))
-        blocks = (MapBlock(tuple(_keys(entry, ("index", "lo", "hi", "positions", "fields"),
-                                       where=f"blocks[{i}]")["index"]),
-                           hyper, *_block_arrays(entry))
-                  for i, entry in enumerate(doc["blocks"]))
-        return MagMap(hyper, doc["block_size"], doc["overlap"],
-                      np.asarray(doc["grid_lo"], float),
-                      np.asarray(doc["grid_shape"], int), {b.index: b for b in blocks})
+        return MagMap(_unpack(doc, "positions"), _unpack(doc, "fields"), hyper,
+                      doc["block_size"], doc["overlap"])
     return _read(path, build)
 
 
@@ -388,8 +363,10 @@ def load_rig(path, truth: bool = False) -> SensorRig:
 def load_hyper(path) -> dict:
     """Hyperparameter file: kernel settings plus block geometry, as the
     keyword arguments of :func:`build_map` (``hyper``, and ``block_size``
-    and ``overlap`` where the file sets them). Numbers become floats, so a
-    saved map writes a ``1`` of the file as ``1.0``."""
+    and ``overlap`` where the file sets them). A ``magmap/3`` file stores
+    the same three as its ``hyper``, ``block_size`` and ``overlap``.
+    Numbers become floats, so a saved map writes a ``1`` of the file as
+    ``1.0``; a kernel setting that is not finite raises naming its key."""
     def build(doc):
         _keys(doc, (), (*_KERNEL, "block_size", "overlap"))
         out = {k: v if k == "mean_mode" else float(v)

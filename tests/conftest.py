@@ -34,6 +34,40 @@ def gentle_map(gentle_world):
 
 
 @pytest.fixture(scope="session")
+def jittered_map(gentle_world):
+    """The gentle map's survey with every position jittered by about 1 cm:
+    its one block's rows form no product grid, so it takes the Cholesky
+    path."""
+    positions = survey_positions(gentle_world, 0.5, z_levels=(0.4, 0.9, 1.4), margin=1.0)
+    positions = positions + np.random.default_rng(16).normal(0.0, 0.01, positions.shape)
+    data = survey_dataset(gentle_world, positions, noise_sigma=0.0, seed=0)
+    return build_map(data, GpHyperparams(length_scale=0.7, noise_variance=1e-6),
+                     block_size=10.0)
+
+
+@pytest.fixture(scope="session")
+def l_shaped_map():
+    """L-shaped survey on a 4x4x1 grid of 2 m blocks: 7 populated cells, 9
+    cells (the 3x3 corner away from both arms) without training data. The
+    corner block's rows are no product grid, so it takes the Cholesky path
+    and the other six the lattice path."""
+    xs = np.arange(0.0, 8.0, 0.5)
+
+    def field(p):
+        return np.array([20.0 + np.sin(p[0]), 3.0 * np.cos(p[1]),
+                         -40.0 + 0.1 * p[0] * p[1]])
+
+    data = lattice_dataset(field, xs, xs, [0.5, 1.0])
+    pos = data.positions()
+    keep = (pos[:, 0] <= 1.5) | (pos[:, 1] <= 1.5)
+    data = identity_dataset(pos[keep], data.readings()[keep], "L")
+    field_map = build_map(data, GpHyperparams(length_scale=0.7), block_size=2.0,
+                          overlap=0.25)
+    assert field_map.grid_shape.tolist() == [4, 4, 1] and len(field_map.blocks) == 7
+    return field_map
+
+
+@pytest.fixture(scope="session")
 def calib_world():
     """Mid-size world with rack and beacon clutter for end-to-end tests."""
     extent = Box(np.zeros(3), np.array([18.0, 14.0, 3.0]))

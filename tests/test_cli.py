@@ -144,8 +144,16 @@ def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
      "sensors[0]: missing key(s) gain"),
     (["sweep", "success", "--spec", "{doc}", "--out", "{out}"], {"n_distortion": 1},
      "unknown key(s) n_distortion"),
+    (["build-map", "--fingerprints", "{sim}/survey.jsonl", "--hyper", "{doc}",
+      "--out", "{out}"], {"signal_variance": float("nan")},
+     "signal_variance must be finite, got nan"),
+    (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
+      "--out", "{out}"], {"max_iterations": 40.5}, "max_iterations must be an integer, got 40.5"),
+    (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
+      "--out", "{out}"], {"tsvd_rank": 9}, "tsvd_rank must be in [1, 7], got 9"),
 ], ids=["simulate_rig", "build_map_hyper", "calibrate_map", "calibrate_config",
-        "evaluate_truth_sensors", "evaluate_truth_gain", "sweep_spec"])
+        "evaluate_truth_sensors", "evaluate_truth_gain", "sweep_spec", "build_map_hyper_nan",
+        "calibrate_config_iterations", "calibrate_config_rank"])
 def test_bad_document_exits_2(workdir, tmp_path, capsys, argv, doc, match):
     """A bad document exits 2 with one stderr line naming the file and the
     key, before any output is written or any trial runs."""

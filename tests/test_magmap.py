@@ -226,26 +226,6 @@ def test_mean_only_query_matches_full_query(gentle_map):
 # block lookup on a multi-block map with empty cells
 
 
-@pytest.fixture(scope="module")
-def l_shaped_map():
-    """L-shaped survey on a 4x4x1 grid of 2 m blocks: 7 populated cells, 9
-    cells (the 3x3 corner away from both arms) without training data."""
-    xs = np.arange(0.0, 8.0, 0.5)
-
-    def field(p):
-        return np.array([20.0 + np.sin(p[0]), 3.0 * np.cos(p[1]),
-                         -40.0 + 0.1 * p[0] * p[1]])
-
-    data = lattice_dataset(field, xs, xs, [0.5, 1.0])
-    pos = data.positions()
-    keep = (pos[:, 0] <= 1.5) | (pos[:, 1] <= 1.5)
-    data = identity_dataset(pos[keep], data.readings()[keep], "L")
-    field_map = build_map(data, GpHyperparams(length_scale=0.7), block_size=2.0,
-                          overlap=0.25)
-    assert field_map.grid_shape.tolist() == [4, 4, 1] and len(field_map.blocks) == 7
-    return field_map
-
-
 def _l_shaped_queries(field_map, rng):
     """Points in every populated block, in empty cells, on cell edges and
     in the overlap padding, shuffled so that blocks interleave."""
@@ -491,17 +471,12 @@ def test_large_query_keeps_temporaries_small(survey_map):
     assert peak < 6 * 2**20
 
 
-def test_off_grid_blocks_take_the_cholesky_path(gentle_world, l_shaped_map):
+def test_off_grid_blocks_take_the_cholesky_path(jittered_map, l_shaped_map):
     """A survey with jittered rows has no product grid, nor has the corner
     block of the L-shaped map; both keep the Cholesky factor and agree with
     the dense reference, and their mean-only queries equal the full ones."""
-    positions = survey_positions(gentle_world, 0.5, z_levels=(0.4, 0.9, 1.4), margin=1.0)
-    positions = positions + np.random.default_rng(16).normal(0.0, 0.01, positions.shape)
-    data = survey_dataset(gentle_world, positions, noise_sigma=0.0, seed=0)
-    jittered = build_map(data, GpHyperparams(length_scale=0.7, noise_variance=1e-6),
-                         block_size=10.0)
     rng = np.random.default_rng(17)
-    for field_map, block in ((jittered, jittered.blocks[(0, 0, 0)]),
+    for field_map, block in ((jittered_map, jittered_map.blocks[(0, 0, 0)]),
                              (l_shaped_map, l_shaped_map.blocks[(0, 0, 0)])):
         assert isinstance(block.fit, _CholeskyFit)
         sub = rng.uniform(block.lo, np.minimum(block.hi, field_map.grid_hi), size=(50, 3))

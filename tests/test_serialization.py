@@ -322,25 +322,30 @@ def test_written_file_is_parsed_one_json_loads_per_chunk(tmp_path, monkeypatch):
     assert len(calls) == 40
 
 
-def test_map_save_load_round_trip(tmp_path, gentle_map):
-    """The packed arrays load bit for bit, so every query answers the same."""
+@pytest.mark.parametrize("name", ["gentle_map", "l_shaped_map", "jittered_map"])
+def test_map_save_load_round_trip(tmp_path, request, name):
+    """The survey loads bit for bit and the map cuts the same blocks from it,
+    so every query answers the same: on a lattice map, on the L-shaped map
+    (lattice and Cholesky blocks, and empty cells whose points go to the
+    nearest block) and on a jittered off-grid survey."""
+    field_map = request.getfixturevalue(name)
     path = tmp_path / "map.json"
-    save_map(gentle_map, path)
+    save_map(field_map, path)
     loaded = load_map(path)
-    assert list(loaded.blocks) == list(gentle_map.blocks)
-    for key, block in gentle_map.blocks.items():
+    assert list(loaded.blocks) == list(field_map.blocks)
+    for key, block in field_map.blocks.items():
         other = loaded.blocks[key]
         for a, b in ((block.lo, other.lo), (block.hi, other.hi),
                      (block.train_pos, other.train_pos),
                      (block.train_field, other.train_field)):
             assert np.array_equal(a, b)
     rng = np.random.default_rng(2)
-    pts = rng.uniform([2.0, 2.0, 0.6], [6.0, 6.0, 1.2], size=(25, 3))
-    a_mean, a_var, _ = gentle_map.query_many(pts)
+    pts = rng.uniform(field_map.grid_lo, field_map.grid_hi, size=(60, 3))
+    a_mean, a_var, _ = field_map.query_many(pts)
     b_mean, b_var, _ = loaded.query_many(pts)
     assert np.array_equal(a_mean, b_mean)
     assert np.array_equal(a_var, b_var)
-    ga, _ = gentle_map.gradient_many(pts)
+    ga, _ = field_map.gradient_many(pts)
     gb, _ = loaded.gradient_many(pts)
     assert np.array_equal(ga, gb)
 
@@ -450,19 +455,26 @@ def test_concurrent_first_queries_match_sequential(tmp_path):
 
 
 def test_map_without_blocks_is_labeled_error(tmp_path):
+    """A map whose survey holds no rows has no block to cut."""
     path, doc = _three_block_map_doc(tmp_path)
-    doc["blocks"] = []
+    doc["positions"] = doc["fields"] = ""
     path.write_text(json.dumps(doc))
-    with pytest.raises(MapError, match="block"):
+    with pytest.raises(MapError, match="n >= 1"):
         load_map(path)
 
 
-@pytest.mark.parametrize("index", [[7, 0, 0], [-1, 0, 0], [0, 1, 0]])
-def test_map_block_index_outside_grid_is_labeled_error(tmp_path, index):
+def test_duplicate_positions_at_zero_noise_are_rejected_on_load(tmp_path):
+    """A load checks, as ``build_map`` does, that no two survey positions are
+    equal when the noise variance is zero: their Gram matrix is singular."""
     path, doc = _three_block_map_doc(tmp_path)
-    doc["blocks"][-1]["index"] = index
+    doc["hyper"]["noise_variance"] = 0.0
     path.write_text(json.dumps(doc))
-    with pytest.raises(MapError, match="outside"):
+    assert len(load_map(path).blocks) == 3
+    positions = _decode(doc["positions"]).copy()
+    positions[3] = positions[2]
+    doc["positions"] = _encode(positions)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapError, match="duplicated training positions"):
         load_map(path)
 
 
@@ -474,52 +486,49 @@ def _encode(rows):
     return base64.b64encode(np.asarray(rows, "<f8").tobytes()).decode("ascii")
 
 
-def _set_block(key, row, value):
-    """Edit one row of a block: in place for ``lo`` and ``hi``, through
-    decode, edit and encode for the packed ``positions`` and ``fields``."""
-    def edit(block):
-        if key in ("lo", "hi"):
-            block[key][row] = value
-        else:
-            rows = _decode(block[key]).copy()
-            rows[row] = value
-            block[key] = _encode(rows)
+def _set_row(key, row, value):
+    """Edit one row of the packed survey ``positions`` or ``fields``:
+    decode, edit and encode."""
+    def edit(doc):
+        rows = _decode(doc[key]).copy()
+        rows[row] = value
+        doc[key] = _encode(rows)
     return edit
 
 
 def _repack(key, fn):
-    def edit(block):
-        block[key] = _encode(fn(_decode(block[key])))
+    def edit(doc):
+        doc[key] = _encode(fn(_decode(doc[key])))
     return edit
 
 
 @pytest.mark.parametrize("edit, match", [
-    (_set_block("positions", 1, [float("nan"), 0.5, 0.5]), "finite"),
-    (_set_block("positions", 0, [0.0, float("inf"), 0.5]), "finite"),
-    (_set_block("fields", 2, [20.0, float("nan"), -40.0]), "finite"),
-    (_set_block("fields", 0, [float("-inf"), 0.0, -40.0]), "finite"),
+    (_set_row("positions", 1, [float("nan"), 0.5, 0.5]), "finite"),
+    (_set_row("positions", 0, [0.0, float("inf"), 0.5]), "finite"),
+    (_set_row("fields", 2, [20.0, float("nan"), -40.0]), "finite"),
+    (_set_row("fields", 0, [float("-inf"), 0.0, -40.0]), "finite"),
     (_repack("fields", lambda rows: rows[:-1]), "need shapes"),
-    (lambda block: block.update(positions=_encode(np.empty((0, 3))),
-                                fields=_encode(np.empty((0, 3)))), "need shapes"),
-    (_set_block("lo", 0, float("nan")), "finite"),
-    (_set_block("hi", 2, float("inf")), "finite"),
-    (lambda block: block.update(positions=_decode(block["positions"]).tolist()),
+    (lambda doc: doc.update(positions=_encode(np.empty((0, 3)))), "need shapes"),
+    (_set_row("positions", -1, [5.5, 0.5, float("-inf")]), "finite"),
+    (_set_row("fields", -1, [float("nan")] * 3), "finite"),
+    (lambda doc: doc.update(positions=_decode(doc["positions"]).tolist()), "do not parse"),
+    (lambda doc: doc.update(positions=doc["positions"][:8] + "*" + doc["positions"][8:]),
      "do not parse"),
-    (lambda block: block.update(positions=block["positions"][:8] + "*" + block["positions"][8:]),
-     "do not parse"),
-    (lambda block: block.update(positions=base64.b64encode(
-        base64.b64decode(block["positions"])[:-8]).decode("ascii")), "do not parse"),
-    (lambda block: block.update(positions=base64.b64encode(
-        base64.b64decode(block["positions"])[:-4]).decode("ascii")), "do not parse"),
+    (lambda doc: doc.update(positions=base64.b64encode(
+        base64.b64decode(doc["positions"])[:-8]).decode("ascii")), "do not parse"),
+    (lambda doc: doc.update(positions=base64.b64encode(
+        base64.b64decode(doc["positions"])[:-4]).decode("ascii")), "do not parse"),
     (_repack("positions", lambda rows: np.vstack([rows, rows[-1:] + 0.5])), "need shapes"),
 ])
 def test_map_block_arrays_are_checked_on_load(tmp_path, edit, match):
-    """A stored block's payload is decoded, edited and re-encoded; each fault
-    raises ``MapError``. A ``magmap/1`` list of rows, a character outside the
-    base64 alphabet (which a lax decoder would skip) and a byte count that is
-    not whole rows of 3 floats do not parse."""
+    """The survey arrays that the blocks are cut from are decoded, edited
+    and re-encoded; each fault raises ``MapError``. A ``magmap/1`` list of
+    rows, a character outside the base64 alphabet (which a lax decoder would
+    skip) and a byte count that is not whole rows of 3 floats do not parse;
+    ``positions`` and ``fields`` of different lengths, or of none, do not
+    make a survey."""
     path, doc = _three_block_map_doc(tmp_path)
-    edit(doc["blocks"][1])
+    edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(MapError, match=match):
         load_map(path)
@@ -586,34 +595,43 @@ def test_config_loaders(tmp_path):
 
 
 def test_map_stores_packed_float64_rows(tmp_path):
-    """``positions`` and ``fields`` are base64 of (n, 3) ``<f8`` C-order bytes."""
+    """The survey is stored once, next to the kernel and block geometry:
+    ``positions`` and ``fields`` are base64 of (n, 3) ``<f8`` C-order bytes,
+    and no block's overlap rows are stored again."""
     path, doc = _three_block_map_doc(tmp_path)
-    assert doc["schema"] == "magmap/2"
-    for entry, block in zip(doc["blocks"], _three_block_map().blocks.values()):
-        assert entry["positions"] == _encode(block.train_pos)
-        assert np.array_equal(_decode(entry["fields"]), block.train_field)
+    field_map = _three_block_map()
+    assert doc["schema"] == "magmap/3"
+    assert sorted(doc) == ["block_size", "fields", "hyper", "overlap", "positions", "schema"]
+    assert doc["positions"] == _encode(field_map.positions)
+    assert np.array_equal(_decode(doc["fields"]), field_map.fields)
+    assert len(field_map.positions) == 12 < field_map.n_train()
 
 
-def test_magmap_1_document_is_rejected_naming_magmap_2(tmp_path):
-    """A ``magmap/1`` map, with rows as lists of numbers, has no reader."""
+def test_magmap_2_document_is_rejected_naming_magmap_3(tmp_path):
+    """A ``magmap/2`` map, with grid metadata and per-block arrays, has no
+    reader."""
+    field_map = _three_block_map()
     path, doc = _three_block_map_doc(tmp_path)
-    doc["schema"] = "magmap/1"
-    for entry in doc["blocks"]:
-        for key in ("positions", "fields"):
-            entry[key] = _decode(entry[key]).tolist()
+    doc = {"schema": "magmap/2", "hyper": doc["hyper"], "block_size": doc["block_size"],
+           "overlap": doc["overlap"], "grid_lo": field_map.grid_lo.tolist(),
+           "grid_shape": field_map.grid_shape.tolist(),
+           "blocks": [{"index": list(key), "lo": block.lo.tolist(), "hi": block.hi.tolist(),
+                       "positions": _encode(block.train_pos),
+                       "fields": _encode(block.train_field)}
+                      for key, block in field_map.blocks.items()]}
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"unsupported schema 'magmap/1', expected "
-                                         r"'magmap/2'"):
+    with pytest.raises(ValueError, match=r"unsupported schema 'magmap/2', expected "
+                                         r"'magmap/3'"):
         load_map(path)
 
 
 @pytest.mark.parametrize("key, value", [
     ("block_size", 0.0), ("block_size", -2.0), ("block_size", float("inf")),
-    ("overlap", -5.0), ("overlap", float("nan")), ("grid_lo", [0.0, float("nan"), 0.0]),
+    ("overlap", -5.0), ("overlap", float("nan")),
 ])
 def test_map_grid_metadata_is_checked_on_load(tmp_path, key, value):
-    """Bad grid metadata raises ``MapError`` naming the key, instead of a map
-    that puts every query outside its volume."""
+    """A bad block geometry raises ``MapError`` naming the key, instead of a
+    map that puts every query outside its volume."""
     path, doc = _three_block_map_doc(tmp_path)
     doc[key] = value
     path.write_text(json.dumps(doc))
@@ -678,11 +696,23 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("map", (), [], "must be a JSON object, got list"),
     ("map", ("extra",), 1, r"unknown key\(s\) extra$"),
     ("map", ("hyper", "lengthscale"), 1, r"hyper: unknown key\(s\) lengthscale$"),
-    ("map", ("blocks", 1, "weights"), [], r"blocks\[1\]: unknown key\(s\) weights$"),
-    ("map", ("blocks", 0, "index"), _DROP, r"blocks\[0\]: missing key\(s\) index$"),
+    ("map", ("positions",), _DROP, r"missing key\(s\) positions$"),
+    ("map", ("blocks",), [], r"unknown key\(s\) blocks$"),
     ("map", ("hyper", "mean_mode"), "median", "unknown mean_mode 'median'"),
-    ("map", ("grid_shape",), "wide", "invalid literal"),
+    ("map", ("block_size",), "wide", "could not convert string to float: 'wide'"),
     ("map", (), _BROKEN, "bad JSON"),
+    # kernel settings must be finite; config counts must be integers
+    ("hyper", ("signal_variance",), float("nan"), "signal_variance must be finite, got nan$"),
+    ("hyper", ("noise_variance",), float("inf"), "noise_variance must be finite, got inf$"),
+    ("hyper", ("length_scale",), "nan", "length_scale must be finite, got nan$"),
+    ("map", ("hyper", "signal_variance"), float("nan"),
+     "signal_variance must be finite, got nan$"),
+    ("map", ("hyper", "length_scale"), float("-inf"), "length_scale must be finite, got -inf$"),
+    ("config", ("max_iterations",), 40.5, "max_iterations must be an integer, got 40.5$"),
+    ("config", ("max_iterations",), True, "max_iterations must be an integer, got True$"),
+    ("config", ("tsvd_rank",), 2.5, "tsvd_rank must be an integer, got 2.5$"),
+    ("config", ("tsvd_rank",), 9, r"tsvd_rank must be in \[1, 7\], got 9$"),
+    ("config", ("tsvd_rank",), 0, r"tsvd_rank must be in \[1, 7\], got 0$"),
 ])
 def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, match):
     """Each reader raises ``ValueError`` naming its file, then the key path
