@@ -24,11 +24,13 @@ reported as not converged, with the reason, if it stays implausible.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import chdtri
 
 from .geometry import Dataset, as_vec3
 from .intrinsic import (
@@ -365,19 +367,67 @@ def _implausibility(state: _EvalState, config: CalibrationConfig) -> str:
     three axes of measurement noise, floored as in
     :func:`weights_from_variance`. The sum is a chi-square variable with
     ``3*n_in - 15`` degrees of freedom, held to its ``_PLAUSIBILITY_LEVEL``
-    quantile.
+    quantile, which :func:`_chi2_upper_quantile` computes with the standard
+    library alone (no scipy), once per dof.
     """
     weights = weights_from_variance(state.variances, config.measurement_noise)
     sq = np.sum(state.residuals**2, axis=1)
     statistic = 3.0 * float(sq @ weights)
     dof = max(3 * sq.size - _FITTED_PARAMETERS, 1)
-    bound = float(chdtri(dof, 1.0 - _PLAUSIBILITY_LEVEL))
+    bound = _chi2_upper_quantile(dof, 1.0 - _PLAUSIBILITY_LEVEL)
     if statistic <= bound:
         return ""
     return (f"implausible fit: residual RMS {np.sqrt(sq.mean()):.3g} uT against "
             f"{np.sqrt(np.mean(1.0 / weights)):.3g} uT expected from noise and map "
             f"variance (chi-square {statistic:.0f} > {bound:.0f}, the "
             f"{_PLAUSIBILITY_LEVEL} quantile at {dof} dof)")
+
+
+def _log_upper_gamma(a: float, z: float) -> float:
+    """``log Q(a, z)``, the log of the regularized upper incomplete gamma
+    function, from its continued fraction evaluated by Lentz's method; it
+    converges fast for ``z > a + 1``."""
+    tiny, eps = 1e-300, np.finfo(float).eps
+    b = z + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= eps:
+            break
+    return a * math.log(z) - z - math.lgamma(a) + math.log(h)
+
+
+@lru_cache(maxsize=None)
+def _chi2_upper_quantile(dof: int, tail: float) -> float:
+    """The ``x`` at which a chi-square variable with ``dof`` degrees of
+    freedom exceeds ``x`` with probability ``tail`` (scipy's ``chdtri(dof,
+    tail)``), for tails well below 1/2, memoized.
+
+    Newton's method on ``log Q(dof/2, x/2) = log(tail)`` from the
+    Wilson-Hilferty approximation, stopping after a step below 1e-10 of
+    ``x``: the convergence is quadratic, so that step leaves only rounding.
+    """
+    a = 0.5 * dof
+    c = 2.0 / (9.0 * dof)
+    x = dof * (1.0 - c + NormalDist().inv_cdf(1.0 - tail) * math.sqrt(c)) ** 3
+    for _ in range(100):
+        z = 0.5 * x
+        log_q = _log_upper_gamma(a, z)
+        # d log Q / dx = -(chi-square density at x) / Q
+        slope = -0.5 * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a) - log_q)
+        step = (log_q - math.log(tail)) / slope
+        x = max(x - step, 0.5 * x)
+        if abs(step) <= 1e-10 * x:
+            break
+    return x
 
 
 def _reseed_node(inp: CalibrationInput):

@@ -33,6 +33,12 @@ with the distance from the world origin.
 A multilinear interpolation baseline over lattice fingerprints is provided
 for ablation studies; it exposes the same query surface (mean, variance,
 gradient) so the calibration loop can consume either model.
+
+Importing this module loads no scipy: lattice blocks need numpy alone. The
+first Cholesky block to be factored or queried loads ``scipy.linalg`` and
+``scipy.spatial.distance``, and the first :class:`BilinearMap` loads
+``scipy.interpolate``, so a process pays that import only on the path that
+calls it.
 """
 
 from __future__ import annotations
@@ -43,9 +49,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .geometry import Dataset
 
@@ -90,6 +93,7 @@ class GpHyperparams:
 def _kernel(hyper: GpHyperparams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared-exponential kernel matrix between point sets a (n,3), b (m,3),
     computed in place in the order of ``s2 * exp(-0.5 * d2 / l**2)``."""
+    from scipy.spatial.distance import cdist
     k = cdist(a, b, "sqeuclidean")
     k *= -0.5
     k /= hyper.length_scale**2
@@ -180,9 +184,12 @@ def _clip_variance(var: np.ndarray) -> np.ndarray:
 
 class _CholeskyFit:
     """Any block: the lower Cholesky factor of ``K + noise*I`` and
-    ``alpha = (K + noise*I)^-1 (fields - mean)``."""
+    ``alpha = (K + noise*I)^-1 (fields - mean)``. Only off-grid blocks take
+    this path, and it alone imports ``scipy.linalg`` (here and in
+    :meth:`query`) and, through :func:`_kernel`, ``scipy.spatial.distance``."""
 
     def __init__(self, block: MapBlock):
+        from scipy.linalg import cho_solve, cholesky
         self.hyper, self.mean, self.center = block.hyper, block.mean, block.center
         self.train_pos = block.train_pos
         gram = _kernel(self.hyper, self.train_pos, self.train_pos)
@@ -200,6 +207,7 @@ class _CholeskyFit:
         mu = self.mean + kstar.T @ self.alpha                     # (m, 3)
         if not with_variance:
             return mu, None
+        from scipy.linalg import solve_triangular
         v = solve_triangular(self.chol, kstar, lower=True, check_finite=False)  # (n, m)
         return mu, self.hyper.signal_variance - (v * v).sum(axis=0)
 
@@ -592,7 +600,8 @@ class BilinearMap:
     interpolant, with every shifted point of a query evaluated in one
     interpolator call.
     Axes along which the lattice is degenerate (single level) are treated
-    as directions of no field change.
+    as directions of no field change. Building one imports
+    ``scipy.interpolate``, which nothing else in the package needs.
     """
 
     _AXIS_TOL = 1e-6
@@ -625,6 +634,7 @@ class BilinearMap:
         self.active = [axis for axis in range(3) if len(axes[axis]) > 1]
         if not self.active:
             raise MapError("lattice is degenerate along every axis")
+        from scipy.interpolate import RegularGridInterpolator
         squeeze = tuple(axis for axis in range(3) if len(axes[axis]) == 1)
         self._values = np.squeeze(grid, axis=squeeze) if squeeze else grid
         self._points = [axes[a] for a in self.active]

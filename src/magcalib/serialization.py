@@ -277,14 +277,15 @@ def save_map(field_map: MagMap, path) -> None:
 
 def load_map(path) -> MagMap:
     """Read a ``magmap/3`` document written by :func:`save_map`; any other
-    schema raises naming ``magmap/3``. The survey ``positions`` and
+    schema raises naming ``magmap/3``. ``hyper`` must hold every kernel
+    setting, since the map was fit with them. The survey ``positions`` and
     ``fields`` decode from base64 ``<f8`` C-order bytes, and :class:`MagMap`
     checks them and cuts the blocks; nothing is factored until a query
     reaches a block."""
     def build(doc):
         _keys(doc, ("schema", "hyper", "block_size", "overlap", "positions", "fields"),
               schema=MAP_SCHEMA)
-        hyper = GpHyperparams(**_keys(doc["hyper"], (), _KERNEL, "hyper"))
+        hyper = GpHyperparams(**_keys(doc["hyper"], _KERNEL, (), "hyper"))
         return MagMap(_unpack(doc, "positions"), _unpack(doc, "fields"), hyper,
                       doc["block_size"], doc["overlap"])
     return _read(path, build)
@@ -297,7 +298,8 @@ def load_map(path) -> MagMap:
 def _read(path, build):
     """``build(doc)`` of the JSON document at ``path``. Bad JSON, and the
     ``TypeError`` or ``ValueError`` of a bad value, raise ``ValueError``
-    naming the file; ``MapError`` and ``OSError`` pass unchanged."""
+    naming the file; a ``MapError`` is raised again as ``MapError`` naming
+    the file, and ``OSError`` passes unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -306,6 +308,8 @@ def _read(path, build):
         raise ValueError(f"{path}: bad JSON: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except MapError as exc:
+        raise MapError(f"{path}: {exc}") from None
 
 
 def _keys(doc, required=(), optional=(), where="", schema=None) -> dict:

@@ -126,6 +126,11 @@ def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
     assert f"--sensor-index {index} is out of range for the 1 sensor(s)" in captured.err
 
 
+def _saved_map_with(**edits):
+    """A document maker: the workflow's saved map with ``edits`` applied."""
+    return lambda paths: {**json.loads(paths["map"].read_text()), **edits}
+
+
 @pytest.mark.parametrize("argv, doc, match", [
     (["simulate", "--path", "lawnmower", "--rig", "{doc}", "--out", "{out}"],
      {"sensors": [{"offset": [0.3, -0.1, 0.2], "bais": [1.0, 0.0, 0.0]}]},
@@ -151,18 +156,20 @@ def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
       "--out", "{out}"], {"max_iterations": 40.5}, "max_iterations must be an integer, got 40.5"),
     (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
       "--out", "{out}"], {"tsvd_rank": 9}, "tsvd_rank must be in [1, 7], got 9"),
+    (["calibrate", "--map", "{doc}", "--data", "{sim}/mag0.jsonl", "--out", "{out}"],
+     _saved_map_with(block_size=-1), "block_size must be finite and > 0, got -1.0"),
 ], ids=["simulate_rig", "build_map_hyper", "calibrate_map", "calibrate_config",
         "evaluate_truth_sensors", "evaluate_truth_gain", "sweep_spec", "build_map_hyper_nan",
-        "calibrate_config_iterations", "calibrate_config_rank"])
+        "calibrate_config_iterations", "calibrate_config_rank", "calibrate_map_block_size"])
 def test_bad_document_exits_2(workdir, tmp_path, capsys, argv, doc, match):
     """A bad document exits 2 with one stderr line naming the file and the
     key, before any output is written or any trial runs."""
     result = {"schema": "calibration-result/1", "translation": [0.3, -0.1, 0.2],
               "gain": np.eye(3).tolist(), "bias": [0.0, 0.0, 0.0]}
     (tmp_path / "result.json").write_text(json.dumps(result))
-    (tmp_path / "doc.json").write_text(json.dumps(doc))
     paths = {"doc": tmp_path / "doc.json", "out": tmp_path / "out", "sim": workdir / "sim",
              "map": workdir / "map.json", "result": tmp_path / "result.json"}
+    (tmp_path / "doc.json").write_text(json.dumps(doc(paths) if callable(doc) else doc))
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == 2
     captured = capsys.readouterr()

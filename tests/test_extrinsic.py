@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from magcalib.extrinsic import (
+    _chi2_upper_quantile,
     CalibrationConfig,
     CalibrationError,
     CalibrationInput,
@@ -382,3 +383,14 @@ def test_nan_reading_rejected_before_any_map_query(calib_path):
 def test_config_rejects_bad_values(name, value):
     with pytest.raises(ValueError, match=name):
         CalibrationConfig(**{name: value})
+
+
+@pytest.mark.parametrize("tail", [1e-3, 1e-2, 1e-6])
+def test_chi2_upper_quantile_matches_scipy(tail):
+    """The plausibility bound's stdlib quantile agrees with scipy's
+    ``chdtri`` within 1e-12 relative at every dof from 1 to 10,000."""
+    from scipy.special import chdtri
+    dofs = np.arange(1, 10_001)
+    got = np.array([_chi2_upper_quantile.__wrapped__(int(dof), tail) for dof in dofs])
+    want = chdtri(dofs, tail)
+    assert np.max(np.abs(got - want) / want) <= 1e-12

@@ -630,12 +630,12 @@ def test_magmap_2_document_is_rejected_naming_magmap_3(tmp_path):
     ("overlap", -5.0), ("overlap", float("nan")),
 ])
 def test_map_grid_metadata_is_checked_on_load(tmp_path, key, value):
-    """A bad block geometry raises ``MapError`` naming the key, instead of a
-    map that puts every query outside its volume."""
+    """A bad block geometry raises ``MapError`` naming the file and the key,
+    instead of a map that puts every query outside its volume."""
     path, doc = _three_block_map_doc(tmp_path)
     doc[key] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(MapError, match=f"^{key} must be finite"):
+    with pytest.raises(MapError, match=rf"^{re.escape(str(path))}: {key} must be finite"):
         load_map(path)
 
 
@@ -713,6 +713,10 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("config", ("tsvd_rank",), 2.5, "tsvd_rank must be an integer, got 2.5$"),
     ("config", ("tsvd_rank",), 9, r"tsvd_rank must be in \[1, 7\], got 9$"),
     ("config", ("tsvd_rank",), 0, r"tsvd_rank must be in \[1, 7\], got 0$"),
+    # a map file carries the whole kernel it was fit with
+    ("map", ("hyper",), {}, r"hyper: missing key\(s\) length_scale, signal_variance, "
+                            r"noise_variance, mean_mode$"),
+    ("map", ("hyper", "noise_variance"), _DROP, r"hyper: missing key\(s\) noise_variance$"),
 ])
 def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, match):
     """Each reader raises ``ValueError`` naming its file, then the key path

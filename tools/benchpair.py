@@ -23,11 +23,15 @@ and quartiles with the head's wins and the verdict, both computed by the
 head export's ``magbench/compare.py``, each side's median CPU seconds per
 trial, and that script's own printout. CPU time leaves out the time a run
 waited for a core, so on a shared host it tells time taken by other
-tenants from a change in the code. Each paired seed's largest relative
-deviation between the sides' accuracy values is recorded too; a seed is
-listed under ``accuracy_differs_at_seeds`` only beyond ``ACCURACY_RTOL``,
-and the bound is printed with the largest deviation. The exports and their
-``magbench/out`` records stay in DIR.
+tenants from a change in the code. A ``--trace 0`` run also spends CPU on
+set-up: once itself and once in each of its ``--setup-only`` probes. So
+after each run, one more ``--setup-only`` process of the same workload and
+seed measures that side's set-up CPU, and the summary gives the CPU per
+trial both gross and net of the run's set-ups. Each paired seed's largest
+relative deviation between the sides' accuracy values is recorded too; a
+seed is listed under ``accuracy_differs_at_seeds`` only beyond
+``ACCURACY_RTOL``, and the bound is printed with the largest deviation. The
+exports and their ``magbench/out`` records stay in DIR.
 """
 
 from __future__ import annotations
@@ -74,6 +78,18 @@ def _children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def setup_cpu_s(tree: Path, workload: str, seed: int) -> float:
+    """CPU seconds of one ``run.py --setup-only`` process in ``tree``."""
+    cpu_before = _children_cpu_s()
+    proc = subprocess.run(
+        [sys.executable, "magbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--setup-only"], cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree.name} {workload} seed {seed}: --setup-only exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return _children_cpu_s() - cpu_before
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
     """One ``run.py`` invocation in ``tree``: ``(record file name, record,
     CPU seconds of the run's process and the children it waited for)``."""
@@ -92,12 +108,13 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tup
     return written[0].name, json.loads(written[0].read_text()), cpu_s
 
 
-def run_entry(side, commit, workload, seed, pair, ran_first, name, record, cpu_s) -> dict:
+def run_entry(side, commit, workload, seed, pair, ran_first, name, record, cpu_s,
+              setup_cpu) -> dict:
     result, extra = record["result"], record["extra"]
     return {"side": side, "commit": commit, "workload": workload, "seed": seed,
             "pair": pair, "ran_first": ran_first, "record": name,
             "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "cpu_s": cpu_s,
+            "failed": result["failed"], "cpu_s": cpu_s, "setup_cpu_s": setup_cpu,
             "values": {k: v["value"] for k, v in result["metrics"].items()},
             "accuracy": extra.get("accuracy"), "ops": extra.get("ops"),
             "op_wall_s": extra.get("op_wall_s"),
@@ -115,7 +132,9 @@ def accuracy_deviation(base: dict | None, head: dict | None) -> float:
 def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> dict:
     """Per-metric medians, quartiles, wins and verdict, as compare.py scores
     them, over the seeds whose runs are correct on both sides, each side's
-    median CPU seconds per trial over those runs, and each paired seed's
+    median CPU seconds per trial over those runs, gross and net of the
+    run's set-ups (one per set-up sample it records, each costing the
+    side's measured ``setup_cpu_s``), and each paired seed's
     largest relative accuracy deviation; a seed counts as differing only
     beyond ``ACCURACY_RTOL``."""
     by_key = {(r["side"], r["seed"]): r for r in runs if r["workload"] == workload}
@@ -135,10 +154,18 @@ def summarize(compare, bench: dict, runs: list, workload: str, seeds: list) -> d
                      "head_wins": wins,
                      "verdict": compare.verdict(metric, b, h, wins, len(paired))}
     if paired:
-        cpu = {side: statistics.median(r["cpu_s"] / r["attempted"]
-                                       for r in (by_key[(side, s)] for s in paired))
-               for side in ("base", "head")}
-        out["cpu_s_per_trial"] = {**cpu, "head_over_base": cpu["head"] / cpu["base"]}
+        for key, cost in (("cpu_s_per_trial", lambda r: r["cpu_s"]),
+                          ("cpu_s_per_trial_net_of_setup", lambda r: r["cpu_s"]
+                           - len(r["setup_samples_s"]) * r["setup_cpu_s"])):
+            cpu = {side: statistics.median(cost(r) / r["attempted"]
+                                           for r in (by_key[(side, s)] for s in paired))
+                   for side in ("base", "head")}
+            out[key] = {**cpu, "head_over_base": cpu["head"] / cpu["base"]}
+        out["cpu_s_per_trial_net_of_setup"]["method"] = (
+            "CPU seconds of the run.py process and its children, less one set-up per "
+            "set-up sample the run records (its own and its --setup-only probes), each "
+            "costing the CPU seconds of a separate --setup-only process of the same "
+            "side, workload and seed, run after it; per trial attempted")
     for side in ("base", "head"):
         side_runs = [by_key[(side, s)] for s in seeds]
         out[f"{side}_failed"] = sum(r["failed"] for r in side_runs)
@@ -160,10 +187,12 @@ def print_summary(workload: str, summary: dict) -> None:
     print(f"{workload}: largest relative accuracy deviation "
           f"{summary['accuracy_largest_deviation']:.3g}, bound {summary['accuracy_rtol']:g}: "
           f"{verdict}")
-    cpu = summary.get("cpu_s_per_trial")
-    if cpu:
-        print(f"{workload}: median CPU s per trial base {cpu['base']:.4g} "
-              f"head {cpu['head']:.4g} (head/base {cpu['head_over_base']:.3f})")
+    for key, label in (("cpu_s_per_trial", "CPU s per trial"),
+                       ("cpu_s_per_trial_net_of_setup", "CPU s per trial net of set-up")):
+        cpu = summary.get(key)
+        if cpu:
+            print(f"{workload}: median {label} base {cpu['base']:.4g} "
+                  f"head {cpu['head']:.4g} (head/base {cpu['head_over_base']:.3f})")
 
 
 def main(argv=None) -> int:
@@ -200,8 +229,9 @@ def main(argv=None) -> int:
             order = ("base", "head") if seed % 2 else ("head", "base")
             for side in order:
                 name, record, cpu_s = run(trees[side], workload, seed, seconds, 0)
+                setup_cpu = setup_cpu_s(trees[side], workload, seed)
                 runs.append(run_entry(side, commits[side], workload, seed, pair,
-                                      side == order[0], name, record, cpu_s))
+                                      side == order[0], name, record, cpu_s, setup_cpu))
             last = {r["side"]: r for r in runs[-2:]}
             print(f"{workload} pair {pair}/{len(args.seeds)} seed {seed}: trials_per_s "
                   f"base {last['base']['values'].get('trials_per_s')} "
