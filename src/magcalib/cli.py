@@ -23,8 +23,8 @@ from .extrinsic import CalibrationConfig, CalibrationError, CalibrationInput, ca
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import MapError, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
-from .simulator import PathSpec, WorldConfig, generate_path, sample_dataset, \
-    survey_dataset, survey_positions
+from .simulator import PATH_KINDS, PathSpec, WorldConfig, generate_path, \
+    sample_dataset, survey_dataset, survey_positions
 from .sweeps import SweepSpec, run_ablation, run_success_sweep, run_table1_sweep
 
 
@@ -132,9 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic fingerprints")
     p.add_argument("--world", help="world config JSON (default: built-in warehouse)")
-    p.add_argument("--path", required=True,
-                   choices=["lawnmower", "perimeter", "random_walk",
-                            "figure_eight", "diagonal_sweep"])
+    p.add_argument("--path", required=True, choices=PATH_KINDS)
     p.add_argument("--rig", required=True, help="sensor rig JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--spacing", type=float, default=1.0)

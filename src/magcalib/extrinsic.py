@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -52,7 +52,6 @@ _PLAUSIBILITY_LEVEL = 0.999  # chi-square quantile the whitened final cost must 
 _FITTED_PARAMETERS = 15      # 3 lever-arm + 12 affine parameters absorb residual dofs
 _RESEED_HALF_WIDTH = 1.0     # m; re-seed lattice spans the +-1 m cube around the guess
 _RESEED_STEP = 0.5           # m between re-seed lattice nodes
-_RESEED_QUERY_POINTS = 2_000  # map points per lattice query, bounds its kernel memory
 
 
 class CalibrationError(RuntimeError):
@@ -239,7 +238,7 @@ def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
 
 def _jacobian(field_map, state: _EvalState) -> np.ndarray:
     """Stacked (3*n_in, 3) lever-arm derivative of ``state``'s residuals."""
-    grads, _ = field_map.gradient_many(state.positions, allow_outside=False)
+    grads, _ = field_map.gradient_many(state.positions)
     rot = state.rotations
     return (state.distortion.gain @ (rot.transpose(0, 2, 1) @ grads @ rot)).reshape(-1, 3)
 
@@ -430,38 +429,26 @@ def _chi2_upper_quantile(dof: int, tail: float) -> float:
     return x
 
 
-def _reseed_node(inp: CalibrationInput):
+def _reseed_node(inp: CalibrationInput, config: CalibrationConfig):
     """Best node of a coarse lattice around the initial guess, or None.
 
     Nodes step ``_RESEED_STEP`` through the ``+-_RESEED_HALF_WIDTH`` cube
-    centred on ``inp.initial_translation`` and are ranked by the OLS cost
-    against the map mean alone; nodes that put any sample off the map are
-    left out.
+    centred on ``inp.initial_translation`` and are ranked by the cost of
+    :func:`_evaluate` with the OLS solver; nodes that put any sample off the
+    map, or whose fit fails, are left out.
     """
     axis = np.arange(-_RESEED_HALF_WIDTH, _RESEED_HALF_WIDTH + 1e-9, _RESEED_STEP)
     nodes = inp.initial_translation + np.stack(
         np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    rotations, translations = inp.data.rotations(), inp.data.positions()
-    measurements = inp.data.readings()
-    n = rotations.shape[0]
-    per_query = max(1, _RESEED_QUERY_POINTS // n)
+    probe = replace(config, intrinsic_solver="ols", out_of_map_policy="abort")
     best, best_cost = None, np.inf
-    for start in range(0, nodes.shape[0], per_query):
-        batch = nodes[start:start + per_query]
-        positions = np.einsum("nij,kj->kni", rotations, batch) + translations
-        means, _, inside = inp.field_map.query_many(
-            positions.reshape(-1, 3), allow_outside=True, with_variance=False)
-        means = means.reshape(-1, n, 3)
-        for k in np.flatnonzero(inside.reshape(-1, n).all(axis=1)):
-            predicted_ref = np.einsum("nji,nj->ni", rotations, means[k])
-            try:
-                dist = solve_ols(RegressionProblem.from_pairs(predicted_ref,
-                                                              measurements))
-            except RegressionError:
-                continue
-            cost = float(np.sum((dist.apply_many(predicted_ref) - measurements)**2))
-            if cost < best_cost:
-                best, best_cost = batch[k], cost
+    for node in nodes:
+        try:
+            cost = _evaluate(inp, node, probe).cost
+        except (CalibrationError, RegressionError):
+            continue
+        if cost < best_cost:
+            best, best_cost = node, cost
     return best
 
 
@@ -473,7 +460,7 @@ def _reseed(inp: CalibrationInput, config: CalibrationConfig, fit: _Fit) -> _Fit
     non-increasing. When no node beats ``fit``, ``fit`` is kept and its
     message says so.
     """
-    node = _reseed_node(inp)
+    node = _reseed_node(inp, config)
     node_state = None
     if node is not None:
         try:
@@ -509,10 +496,11 @@ def calibrate(inp: CalibrationInput, config: CalibrationConfig | None = None) ->
     explain (a chi-square test, see :func:`_implausibility`). A fit that
     fails it has likely stalled in a wrong basin. It is re-seeded once from
     the best node of a coarse lattice (0.5 m step, +-1 m cube around the
-    initial guess, map mean and OLS only), and the run restarts there if
-    that node's cost is lower. A fit still implausible after that reports
-    ``converged=False`` with the reason in ``message``. A map without
-    predictive variance skips the test and says so in ``message``.
+    initial guess, nodes ranked by :func:`_evaluate`'s OLS cost), and the
+    run restarts there if that node's cost is lower. A fit still implausible
+    after that reports ``converged=False`` with the reason in ``message``. A
+    map without predictive variance skips the test and says so in
+    ``message``.
     """
     config = config or CalibrationConfig()
     t = np.array(inp.initial_translation, float)

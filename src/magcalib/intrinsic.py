@@ -68,10 +68,7 @@ class AffineDistortion:
 
 def compensate(dist: AffineDistortion, b_meas) -> np.ndarray:
     """Undo a distortion: gain^-1 (b_meas - bias)."""
-    cond = np.linalg.cond(dist.gain)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RegressionError(f"gain matrix is near-singular (cond={cond:.3g})")
-    return np.linalg.solve(dist.gain, as_vec3(b_meas, "reading") - dist.bias)
+    return compensate_many(dist, as_vec3(b_meas, "reading"))[0]
 
 
 def compensate_many(dist: AffineDistortion, b_meas: np.ndarray) -> np.ndarray:

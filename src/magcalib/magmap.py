@@ -34,15 +34,15 @@ A multilinear interpolation baseline over lattice fingerprints is provided
 for ablation studies; it exposes the same query surface (mean, variance,
 gradient) so the calibration loop can consume either model.
 
-Importing this module loads no scipy: lattice blocks need numpy alone. The
-first Cholesky block to be factored or queried loads ``scipy.linalg`` and
-``scipy.spatial.distance``, and the first :class:`BilinearMap` loads
-``scipy.interpolate``, so a process pays that import only on the path that
-calls it.
+Importing this module loads no scipy: lattice blocks and the multilinear
+baseline need numpy alone. The first Cholesky block to be factored or
+queried loads ``scipy.linalg`` and ``scipy.spatial.distance``, so a process
+pays that import only on the path that calls it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -201,13 +201,11 @@ class _CholeskyFit:
         self.alpha = cho_solve((self.chol, True), block.train_field - self.mean,
                                check_finite=False)  # (n, 3)
 
-    def query(self, sub: np.ndarray, with_variance: bool) -> tuple:
-        """``(means (m, 3), variances (m,) before clipping, or None)``."""
+    def query(self, sub: np.ndarray) -> tuple:
+        """``(means (m, 3), variances (m,) before clipping)``."""
+        from scipy.linalg import solve_triangular
         kstar = _kernel(self.hyper, self.train_pos, sub)         # (n, m)
         mu = self.mean + kstar.T @ self.alpha                     # (m, 3)
-        if not with_variance:
-            return mu, None
-        from scipy.linalg import solve_triangular
         v = solve_triangular(self.chol, kstar, lower=True, check_finite=False)  # (n, m)
         return mu, self.hyper.signal_variance - (v * v).sum(axis=0)
 
@@ -286,9 +284,10 @@ class _LatticeStacks:
     Slot ``o`` belongs to block ordinal ``o``: its per-axis nodes and ``Qa``,
     its prior mean, ``gamma`` as an (n_x, 3 n_z n_y) matrix and ``s2^2 D`` as
     an (n_x, n_z n_y) one, all padded to the map's largest lattice per axis.
-    A padded node sits at a far, finite coordinate whose kernel is exactly 0,
-    and padded ``Q``, ``gamma`` and ``s2^2 D`` entries are 0, so padded lanes
-    add exact zeros. A slot is filled when its block is factored.
+    Padded nodes, ``Q``, ``gamma`` and ``s2^2 D`` entries are 0. A padded
+    node's kernel value is finite and meets only a zero row of ``Q``, so
+    padded lanes add exact zeros. A slot is filled when its block is
+    factored.
 
     Points are grouped per block, in input order, into chunks of
     ``_CHUNK_ROWS`` rows; padded rows repeat the chunk's first point and are
@@ -300,7 +299,7 @@ class _LatticeStacks:
     chunk's slot gathered.
     """
 
-    def __init__(self, blocks: list, hyper: GpHyperparams, far: float):
+    def __init__(self, blocks: list, hyper: GpHyperparams):
         grids = [block.grid for block in blocks]
         self.is_lattice = np.array([grid is not None for grid in grids])
         counts = [[len(c) for c in grid[0]] for grid in grids if grid is not None]
@@ -308,7 +307,7 @@ class _LatticeStacks:
         nx, ny, nz = self.shape
         n, width = len(blocks), max(self.shape)
         self.length_scale, self.signal_variance = hyper.length_scale, hyper.signal_variance
-        self.nodes = np.full((n, 3, width), far)
+        self.nodes = np.zeros((n, 3, width))
         self.q = np.zeros((n, 3, width, width))
         self.gamma = np.zeros((n, nx, 3 * nz * ny))
         self.s4d = np.zeros((n, nx, nz * ny))
@@ -362,19 +361,18 @@ class _LatticeStacks:
         """Per-axis projections (G, W, n_a) out of the stacked (G, 3, W, n)."""
         return tuple(p[:, axis, :, :n] for axis, n in enumerate(self.shape))
 
-    def query(self, pts: np.ndarray, slots: np.ndarray, with_variance: bool) -> tuple:
-        """``(means (m, 3), variances (m,) before clipping, or None)`` of the
-        points ``pts`` (m, 3), each in the block of its slot."""
+    def query(self, pts: np.ndarray, slots: np.ndarray) -> tuple:
+        """``(means (m, 3), variances (m,) before clipping)`` of the points
+        ``pts`` (m, 3), each in the block of its slot."""
         means = np.empty((len(pts), 3))
-        variances = np.empty(len(pts)) if with_variance else None
+        variances = np.empty(len(pts))
         for rows, valid, sub, slot in self._chunks(pts, slots):
             k, _ = self._kernel_rows(sub, slot)
             px, py, pz = self._axes(k @ self.q[slot])
             mu = self.mean[slot, None] + _along(_along(px @ self.gamma[slot], py), pz)
             means[rows] = mu[valid]
-            if with_variance:
-                w2 = _along(_along((px * px) @ self.s4d[slot], py * py), pz * pz)
-                variances[rows] = (self.signal_variance - w2[..., 0])[valid]
+            w2 = _along(_along((px * px) @ self.s4d[slot], py * py), pz * pz)
+            variances[rows] = (self.signal_variance - w2[..., 0])[valid]
         return means, variances
 
     def gradient(self, pts: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -497,10 +495,8 @@ class MagMap:
 
     @cached_property
     def _lattice(self) -> _LatticeStacks:
-        """The lattice blocks' stacks, made by the first query. Padded nodes
-        lie 64 length scales beyond any point the map contains."""
-        reach = np.abs(np.r_[self.grid_lo - self.overlap, self.grid_hi + self.overlap]).max()
-        return _LatticeStacks(self._blocks, self.hyper, reach + 64.0 * self.hyper.length_scale)
+        """The lattice blocks' stacks, made by the first query."""
+        return _LatticeStacks(self._blocks, self.hyper)
 
     def _split(self, pts: np.ndarray) -> tuple:
         """``(stacks, rows, slots, other)``: the lattice stacks, the points in
@@ -515,48 +511,41 @@ class MagMap:
 
     # -- queries ----------------------------------------------------------
 
-    def query_many(self, ts: np.ndarray, allow_outside: bool = False,
-                   with_variance: bool = True):
+    def query_many(self, ts: np.ndarray, allow_outside: bool = False):
         """Batched posterior query.
 
         Returns ``(means (N,3), variances (N,3), inside (N,) bool)``. When
         ``allow_outside`` is false, any outside point raises
         :class:`OutOfMapError`; otherwise outside rows are NaN with
-        ``inside`` false. ``with_variance=False`` skips the variance (the
-        triangular solve of a Cholesky block, a second contraction of a
-        lattice block) and returns ``variances`` as None.
+        ``inside`` false.
         """
         ts, inside = _inside(self, ts, allow_outside, "mapped volume")
         means = np.full_like(ts, np.nan)
-        variances = np.full_like(ts, np.nan) if with_variance else None
+        variances = np.full_like(ts, np.nan)
         if not np.any(inside):
             return means, variances, inside
         idx_in = np.flatnonzero(inside)
         pts = ts[idx_in]
         stacks, rows, slots, other = self._split(pts)
-        parts = [(rows, *stacks.query(pts[rows], slots, with_variance))]
-        parts += [(other[sub], *block.fit.query(pts[other[sub]], with_variance))
+        parts = [(rows, *stacks.query(pts[rows], slots))]
+        parts += [(other[sub], *block.fit.query(pts[other[sub]]))
                   for block, sub in self._group_by_block(pts[other])]
         for rows, mu, var in parts:
             means[idx_in[rows]] = mu
-            if with_variance:
-                variances[idx_in[rows]] = _clip_variance(var)[:, None]
+            variances[idx_in[rows]] = _clip_variance(var)[:, None]
         return means, variances, inside
 
-    def gradient_many(self, ts: np.ndarray, allow_outside: bool = False):
+    def gradient_many(self, ts: np.ndarray):
         """Batched analytic gradients of the posterior mean: ``(grads (N,3,3),
         inside (N,))``, rows of each 3x3 indexing field axes and columns
-        spatial axes."""
-        ts, inside = _inside(self, ts, allow_outside, "mapped volume")
-        grads = np.full((ts.shape[0], 3, 3), np.nan)
-        if not np.any(inside):
-            return grads, inside
-        idx_in = np.flatnonzero(inside)
-        pts = ts[idx_in]
-        stacks, rows, slots, other = self._split(pts)
-        grads[idx_in[rows]] = stacks.gradient(pts[rows], slots)
-        for block, sub in self._group_by_block(pts[other]):
-            grads[idx_in[other[sub]]] = block.fit.gradient(pts[other[sub]])
+        spatial axes. Any outside point raises :class:`OutOfMapError`, so
+        ``inside`` is all true."""
+        ts, inside = _inside(self, ts, False, "mapped volume")
+        grads = np.empty((ts.shape[0], 3, 3))
+        stacks, rows, slots, other = self._split(ts)
+        grads[rows] = stacks.gradient(ts[rows], slots)
+        for block, sub in self._group_by_block(ts[other]):
+            grads[other[sub]] = block.fit.gradient(ts[other[sub]])
         return grads, inside
 
     # -- introspection ------------------------------------------------------
@@ -592,90 +581,87 @@ _FD_STEP = 1e-3  # m, central-difference step of BilinearMap.gradient_many
 
 
 class BilinearMap:
-    """Multilinear interpolation over fingerprints on a regular lattice.
+    """Multilinear interpolation over fingerprints on a full product lattice.
 
-    Baseline field model for ablations. Provides no predictive variance
-    (``query_many`` returns None variances, and callers fall back to
-    uniform weights); gradients come from central finite differences of the
-    interpolant, with every shifted point of a query evaluated in one
-    interpolator call.
-    Axes along which the lattice is degenerate (single level) are treated
-    as directions of no field change. Building one imports
-    ``scipy.interpolate``, which nothing else in the package needs.
+    Baseline field model for ablations. Its axis nodes and each
+    fingerprint's cell come from :func:`_product_grid`, so the positions
+    must be exactly the distinct nodes of a full product grid; anything
+    else, a lattice off by rounding included, raises :class:`MapError`
+    naming the lattice. Provides no predictive variance (``query_many``
+    returns None variances, and callers fall back to uniform weights);
+    gradients come from central finite differences of the interpolant, with
+    every shifted point of a query evaluated in one call. Axes along which
+    the lattice is degenerate (single level) are treated as directions of no
+    field change.
     """
-
-    _AXIS_TOL = 1e-6
 
     def __init__(self, fingerprints: Dataset):
         positions = fingerprints.positions()
-        rotations = fingerprints.rotations()
-        readings = fingerprints.readings()
-        fields = np.einsum("nij,nj->ni", rotations, readings)
-
-        axes = []
-        indices = []
-        for axis in range(3):
-            vals = np.sort(np.unique(np.round(positions[:, axis] / self._AXIS_TOL)))
-            vals = vals * self._AXIS_TOL
-            axes.append(vals)
-            idx = np.searchsorted(vals, positions[:, axis] - 0.5 * self._AXIS_TOL)
-            indices.append(np.clip(idx, 0, len(vals) - 1))
-        shape = tuple(len(a) for a in axes)
-        n_expected = int(np.prod(shape))
-        if n_expected != positions.shape[0]:
-            raise MapError(
-                f"fingerprints do not form a regular lattice: {positions.shape[0]} "
-                f"samples but axis levels imply {n_expected}")
-        grid = np.full(shape + (3,), np.nan)
-        grid[indices[0], indices[1], indices[2]] = fields
-        if np.any(np.isnan(grid)):
-            raise MapError("fingerprints do not form a regular lattice: missing cells")
-
-        self.active = [axis for axis in range(3) if len(axes[axis]) > 1]
+        fields = np.einsum("nij,nj->ni", fingerprints.rotations(), fingerprints.readings())
+        grid = _product_grid(positions)
+        if grid is None:
+            raise MapError(f"fingerprints do not form a regular lattice: their "
+                           f"{len(positions)} positions are not the nodes of a full "
+                           "product grid")
+        nodes, cell = grid
+        self.active = [axis for axis in range(3) if len(nodes[axis]) > 1]
         if not self.active:
             raise MapError("lattice is degenerate along every axis")
-        from scipy.interpolate import RegularGridInterpolator
-        squeeze = tuple(axis for axis in range(3) if len(axes[axis]) == 1)
-        self._values = np.squeeze(grid, axis=squeeze) if squeeze else grid
-        self._points = [axes[a] for a in self.active]
-        self._interp = RegularGridInterpolator(
-            self._points, self._values, method="linear", bounds_error=True)
-        self.lo = np.array([axes[a][0] for a in self.active])
-        self.hi = np.array([axes[a][-1] for a in self.active])
+        self._nodes = [nodes[axis] for axis in self.active]
+        values = np.empty_like(fields)
+        values[cell] = fields
+        self._values = values.reshape(*(len(c) for c in self._nodes), 3)
+        self.lo = np.array([c[0] for c in self._nodes])
+        self.hi = np.array([c[-1] for c in self._nodes])
 
     def contains_many(self, ts: np.ndarray) -> np.ndarray:
         sub = np.asarray(ts, float).reshape(-1, 3)[:, self.active]
         return np.all((sub >= self.lo - 1e-12) & (sub <= self.hi + 1e-12), axis=1)
 
     def _eval(self, sub: np.ndarray) -> np.ndarray:
-        clipped = np.clip(sub, self.lo, self.hi)
-        return self._interp(clipped)
+        """The interpolant (n, 3) at the active coordinates ``sub`` (n, k),
+        clipped into the lattice: the 2^k corners of each point's cell in C
+        order, each weighted by its axis factors multiplied left to right and
+        added to a running sum from 0, the order of scipy's linear grid
+        interpolator, whose values it gives bit for bit."""
+        sub = np.clip(sub, self.lo, self.hi)
+        cell, frac = [], []
+        for c, x in zip(self._nodes, sub.T):
+            i = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
+            cell.append(i)
+            frac.append((x - c[i]) / (c[i + 1] - c[i]))
+        value = 0.0
+        for corner in itertools.product((0, 1), repeat=len(cell)):
+            weight = 1.0
+            for up, y in zip(corner, frac):
+                weight = weight * (y if up else 1 - y)
+            term = self._values[tuple(i + up for i, up in zip(cell, corner))] * weight[:, None]
+            value = value + term
+        return value
 
-    def query_many(self, ts: np.ndarray, allow_outside: bool = False,
-                   with_variance: bool = True):
-        """Batched interpolation: ``(means (N,3), None, inside (N,))``; the
-        lattice carries no variance whatever ``with_variance`` asks."""
+    def query_many(self, ts: np.ndarray, allow_outside: bool = False):
+        """Batched interpolation: ``(means (N,3), None, inside (N,))``."""
         ts, inside = _inside(self, ts, allow_outside, "lattice")
         means = np.full_like(ts, np.nan)
         if np.any(inside):
             means[inside] = self._eval(ts[inside][:, self.active])
         return means, None, inside
 
-    def gradient_many(self, ts: np.ndarray, allow_outside: bool = False):
-        ts, inside = _inside(self, ts, allow_outside, "lattice")
-        grads = np.full((ts.shape[0], 3, 3), np.nan)
-        if np.any(inside):
-            sub = ts[inside][:, self.active]
-            n, k = sub.shape
-            steps = _FD_STEP * np.eye(k)[:, None]  # (k, 1, k): one shift per active axis
-            hi_pts = np.minimum(sub + steps, self.hi)  # (k, n, k)
-            lo_pts = np.maximum(sub - steps, self.lo)
-            shifted = np.concatenate([hi_pts, lo_pts]).reshape(-1, k)
-            hi_vals, lo_vals = self._eval(shifted).reshape(2, k, n, 3)
-            axis = np.arange(k)
-            denom = hi_pts[axis, :, axis] - lo_pts[axis, :, axis]  # (k, n)
-            denom[denom == 0] = np.inf
-            g = np.zeros((n, 3, 3))
-            g[:, :, self.active] = ((hi_vals - lo_vals) / denom[..., None]).transpose(1, 2, 0)
-            grads[inside] = g
+    def gradient_many(self, ts: np.ndarray):
+        """Central-difference gradients of the interpolant: ``(grads (N,3,3),
+        inside (N,))``. Any outside point raises :class:`OutOfMapError`, so
+        ``inside`` is all true."""
+        ts, inside = _inside(self, ts, False, "lattice")
+        sub = ts[:, self.active]
+        n, k = sub.shape
+        steps = _FD_STEP * np.eye(k)[:, None]  # (k, 1, k): one shift per active axis
+        hi_pts = np.minimum(sub + steps, self.hi)  # (k, n, k)
+        lo_pts = np.maximum(sub - steps, self.lo)
+        shifted = np.concatenate([hi_pts, lo_pts]).reshape(-1, k)
+        hi_vals, lo_vals = self._eval(shifted).reshape(2, k, n, 3)
+        axis = np.arange(k)
+        denom = hi_pts[axis, :, axis] - lo_pts[axis, :, axis]  # (k, n)
+        denom[denom == 0] = np.inf
+        grads = np.zeros((n, 3, 3))
+        grads[:, :, self.active] = ((hi_vals - lo_vals) / denom[..., None]).transpose(1, 2, 0)
         return grads, inside

@@ -36,6 +36,7 @@ from .intrinsic import AffineDistortion, compensate_many
 from .magmap import BilinearMap, GpHyperparams, MagMap, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
 from .simulator import (
+    PATH_KINDS,
     PathSpec,
     SensorRig,
     WorldConfig,
@@ -58,11 +59,10 @@ def default_path_specs(spacing: float = 2.5, margin: float = 8.0,
                        z_height: float = 0.6, n_samples: int = 200,
                        seed: int = 7) -> tuple:
     """The five calibration path families used throughout the sweeps."""
-    kinds = ("lawnmower", "perimeter", "random_walk", "figure_eight", "diagonal_sweep")
     return tuple(
         PathSpec(kind=k, sample_spacing=spacing, z_height=z_height,
                  n_samples=n_samples, seed=seed + i, region_margin=margin)
-        for i, k in enumerate(kinds))
+        for i, k in enumerate(PATH_KINDS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,11 +368,8 @@ def run_ablation(spec: SweepSpec, densities=(1.0, 1.8, 3.0), out_dir=None) -> di
             positions = survey_positions(spec.world, spacing, spec.survey_z_levels)
             fingerprints = survey_dataset(spec.world, positions, spec.survey_noise,
                                           seed=spec.seed + 2000 + int(spacing * 10))
-            hyper = GpHyperparams(
-                length_scale=max(spec.hyper.length_scale, 0.75 * spacing),
-                signal_variance=spec.hyper.signal_variance,
-                noise_variance=spec.hyper.noise_variance,
-                mean_mode=spec.hyper.mean_mode)
+            hyper = replace(spec.hyper,
+                            length_scale=max(spec.hyper.length_scale, 0.75 * spacing))
             maps = {
                 "sgpr": build_map(fingerprints, hyper, spec.block_size),
                 "bilinear": BilinearMap(fingerprints),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,38 @@ def test_calibrate_recovers_from_wrong_basin():
     assert result.final_rms <= 0.25  # other trials of the path end at 0.15-0.20 uT
     costs = [c for _, c in result.trace]
     assert all(c2 <= c1 + 1e-9 for c1, c2 in zip(costs, costs[1:]))
+
+
+def test_reseed_node_is_the_least_ols_cost_node_on_the_map(calib_world, calib_path):
+    """The +-1 m cube around the guess crosses the map's bottom face; the
+    re-seed node is the one of least OLS cost, computed here by hand, among
+    the nodes that keep every sample on the map."""
+    from magcalib.extrinsic import _reseed_node
+    positions = survey_positions(calib_world, 0.6, z_levels=(0.75, 1.05, 1.5), margin=1.0)
+    field_map = build_map(survey_dataset(calib_world, positions, noise_sigma=0.03, seed=1),
+                          GpHyperparams(length_scale=0.8, noise_variance=0.001),
+                          block_size=8.0)
+    dist = random_distortion(np.random.default_rng(4), 1.0)
+    readings, _ = _measurements(calib_world, calib_path, dist, sigma=0.1, seed=2)
+    t0 = T_GT - np.array([0.0, 0.0, 1.0])
+    inp = _input(field_map, calib_path, readings, t0)
+    rotations, translations = inp.data.rotations(), inp.data.positions()
+    costs = {}
+    for offset in itertools.product(np.arange(-1.0, 1.01, 0.5), repeat=3):
+        t = t0 + np.array(offset)
+        means, _, inside = field_map.query_many(rotations @ t + translations,
+                                                allow_outside=True)
+        if inside.all():
+            design = np.column_stack([np.einsum("nji,nj->ni", rotations, means),
+                                      np.ones(len(means))])
+            fit = np.linalg.lstsq(design, readings, rcond=None)[0]
+            costs[tuple(t)] = np.sum((design @ fit - readings) ** 2)
+    assert 0 < len(costs) < 125  # the map's face cuts the cube
+
+    node = _reseed_node(inp, CalibrationConfig())
+    assert tuple(node) == min(costs, key=costs.get)
+    assert field_map.contains_many(rotations @ node + translations).all()
+    assert np.allclose(node, T_GT)
 
 
 def test_implausible_fit_reports_nonconvergence(calib_world, calib_map, calib_path):

@@ -1,5 +1,6 @@
-"""Lattice maps, sweeps and the CLI's lattice session import no scipy: a
-``magcalib`` process pays for scipy only on the paths that call it."""
+"""Lattice maps, the multilinear baseline, sweeps and the CLI's lattice
+session import no scipy: a ``magcalib`` process pays for scipy only on the
+paths that call it."""
 
 import json
 import os
@@ -53,6 +54,18 @@ data = Dataset("survey", "map", np.arange(40.0), np.broadcast_to(np.eye(3), (40,
 build_map(data, GpHyperparams(length_scale=2.0), block_size=8.0).query_many(positions[:3])
 """
 
+# the ablation's multilinear baseline on its 3 m survey
+_BILINEAR = """
+from magcalib.magmap import BilinearMap
+from magcalib.simulator import survey_dataset, survey_positions
+from magcalib.sweeps import SweepSpec
+
+spec = SweepSpec()
+positions = survey_positions(spec.world, 3.0, spec.survey_z_levels)
+grid = BilinearMap(survey_dataset(spec.world, positions, spec.survey_noise, seed=2030))
+print(grid.query_many(positions[:5])[2].all() and grid.gradient_many(positions[:5])[1].all())
+"""
+
 
 def _scipy_after(code: str, *args: str) -> tuple:
     """``(scipy modules loaded, the line printed before them)`` of a fresh
@@ -75,6 +88,14 @@ def test_lattice_cli_session_loads_no_scipy(tmp_path):
     included) and ``evaluate --truth`` on a lattice survey."""
     loaded, report = _scipy_after(_SESSION, str(tmp_path))
     assert json.loads(report) == {"codes": [0, 0, 0, 0], "converged": True}
+    assert loaded == []
+
+
+def test_bilinear_map_loads_no_scipy():
+    """Building the ablation's ``BilinearMap``, querying it and taking its
+    gradient."""
+    loaded, report = _scipy_after(_BILINEAR)
+    assert report == "True"
     assert loaded == []
 
 

@@ -33,6 +33,11 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   sensor id and frame) that that tree's own
   ``serialization.read_fingerprints`` decodes from every JSONL file of the
   session, in ``cli/fingerprint_contents.json``.
+* ``BilinearMap`` means and gradients on the ablation's own 1.0, 1.8 and
+  3.0 m surveys at seed 22, at 100 fixed random points inside each lattice
+  and at every 97th node, in ``bilinear_report.json``, so the multilinear
+  interpolant is compared at its own layer and not only through sweep
+  rows.
 
 Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
 and every output file byte for byte. With ``--rtol R`` a file whose bytes
@@ -138,6 +143,8 @@ def dump(out: Path) -> None:
     from magcalib import cli, serialization
     from magcalib.extrinsic import CalibrationConfig, CalibrationInput, jacobian, residual
     from magcalib.intrinsic import AffineDistortion
+    from magcalib.magmap import BilinearMap
+    from magcalib.simulator import survey_dataset, survey_positions
     from magcalib.sweeps import (SweepSpec, default_path_specs, run_ablation,
                                  run_success_sweep, run_table1_sweep,
                                  run_two_map_workflow)
@@ -153,6 +160,18 @@ def dump(out: Path) -> None:
                            seed=22, config=CalibrationConfig(lambda_policy="l_curve")),
                  densities=(3.0,), out_dir=out / "ablation")
     run_two_map_workflow(SweepSpec(noise_levels=(0.1,), seed=23), out_dir=out / "two_map")
+
+    spec, rng, bilinear = SweepSpec(seed=22), np.random.default_rng(25), {}
+    for spacing in (1.0, 1.8, 3.0):  # the surveys of run_ablation at spec.seed
+        positions = survey_positions(spec.world, spacing, spec.survey_z_levels)
+        grid = BilinearMap(survey_dataset(spec.world, positions, spec.survey_noise,
+                                          seed=spec.seed + 2000 + int(spacing * 10)))
+        pts = np.vstack([rng.uniform(positions.min(axis=0), positions.max(axis=0),
+                                     size=(100, 3)), positions[::97]])
+        bilinear[str(spacing)] = {"points": pts.tolist(),
+                                  "means": grid.query_many(pts)[0].tolist(),
+                                  "gradients": grid.gradient_many(pts)[0].tolist()}
+    (out / "bilinear_report.json").write_text(json.dumps(bilinear))
 
     session = out / "cli"
     session.mkdir(parents=True)
