@@ -5,9 +5,13 @@ Each outer iteration projects the magnetometer to map coordinates using the
 current lever-arm estimate, queries the field map (mean and confidence),
 rotates the prediction back into the LiDAR frame, refits the affine
 distortion in closed form, and then takes a damped Gauss-Newton step on the
-lever arm using the analytic map gradient. Samples that project outside the
-mapped volume are skipped (with an abort threshold) or abort the run,
-depending on configuration.
+lever arm using the analytic map gradient. The step follows the reduced
+cost, the squared residual with the distortion refitted at every lever arm:
+its Jacobian is the fixed-distortion one (:func:`jacobian`) projected onto
+what the inner fit cannot absorb (variable projection, Golub & Pereyra
+1973, in Kaufman's 1975 form). Samples that project outside the mapped
+volume are skipped (with an abort threshold) or abort the run, depending on
+configuration.
 
 The input is one sensor's :class:`~magcalib.geometry.Dataset`: its poses
 are the LiDAR poses (lidar -> map) and its readings the raw magnetometer
@@ -55,7 +59,8 @@ _RESEED_STEP = 0.5           # m between re-seed lattice nodes
 
 
 class CalibrationError(RuntimeError):
-    """Calibration could not run (bad input, too many samples off the map)."""
+    """Calibration could not run (bad input, too many samples off the map, an
+    inner fit that failed)."""
 
 
 class NonConvergenceError(CalibrationError):
@@ -183,6 +188,9 @@ class _EvalState:
     residuals: np.ndarray       # (n_in, 3)
     cost: float                 # total squared residual
     variances: np.ndarray | None  # (n_in, 3) map predictive variance, None if unmodelled
+    design: np.ndarray | None   # (n_in, 4) [b_ref | 1] the inner fit was given, None
+                                # when the distortion was held fixed
+    weights: np.ndarray | None  # (n_in,) that fit's row weights, None likewise
 
     @property
     def mean_cost(self) -> float:
@@ -209,22 +217,29 @@ def _evaluate(inp: CalibrationInput, t: np.ndarray, config: CalibrationConfig,
     measured = inp.data.readings()[inside]
     var_in = None if variances is None else variances[inside]
 
+    design = weights = None
     if distortion is None:
-        weights = None  # unit weights
+        if n_in < 5:
+            raise CalibrationError(f"only {n_in} of {n} samples project inside the "
+                                   "mapped volume; the fit needs at least 5")
         if var_in is not None and config.intrinsic_solver == "wrrtls":
             weights = weights_from_variance(var_in, config.measurement_noise)
-        prob = RegressionProblem.from_pairs(predicted_ref, measured, weights,
-                                            config.lambda_value, config.tsvd_rank)
-        if config.intrinsic_solver != "ols" and config.lambda_policy == "l_curve":
-            prob = prob.with_ridge(select_lambda(prob))
         solve = {"ols": solve_ols, "rrtls": solve_rrtls,
                  "wrrtls": solve_wrrtls}[config.intrinsic_solver]
-        distortion = solve(prob)
+        try:
+            prob = RegressionProblem.from_pairs(predicted_ref, measured, weights,
+                                                config.lambda_value, config.tsvd_rank)
+            if config.intrinsic_solver != "ols" and config.lambda_policy == "l_curve":
+                prob = prob.with_ridge(select_lambda(prob))
+            distortion = solve(prob)
+        except RegressionError as exc:
+            raise CalibrationError(f"the inner fit failed: {exc}") from exc
+        design, weights = prob.design, prob.weights
 
     residuals = predicted_ref @ distortion.gain.T + distortion.bias - measured
     cost = float(np.sum(residuals**2))
     return _EvalState(inside, rot_in, positions[inside], distortion, residuals,
-                      cost, var_in)
+                      cost, var_in, design, weights)
 
 
 def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
@@ -237,18 +252,41 @@ def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
 
 
 def _jacobian(field_map, state: _EvalState) -> np.ndarray:
-    """Stacked (3*n_in, 3) lever-arm derivative of ``state``'s residuals."""
+    """Stacked (3*n_in, 3) lever-arm derivative of ``state``'s residuals with
+    its distortion held fixed."""
     grads, _ = field_map.gradient_many(state.positions)
     rot = state.rotations
     return (state.distortion.gain @ (rot.transpose(0, 2, 1) @ grads @ rot)).reshape(-1, 3)
 
 
+def _projected_jacobian(field_map, state: _EvalState) -> np.ndarray:
+    """Stacked (3*n_in, 3) Jacobian of the reduced cost at a fitted ``state``
+    (Kaufman's variable projection).
+
+    With X the design and W = diag(w) the row weights of ``state``'s inner
+    fit, each of the nine per-sample columns of :func:`_jacobian` (one per
+    residual axis and lever-arm axis) is taken to its part that the fit
+    cannot absorb, ``J - X (X'W^2X)^-1 X'W^2 J``. From one thin QR,
+    ``WX = QR``, that is ``J - W^-1 Q Q' W J``. Kaufman drops the second
+    term of the exact derivative, the one through the fit's residual e. For
+    OLS, e is orthogonal to the design, so that term adds nothing to the
+    gradient and ``2 J_K'e`` is the reduced cost's gradient exactly.
+    """
+    jac = _jacobian(field_map, state).reshape(-1, 9)
+    w = state.weights[:, None]
+    q, _ = np.linalg.qr(state.design * w)
+    return (jac - q @ (q.T @ (jac * w)) / w).reshape(-1, 3)
+
+
 def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
              config: CalibrationConfig | None = None) -> np.ndarray:
-    """Stacked (3*n_in, 3) derivative of the residuals in the lever arm.
+    """Stacked (3*n_in, 3) derivative of the residuals in the lever arm at a
+    fixed distortion, the derivative of :func:`residual`.
 
     Per sample: gain @ R^T @ (map gradient at the projected position) @ R,
-    the chain of the rotate-back step with the map-frame projection.
+    the chain of the rotate-back step with the map-frame projection. The
+    optimizer steps on its projection (:func:`_projected_jacobian`), since
+    it refits the distortion at every lever arm.
     """
     config = config or CalibrationConfig()
     state = _evaluate(inp, np.asarray(t, float).reshape(3), config, distortion)
@@ -308,8 +346,15 @@ class _Fit:
 def _levenberg_marquardt(inp: CalibrationInput, t: np.ndarray, state: _EvalState,
                          config: CalibrationConfig) -> _Fit:
     """Damped Gauss-Newton on the lever arm from ``t`` (evaluated as ``state``).
-    The one owner of the damping: a failed or cost-raising step escalates
-    it, an accepted one decays it."""
+
+    Every step solves the damped normal system of
+    :func:`_projected_jacobian`, the reduced cost's Jacobian, and not of the
+    fixed-distortion :func:`_jacobian`, whose normal matrix leaves out that
+    the distortion is refitted at each lever arm and so converges only
+    linearly. This is the one owner of the damping: a failed or cost-raising
+    step escalates it, an accepted one decays it. A candidate at which the
+    map or the inner fit fails counts as a rejected step.
+    """
     trace = [(t.copy(), state.cost)]
     converged = False
     message = ""
@@ -317,7 +362,7 @@ def _levenberg_marquardt(inp: CalibrationInput, t: np.ndarray, state: _EvalState
     iterations = 0
 
     for _ in range(config.max_iterations):
-        jac = _jacobian(inp.field_map, state)
+        jac = _projected_jacobian(inp.field_map, state)
         normal = jac.T @ jac
         if np.trace(normal) < _FLAT_NORMAL:
             message = "field gradient is degenerate; lever arm is unobservable"
@@ -329,7 +374,7 @@ def _levenberg_marquardt(inp: CalibrationInput, t: np.ndarray, state: _EvalState
             try:
                 step = _damped_solve(normal, gradient, mu)
                 cand_state = _evaluate(inp, t + step, config)
-            except CalibrationError:  # NonConvergenceError included
+            except CalibrationError:  # NonConvergenceError and failed fits included
                 pass
             else:
                 slack = _COST_SLACK / max(cand_state.residuals.shape[0], 1)
@@ -445,7 +490,7 @@ def _reseed_node(inp: CalibrationInput, config: CalibrationConfig):
     for node in nodes:
         try:
             cost = _evaluate(inp, node, probe).cost
-        except (CalibrationError, RegressionError):
+        except CalibrationError:
             continue
         if cost < best_cost:
             best, best_cost = node, cost
@@ -465,7 +510,7 @@ def _reseed(inp: CalibrationInput, config: CalibrationConfig, fit: _Fit) -> _Fit
     if node is not None:
         try:
             node_state = _evaluate(inp, node, config)
-        except (CalibrationError, RegressionError):
+        except CalibrationError:
             pass
     if node_state is None or node_state.mean_cost >= fit.state.mean_cost:
         fit.message = _join(fit.message,
@@ -485,11 +530,16 @@ def calibrate(inp: CalibrationInput, config: CalibrationConfig | None = None) ->
     """Run the full two-step optimization from ``inp.initial_translation``.
 
     Levenberg-Marquardt iterates until an accepted lever-arm increment drops
-    below ``config.step_tolerance`` or ``config.max_iterations`` is hit.
-    Steps that would raise the cost are rejected and retried with escalated
-    damping, so a heavily damped short step also counts as convergence; a
-    flat field (no usable gradient) or exhausted damping reports
-    ``converged=False`` rather than raising.
+    below ``config.step_tolerance`` or ``config.max_iterations`` is hit. Its
+    steps follow the reduced-cost Jacobian (variable projection, see
+    :func:`_projected_jacobian`); the public :func:`jacobian` stays the
+    fixed-distortion derivative of :func:`residual`. Steps that would raise
+    the cost, or at which the map or the inner fit fails, are rejected and
+    retried with escalated damping, so a heavily damped short step also
+    counts as convergence; a flat field (no usable gradient) or exhausted
+    damping reports ``converged=False`` rather than raising. Input it cannot
+    fit at the initial guess, among it fewer than 5 samples on the map,
+    raises :class:`CalibrationError`.
 
     The end point is then put to a plausibility test: its residuals must be
     no larger than the measurement noise plus the map's predictive variance

@@ -5,6 +5,9 @@ import pytest
 
 from magcalib.extrinsic import (
     _chi2_upper_quantile,
+    _evaluate,
+    _jacobian,
+    _projected_jacobian,
     CalibrationConfig,
     CalibrationError,
     CalibrationInput,
@@ -181,9 +184,11 @@ def test_gauss_newton_step_damps_rank_deficient_jacobian():
                        rtol=1e-12, atol=0.0)
 
 
-def test_calibrate_quick_batch(calib_world, calib_map, calib_path):
+def _quick_batch(calib_world, calib_map, calib_path, config=None):
+    """Five noisy trials from 0.8 m off the truth, each with its own
+    distortion."""
     rng = np.random.default_rng(5)
-    errors = []
+    results = []
     for _ in range(5):
         dist = random_distortion(rng, 1.0)
         readings, _ = _measurements(calib_world, calib_path, dist, 0.1,
@@ -191,10 +196,112 @@ def test_calibrate_quick_batch(calib_world, calib_map, calib_path):
         direction = rng.normal(size=3)
         offset = 0.8 * direction / np.linalg.norm(direction)
         inp = _input(calib_map, calib_path, readings, T_GT + offset)
-        result = calibrate(inp)
+        results.append(calibrate(inp, config))
+    return results
+
+
+def test_calibrate_quick_batch(calib_world, calib_map, calib_path):
+    errors = []
+    for result in _quick_batch(calib_world, calib_map, calib_path):
         assert result.converged
         errors.append(np.sum((result.translation - T_GT) ** 2))
     assert np.mean(errors) <= 0.01
+
+
+def test_ols_quick_batch_converges_within_six_iterations(calib_world, calib_map,
+                                                          calib_path):
+    """Stepping on the reduced cost's Jacobian converges fast: the
+    fixed-distortion Jacobian took 8-15 iterations on these trials."""
+    results = _quick_batch(calib_world, calib_map, calib_path,
+                           CalibrationConfig(intrinsic_solver="ols"))
+    assert all(r.converged for r in results)
+    assert max(r.iterations for r in results) <= 6, [r.iterations for r in results]
+
+
+def _fitted_state(calib_world, calib_map, calib_path, solver):
+    dist = random_distortion(np.random.default_rng(2), 1.0)
+    readings, _ = _measurements(calib_world, calib_path, dist, 0.1, seed=3)
+    inp = _input(calib_map, calib_path, readings, T_GT)
+    t = T_GT + np.array([0.05, -0.08, 0.02])
+    config = CalibrationConfig(intrinsic_solver=solver)
+    return inp, t, config, _evaluate(inp, t, config)
+
+
+def test_projected_jacobian_gives_the_ols_cost_gradient(calib_world, calib_map,
+                                                         calib_path):
+    """For OLS the variable-projection gradient 2 J_K'e is the exact gradient
+    of the reduced cost f(t) = min over (gain, bias) of the squared
+    residual."""
+    inp, t, config, state = _fitted_state(calib_world, calib_map, calib_path, "ols")
+    gradient = 2.0 * _projected_jacobian(calib_map, state).T @ state.residuals.reshape(-1)
+    h = 1e-5
+    fd = np.array([(_evaluate(inp, t + h * e, config).cost
+                    - _evaluate(inp, t - h * e, config).cost) / (2.0 * h)
+                   for e in np.eye(3)])
+    assert np.max(np.abs(gradient - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
+def test_projected_jacobian_is_orthogonal_to_the_weighted_design(calib_world, calib_map,
+                                                                 calib_path):
+    """Each w-RRTLS projected column lies where the fit cannot reach:
+    X'W^2 J_K = 0 to rounding, against X'W^2 J of the unprojected one."""
+    _, _, _, state = _fitted_state(calib_world, calib_map, calib_path, "wrrtls")
+    assert np.ptp(state.weights) > 0  # the map's variance weights the rows
+    xw2 = state.design.T * state.weights**2
+    projected = xw2 @ _projected_jacobian(calib_map, state).reshape(-1, 9)
+    plain = xw2 @ _jacobian(calib_map, state).reshape(-1, 9)
+    assert np.max(np.abs(projected)) <= 1e-12 * np.max(np.abs(plain))
+
+
+def test_too_few_samples_on_the_map_raise_calibration_error(gentle_world, gentle_map):
+    """Half of eight samples on the map passes the half-on-map test, but the
+    fit needs five: calibrate names the on-map count in a CalibrationError,
+    not the inner solver's RegressionError."""
+    from magcalib.simulator import field_at_many
+    face = gentle_map.grid_hi[0] + gentle_map.overlap
+    positions = np.array([[3.0 + 0.5 * i, 4.0, 0.9] for i in range(4)]
+                         + [[face - 0.05, 2.0 + i, 0.9] for i in range(4)])
+    poses = [Pose(np.eye(3), p, "lidar", "map") for p in positions]
+    inp = _input(gentle_map, poses, field_at_many(gentle_world, positions),
+                 np.array([0.2, 0.0, 0.0]))
+    with pytest.raises(CalibrationError, match="only 4 of 8 samples"):
+        calibrate(inp)
+
+
+def test_failed_inner_fit_at_a_candidate_is_a_rejected_step(calib_world, calib_map,
+                                                            calib_path, monkeypatch):
+    """A candidate lever arm whose inner solve raises RegressionError is
+    rejected and retried with more damping; the run still converges."""
+    import magcalib.extrinsic as extrinsic
+    calls = []
+
+    def failing_second_solve(prob):
+        calls.append(None)
+        if len(calls) == 2:  # the first candidate; call 1 is the initial guess
+            raise RegressionError("design matrix is rank deficient")
+        return solve_wrrtls(prob)
+
+    monkeypatch.setattr(extrinsic, "solve_wrrtls", failing_second_solve)
+    dist = random_distortion(np.random.default_rng(4), 1.0)
+    readings, _ = _measurements(calib_world, calib_path, dist, 0.1, seed=5)
+    result = calibrate(_input(calib_map, calib_path, readings,
+                              T_GT + np.array([0.3, -0.2, 0.1])))
+    assert len(calls) > 2
+    assert result.converged, result.message
+    assert np.linalg.norm(result.translation - T_GT) <= 0.05
+
+
+def test_failed_inner_fit_at_the_initial_guess_raises_calibration_error(
+        calib_world, calib_map, calib_path, monkeypatch):
+    import magcalib.extrinsic as extrinsic
+
+    def failing_solve(prob):
+        raise RegressionError("weighted normal matrix is numerically singular")
+
+    monkeypatch.setattr(extrinsic, "solve_wrrtls", failing_solve)
+    readings, _ = _measurements(calib_world, calib_path, sigma=0.1, seed=5)
+    with pytest.raises(CalibrationError, match="inner fit failed: weighted normal"):
+        calibrate(_input(calib_map, calib_path, readings, T_GT))
 
 
 def test_calibrate_noise_free_at_optimum_is_instant(gentle_world, gentle_map):
