@@ -51,7 +51,7 @@ from .intrinsic import (
 _COST_SLACK = 1e-9       # accepted steps may not raise the cost by more than this
 _COND_DAMPING = 1e8      # normal-system condition number that triggers damping
 _MAX_REJECTS = 25
-_FLAT_NORMAL = 1e-9      # trace(J'J) below this means the field carries no signal
+_FLAT_NORMAL = 1e-9      # trace(J'J) below this: no lever-arm signal survives the fit
 _PLAUSIBILITY_LEVEL = 0.999  # chi-square quantile the whitened final cost must stay under
 _FITTED_PARAMETERS = 15      # 3 lever-arm + 12 affine parameters absorb residual dofs
 _RESEED_HALF_WIDTH = 1.0     # m; re-seed lattice spans the +-1 m cube around the guess

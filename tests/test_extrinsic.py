@@ -211,7 +211,7 @@ def test_calibrate_quick_batch(calib_world, calib_map, calib_path):
 def test_ols_quick_batch_converges_within_six_iterations(calib_world, calib_map,
                                                           calib_path):
     """Stepping on the reduced cost's Jacobian converges fast: the
-    fixed-distortion Jacobian took 8-15 iterations on these trials."""
+    fixed-distortion Jacobian took 11-14 iterations on these trials."""
     results = _quick_batch(calib_world, calib_map, calib_path,
                            CalibrationConfig(intrinsic_solver="ols"))
     assert all(r.converged for r in results)
