@@ -31,20 +31,20 @@ from .sweeps import SweepSpec, run_ablation, run_success_sweep, run_table1_sweep
 def _cmd_simulate(args) -> int:
     world = io.load_world(args.world) if args.world else WorldConfig()
     rig = io.load_rig(args.rig)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     spec = PathSpec(kind=args.path, sample_spacing=args.spacing,
                     z_height=args.z_height, n_samples=args.n_samples,
                     seed=args.seed, region_margin=args.margin)
     poses = generate_path(spec, world)
+    z_levels = tuple(float(v) for v in args.survey_z.split(","))
+    positions = survey_positions(world, args.survey_spacing, z_levels)
+    out = Path(args.out)  # made once every input is known to be good
+    out.mkdir(parents=True, exist_ok=True)
+
     for idx in range(rig.n_sensors):
         measured, truth = sample_dataset(world, poses, rig, idx, seed=args.seed + idx)
         io.write_fingerprints(measured, out / f"mag{idx}.jsonl")
         io.write_fingerprints(truth, out / f"mag{idx}_truth.jsonl")
 
-    z_levels = tuple(float(v) for v in args.survey_z.split(","))
-    positions = survey_positions(world, args.survey_spacing, z_levels)
     survey = survey_dataset(world, positions, args.survey_noise, seed=args.seed + 100)
     io.write_fingerprints(survey, out / "survey.jsonl")
 

@@ -36,7 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import Dataset, as_vec3
+from .geometry import Dataset, as_vec3, check_integers
 from .intrinsic import (
     AffineDistortion,
     RegressionError,
@@ -91,10 +91,7 @@ class CalibrationConfig:
     measurement_noise: float = 0.1  # uT, folded into the per-sample weights
 
     def __post_init__(self):
-        for name in ("max_iterations", "tsvd_rank"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, "max_iterations", "tsvd_rank")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 1 <= self.tsvd_rank <= 7:

@@ -52,6 +52,15 @@ def as_mat3(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_integers(obj, *names: str) -> None:
+    """Raise ``ValueError`` naming the first attribute of ``obj`` among
+    ``names`` that is not an integer; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Norm of each row of ``x`` (N, k), bit for bit ``np.linalg.norm(row)``:
     a stack of (1, k) @ (k, 1) products takes the 1-D norm's dot kernel,

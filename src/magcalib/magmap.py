@@ -9,22 +9,23 @@ for concurrent reads; its factor cache fills on first use.
 
 A block whose training positions form a full product grid (every survey
 lattice, and every box cut from one) is factored exactly through the
-kernel's product over axes: three per-axis eigendecompositions replace the
-O(n^3) Cholesky factor, and a query's mean, variance and gradient cost O(n)
-per point, as in grid-structured GP inference (Saatci 2012; Gilboa, Saatci
-and Cunningham 2015). Any other block keeps a Cholesky factor, whose
-triangular solve makes the variance O(n^2) per point.
+kernel's product over axes, straight into its slot of the map's padded
+stacks: three per-axis eigendecompositions replace the O(n^3) Cholesky
+factor, and a query's mean, variance and gradient cost O(n) per point, as
+in grid-structured GP inference (Saatci 2012; Gilboa, Saatci and Cunningham
+2015). Any other block keeps a Cholesky factor, whose triangular solve
+makes the variance O(n^2) per point.
 
-Batched queries find each point's block through a dense cell -> block table
-built once per map: one floor/clip over all points, then one nearest-
-populated-centre ``argmin`` for points whose cell holds no training data.
-Every lattice block a query reaches is evaluated by a fixed number of
-batched numpy calls, however many blocks there are: the map keeps the
-lattice factors in padded stacks, groups the points per block into chunks
-of a fixed row count, and gives every GEMM the same shape, so that a
-point's result is bit for bit the same whatever else the query holds
-(:class:`_LatticeStacks`). Cholesky blocks are evaluated one block at a
-time, each seeing its points in input order. On a Cholesky block the
+Batched queries find each point's block once, through a dense cell ->
+block table built once per map: one floor/clip over all points, then one
+nearest-populated-centre ``argmin`` for points whose cell holds no training
+data; one dispatch serves means, variances and gradients alike. Every
+lattice block a query reaches is evaluated by a fixed number of batched
+numpy calls, however many blocks there are: the stacks group the points per
+block into chunks of a fixed row count and give every GEMM the same shape,
+so that a point's result is bit for bit the same whatever else the query
+holds (:class:`_LatticeStacks`). Cholesky blocks are evaluated one block at
+a time, each seeing its points in input order. On a Cholesky block the
 gradient of the mean reuses the kernel columns ``k`` in two GEMMs, ``(k^T
 (alpha_a * X_s) - x_s * k^T alpha_a) / l^2``, taken in block-centred
 coordinates so that the cancellation scales with the block size and not
@@ -119,8 +120,9 @@ _SINGULAR = ("Gram matrix is singular (duplicated training positions with zero "
 
 @dataclass(eq=False)
 class MapBlock:
-    """One spatial cell: training rows, prior mean, and a GP factorization
-    (:attr:`fit`) computed on the first query that reaches it. A failed
+    """One spatial cell: training rows, prior mean, whether they form a
+    product grid (:attr:`grid`), and the factor of an off-grid block
+    (:attr:`fit`), computed on the first query that reaches it. A failed
     factorization raises :class:`MapError` naming the block and is not
     cached: it raises again."""
 
@@ -148,9 +150,10 @@ class MapBlock:
         return _product_grid(self.train_pos)
 
     @cached_property
-    def fit(self):
-        """:class:`_LatticeFit` or :class:`_CholeskyFit`."""
-        return _fit_block(self)
+    def fit(self) -> _CholeskyFit:
+        """The :class:`_CholeskyFit` of an off-grid block (:attr:`grid` None); a
+        lattice block is factored into its map's :class:`_LatticeStacks`."""
+        return _CholeskyFit(self)
 
 
 def _product_grid(pos: np.ndarray):
@@ -168,11 +171,6 @@ def _product_grid(pos: np.ndarray):
     return (nodes, cell) if seen.all() else None
 
 
-def _fit_block(block: MapBlock):
-    """Factor a block exactly: per axis on a product grid, else by Cholesky."""
-    return _CholeskyFit(block) if block.grid is None else _LatticeFit(block, *block.grid)
-
-
 def _clip_variance(var: np.ndarray) -> np.ndarray:
     """Variances clipped at 0, warning when one fell below -1e-8 before."""
     if np.any(var < -1e-8):
@@ -183,10 +181,10 @@ def _clip_variance(var: np.ndarray) -> np.ndarray:
 
 
 class _CholeskyFit:
-    """Any block: the lower Cholesky factor of ``K + noise*I`` and
-    ``alpha = (K + noise*I)^-1 (fields - mean)``. Only off-grid blocks take
-    this path, and it alone imports ``scipy.linalg`` (here and in
-    :meth:`query`) and, through :func:`_kernel`, ``scipy.spatial.distance``."""
+    """The factor of an off-grid block: the lower Cholesky factor of ``K +
+    noise*I`` and ``alpha = (K + noise*I)^-1 (fields - mean)``. It alone
+    imports ``scipy.linalg`` (here and in :meth:`query`) and, through
+    :func:`_kernel`, ``scipy.spatial.distance``."""
 
     def __init__(self, block: MapBlock):
         from scipy.linalg import cho_solve, cholesky
@@ -230,42 +228,6 @@ def _unit_kernel(d: np.ndarray, length_scale: float) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-class _LatticeFit:
-    """The factor of a block whose training positions are a full product grid.
-
-    The SE kernel is a product over axes, so in grid order ``K + noise*I =
-    Q (s2 Lx (x) Ly (x) Lz + noise*I) Q^T`` with ``Q = Qx (x) Qy (x) Qz``, where
-    ``Ka = Qa La Qa^T`` is the unit-variance kernel of one axis's nodes. With
-    ``D = 1 / (s2 lx ly lz + noise)`` the fit keeps ``gamma = s2 D Q^T (fields
-    - mean)`` and ``s2^2 D`` as grid tensors. A query point's kernel column
-    projects to ``Q^T k = s2 w`` with ``w = (Qx^T kx) (x) (Qy^T ky) (x) (Qz^T
-    kz)``, so the mean is ``w gamma`` and the variance ``s2 - (w*w) (s2^2
-    D)``, both contracted one axis at a time in O(n) per point; the gradient
-    along an axis swaps that axis's ``ka`` for its derivative. The map
-    evaluates these in :class:`_LatticeStacks`, batched over blocks. An
-    eigenvalue of ``K + noise*I`` at or below n eps of the largest, where a
-    Cholesky factor would break down, raises the singular-block error.
-    """
-
-    def __init__(self, block: MapBlock, nodes: tuple, cell: np.ndarray):
-        hyper = block.hyper
-        s2 = hyper.signal_variance
-        self.nodes = nodes
-        eigvals, self.q = zip(*(np.linalg.eigh(_unit_kernel(c[:, None] - c,
-                                                            hyper.length_scale))
-                                for c in nodes))
-        lam = s2 * np.einsum("i,j,k->ijk", *eigvals) + hyper.noise_variance
-        if not lam.min() > lam.size * np.finfo(float).eps * lam.max():
-            raise MapError(f"map block {block.index}: {_SINGULAR}")
-        resid = np.empty_like(block.train_field)
-        resid[cell] = block.train_field - block.mean
-        proj = resid.reshape(*lam.shape, 3)  # grid order
-        for axis, q in enumerate(self.q):   # Q^T resid, one axis at a time
-            proj = np.moveaxis(np.tensordot(q, proj, axes=(0, axis)), 0, axis)
-        self.gamma = (s2 / lam)[..., None] * proj   # (nx, ny, nz, 3)
-        self.s4d = s2 * s2 / lam                    # (nx, ny, nz)
-
-
 _CHUNK_ROWS = 4        # query rows of every lattice GEMM, whatever the query holds
 _CHUNKS_PER_CALL = 64  # chunks per batched call: one call for nearly every path query
                        # (table1: 59 chunks at the 95th percentile), and a bound on the
@@ -278,16 +240,30 @@ def _along(t: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 class _LatticeStacks:
-    """The lattice blocks of one map, stacked so that a fixed number of batched
-    numpy calls evaluates points from any number of blocks.
+    """The lattice blocks of one map: each block whose training positions are
+    a full product grid (:attr:`MapBlock.grid`) is factored exactly into its
+    slot, and a fixed number of batched numpy calls evaluates points from any
+    number of blocks.
+
+    The SE kernel is a product over axes, so in grid order ``K + noise*I =
+    Q (s2 Lx (x) Ly (x) Lz + noise*I) Q^T`` with ``Q = Qx (x) Qy (x) Qz``, where
+    ``Ka = Qa La Qa^T`` is the unit-variance kernel of one axis's nodes. With
+    ``D = 1 / (s2 lx ly lz + noise)`` a slot keeps ``gamma = s2 D Q^T (fields
+    - mean)`` and ``s2^2 D``. A query point's kernel column projects to ``Q^T
+    k = s2 w`` with ``w = (Qx^T kx) (x) (Qy^T ky) (x) (Qz^T kz)``, so the mean
+    is ``w gamma`` and the variance ``s2 - (w*w) (s2^2 D)``, both contracted
+    one axis at a time in O(n) per point; the gradient along an axis swaps
+    that axis's ``ka`` for its derivative. An eigenvalue of ``K + noise*I``
+    at or below n eps of the largest, where a Cholesky factor would break
+    down, raises the singular-block error.
 
     Slot ``o`` belongs to block ordinal ``o``: its per-axis nodes and ``Qa``,
     its prior mean, ``gamma`` as an (n_x, 3 n_z n_y) matrix and ``s2^2 D`` as
     an (n_x, n_z n_y) one, all padded to the map's largest lattice per axis.
     Padded nodes, ``Q``, ``gamma`` and ``s2^2 D`` entries are 0. A padded
     node's kernel value is finite and meets only a zero row of ``Q``, so
-    padded lanes add exact zeros. A slot is filled when its block is
-    factored.
+    padded lanes add exact zeros. A slot is filled (:attr:`filled`) on the
+    first query that reaches its block.
 
     Points are grouped per block, in input order, into chunks of
     ``_CHUNK_ROWS`` rows; padded rows repeat the chunk's first point and are
@@ -300,13 +276,13 @@ class _LatticeStacks:
     """
 
     def __init__(self, blocks: list, hyper: GpHyperparams):
+        self.blocks, self.hyper = blocks, hyper
         grids = [block.grid for block in blocks]
         self.is_lattice = np.array([grid is not None for grid in grids])
         counts = [[len(c) for c in grid[0]] for grid in grids if grid is not None]
         self.shape = tuple(np.max(counts, axis=0)) if counts else (1, 1, 1)
         nx, ny, nz = self.shape
         n, width = len(blocks), max(self.shape)
-        self.length_scale, self.signal_variance = hyper.length_scale, hyper.signal_variance
         self.nodes = np.zeros((n, 3, width))
         self.q = np.zeros((n, 3, width, width))
         self.gamma = np.zeros((n, nx, 3 * nz * ny))
@@ -314,19 +290,31 @@ class _LatticeStacks:
         self.mean = np.array([block.mean for block in blocks])
         self.filled = np.zeros(n, bool)
 
-    def fill(self, blocks: list, slots: np.ndarray) -> None:
-        """Factor the blocks of ``slots`` whose slot is empty and copy them in;
+    def fill(self, slots: np.ndarray) -> None:
+        """Factor the blocks of ``slots`` whose slot is empty into their slots;
         a block that fails to factor raises and leaves its slot empty."""
         nx, ny, nz = self.shape
+        s2 = self.hyper.signal_variance
         for o in np.unique(slots[~self.filled[slots]]):
-            fit = blocks[o].fit
-            for axis, (c, q) in enumerate(zip(fit.nodes, fit.q)):
+            block = self.blocks[o]
+            nodes, cell = block.grid
+            eigvals, q = zip(*(np.linalg.eigh(_unit_kernel(c[:, None] - c,
+                                                           self.hyper.length_scale))
+                               for c in nodes))
+            lam = s2 * np.einsum("i,j,k->ijk", *eigvals) + self.hyper.noise_variance
+            if not lam.min() > lam.size * np.finfo(float).eps * lam.max():
+                raise MapError(f"map block {block.index}: {_SINGULAR}")
+            resid = np.empty_like(block.train_field)
+            resid[cell] = block.train_field - block.mean
+            proj = resid.reshape(*lam.shape, 3)  # grid order
+            for axis, (c, qa) in enumerate(zip(nodes, q)):  # Q^T resid, one axis at a time
+                proj = np.moveaxis(np.tensordot(qa, proj, axes=(0, axis)), 0, axis)
                 self.nodes[o, axis, :len(c)] = c
-                self.q[o, axis, :len(c), :len(c)] = q
-            bx, by, bz = fit.s4d.shape  # stored (x, k, z, y): y varies fastest
+                self.q[o, axis, :len(c), :len(c)] = qa
+            bx, by, bz = lam.shape  # stored (x, k, z, y): y varies fastest
             gamma = self.gamma[o].reshape(nx, 3, nz, ny)
-            gamma[:bx, :, :bz, :by] = fit.gamma.transpose(0, 3, 2, 1)
-            self.s4d[o].reshape(nx, nz, ny)[:bx, :bz, :by] = fit.s4d.transpose(0, 2, 1)
+            gamma[:bx, :, :bz, :by] = ((s2 / lam)[..., None] * proj).transpose(0, 3, 2, 1)
+            self.s4d[o].reshape(nx, nz, ny)[:bx, :bz, :by] = (s2 * s2 / lam).transpose(0, 2, 1)
             self.filled[o] = True
 
     def _chunks(self, pts: np.ndarray, slots: np.ndarray):
@@ -355,7 +343,7 @@ class _LatticeStacks:
         """``(k, d)`` (G, 3, W, n): per chunk, axis and row, the kernel
         against the padded axis nodes and the differences ``x - c`` behind it."""
         d = sub.transpose(0, 2, 1)[..., None] - self.nodes[slot][:, :, None, :]
-        return _unit_kernel(d, self.length_scale), d
+        return _unit_kernel(d, self.hyper.length_scale), d
 
     def _axes(self, p: np.ndarray) -> tuple:
         """Per-axis projections (G, W, n_a) out of the stacked (G, 3, W, n)."""
@@ -372,7 +360,7 @@ class _LatticeStacks:
             mu = self.mean[slot, None] + _along(_along(px @ self.gamma[slot], py), pz)
             means[rows] = mu[valid]
             w2 = _along(_along((px * px) @ self.s4d[slot], py * py), pz * pz)
-            variances[rows] = (self.signal_variance - w2[..., 0])[valid]
+            variances[rows] = (self.hyper.signal_variance - w2[..., 0])[valid]
         return means, variances
 
     def gradient(self, pts: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -390,7 +378,7 @@ class _LatticeStacks:
             g = np.stack([_along(_along(a[:, w:], py), pz),
                           _along(_along(a[:, :w], dy), pz),
                           _along(_along(a[:, :w], py), dz)], axis=-1)
-            grads[rows] = g[valid] / self.length_scale**2
+            grads[rows] = g[valid] / self.hyper.length_scale**2
         return grads
 
 
@@ -482,12 +470,11 @@ class MagMap:
             ordinal[empty] = np.argmin(d2, axis=1)
         return ordinal
 
-    def _group_by_block(self, ts: np.ndarray):
-        """Yield ``(block, rows)`` per block of :meth:`_ordinals`; ``rows``
-        ascend, so each block sees its points in input order."""
-        if not len(ts):
+    def _group_by_block(self, ordinal: np.ndarray):
+        """Yield ``(block, rows)`` per block of the ordinals ``ordinal``;
+        ``rows`` ascend, so each block sees its points in input order."""
+        if not len(ordinal):
             return
-        ordinal = self._ordinals(ts)
         order = np.argsort(ordinal, kind="stable")
         starts = np.flatnonzero(np.diff(ordinal[order])) + 1
         for rows in np.split(order, starts):
@@ -498,16 +485,20 @@ class MagMap:
         """The lattice blocks' stacks, made by the first query."""
         return _LatticeStacks(self._blocks, self.hyper)
 
-    def _split(self, pts: np.ndarray) -> tuple:
-        """``(stacks, rows, slots, other)``: the lattice stacks, the points in
-        lattice blocks and their block ordinals, whose blocks this factors,
-        and the other points."""
+    def _evaluate(self, pts: np.ndarray, method: str):
+        """Yield ``(rows, result)``: ``method`` (``"query"`` or
+        ``"gradient"``) of the lattice stacks over the points ``pts`` in
+        lattice blocks, whose slots this fills, then of each other block's
+        Cholesky fit over its points. Block ordinals are found once."""
         stacks = self._lattice
         ordinal = self._ordinals(pts)
         lattice = stacks.is_lattice[ordinal]
         rows = np.flatnonzero(lattice)
-        stacks.fill(self._blocks, ordinal[rows])
-        return stacks, rows, ordinal[rows], np.flatnonzero(~lattice)
+        stacks.fill(ordinal[rows])
+        yield rows, getattr(stacks, method)(pts[rows], ordinal[rows])
+        other = np.flatnonzero(~lattice)
+        for block, sub in self._group_by_block(ordinal[other]):
+            yield other[sub], getattr(block.fit, method)(pts[other[sub]])
 
     # -- queries ----------------------------------------------------------
 
@@ -525,12 +516,7 @@ class MagMap:
         if not np.any(inside):
             return means, variances, inside
         idx_in = np.flatnonzero(inside)
-        pts = ts[idx_in]
-        stacks, rows, slots, other = self._split(pts)
-        parts = [(rows, *stacks.query(pts[rows], slots))]
-        parts += [(other[sub], *block.fit.query(pts[other[sub]]))
-                  for block, sub in self._group_by_block(pts[other])]
-        for rows, mu, var in parts:
+        for rows, (mu, var) in self._evaluate(ts[idx_in], "query"):
             means[idx_in[rows]] = mu
             variances[idx_in[rows]] = _clip_variance(var)[:, None]
         return means, variances, inside
@@ -542,10 +528,8 @@ class MagMap:
         ``inside`` is all true."""
         ts, inside = _inside(self, ts, False, "mapped volume")
         grads = np.empty((ts.shape[0], 3, 3))
-        stacks, rows, slots, other = self._split(ts)
-        grads[rows] = stacks.gradient(ts[rows], slots)
-        for block, sub in self._group_by_block(ts[other]):
-            grads[other[sub]] = block.fit.gradient(ts[other[sub]])
+        for rows, g in self._evaluate(ts, "gradient"):
+            grads[rows] = g
         return grads, inside
 
     # -- introspection ------------------------------------------------------

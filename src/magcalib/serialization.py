@@ -392,16 +392,16 @@ def load_sweep_spec(path) -> SweepSpec:
     :func:`default_path_specs`; unless the spec says otherwise, its mapping
     survey is :data:`SWEEP_SURVEY` (1.5 m apart with 0.1 uT noise), coarser
     than a ``SweepSpec``'s."""
-    casts = {"noise_levels": tuple, "n_distortions": int, "n_initial_offsets": int,
-             "offset_range": float, "seed": int, "survey_spacing": float,
+    casts = {"noise_levels": tuple, "offset_range": float, "survey_spacing": float,
              "survey_noise": float}
+    counts = ("n_distortions", "n_initial_offsets", "seed")  # as read: SweepSpec checks them
 
     def build(doc):
-        doc = {**SWEEP_SURVEY, **_keys(doc, (), (*casts, "path_defaults"))}
+        doc = {**SWEEP_SURVEY, **_keys(doc, (), (*casts, *counts, "path_defaults"))}
         paths = _keys(doc.pop("path_defaults", {}), (),
                       inspect.signature(default_path_specs).parameters, "path_defaults")
         return SweepSpec(paths=default_path_specs(**paths),
-                         **{k: casts[k](v) for k, v in doc.items()})
+                         **{k: casts[k](v) if k in casts else v for k, v in doc.items()})
     return build({}) if path is None else _read(path, build)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Dataset, Pose, as_vec3, rot_z, row_norms
+from .geometry import Dataset, Pose, as_vec3, check_integers, rot_z, row_norms
 from .intrinsic import AffineDistortion
 
 PATH_KINDS = ("lawnmower", "perimeter", "random_walk", "figure_eight", "diagonal_sweep")
@@ -142,6 +142,7 @@ class PathSpec:
     between poses; ``z_height`` [m] the constant driving height. Families
     needing a sample budget (random walk, figure eight) use ``n_samples``.
     ``region_margin`` keeps the path away from the world walls.
+    ``n_samples`` and ``seed`` are integers, not bools.
     """
 
     kind: str = "lawnmower"
@@ -152,6 +153,7 @@ class PathSpec:
     region_margin: float = 1.0
 
     def __post_init__(self):
+        check_integers(self, "n_samples", "seed")
         if self.kind not in PATH_KINDS:
             raise ValueError(f"unknown path kind {self.kind!r}, expected one of {PATH_KINDS}")
         if self.sample_spacing <= 0:
@@ -376,7 +378,12 @@ def sample_dataset(world: WorldConfig, path: list, rig: SensorRig, sensor_index:
 def survey_positions(world: WorldConfig, spacing_xy: float,
                      z_levels=(0.15, 0.45, 0.75, 1.05, 1.5),
                      margin: float = 1.0) -> np.ndarray:
-    """Regular mapping lattice covering the drivable floor at several heights."""
+    """Regular mapping lattice covering the drivable floor at several heights.
+    A spacing that is not finite and > 0, or no height, raises ``ValueError``."""
+    if not (np.isfinite(spacing_xy) and spacing_xy > 0):
+        raise ValueError(f"survey spacing must be finite and > 0, got {spacing_xy}")
+    if not len(z_levels):
+        raise ValueError("survey z levels must not be empty")
     xs = np.arange(world.extent.lo[0] + margin, world.extent.hi[0] - margin + 1e-9,
                    spacing_xy)
     ys = np.arange(world.extent.lo[1] + margin, world.extent.hi[1] - margin + 1e-9,

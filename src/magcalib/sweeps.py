@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .extrinsic import (
     calibrate,
     classify_success,
 )
-from .geometry import Dataset
+from .geometry import Dataset, check_integers
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import BilinearMap, GpHyperparams, MagMap, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
@@ -73,6 +75,8 @@ class SweepSpec:
     initial lever-arm guesses are drawn uniformly in a ball of radius
     ``offset_range`` around the truth. The world, mapping survey, and
     optimizer settings ride along so a report fully reproduces itself.
+    The counts and ``seed`` are integers, not bools; ``paths`` and
+    ``noise_levels`` are not empty, and each noise level is finite and >= 0.
     """
 
     paths: tuple = field(default_factory=default_path_specs)
@@ -93,8 +97,16 @@ class SweepSpec:
     config: CalibrationConfig = field(default_factory=CalibrationConfig)
 
     def __post_init__(self):
+        check_integers(self, "n_distortions", "n_initial_offsets", "seed")
         if self.n_distortions < 1 or self.n_initial_offsets < 1:
             raise ValueError("trial counts must be >= 1")
+        for name in ("paths", "noise_levels"):
+            if not len(getattr(self, name)):
+                raise ValueError(f"{name} must not be empty")
+        for i, sigma in enumerate(self.noise_levels):
+            if (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)
+                    or not (math.isfinite(sigma) and sigma >= 0)):
+                raise ValueError(f"noise_levels[{i}] must be finite and >= 0, got {sigma!r}")
 
     def as_dict(self) -> dict:
         return {

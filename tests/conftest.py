@@ -45,8 +45,7 @@ def jittered_map(gentle_world):
                      block_size=10.0)
 
 
-@pytest.fixture(scope="session")
-def l_shaped_map():
+def make_l_shaped_map():
     """L-shaped survey on a 4x4x1 grid of 2 m blocks: 7 populated cells, 9
     cells (the 3x3 corner away from both arms) without training data. The
     corner block's rows are no product grid, so it takes the Cholesky path
@@ -65,6 +64,12 @@ def l_shaped_map():
                           overlap=0.25)
     assert field_map.grid_shape.tolist() == [4, 4, 1] and len(field_map.blocks) == 7
     return field_map
+
+
+@pytest.fixture(scope="session")
+def l_shaped_map():
+    """:func:`make_l_shaped_map`, shared by the session."""
+    return make_l_shaped_map()
 
 
 @pytest.fixture(scope="session")

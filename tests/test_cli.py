@@ -158,9 +158,12 @@ def _saved_map_with(**edits):
       "--out", "{out}"], {"tsvd_rank": 9}, "tsvd_rank must be in [1, 7], got 9"),
     (["calibrate", "--map", "{doc}", "--data", "{sim}/mag0.jsonl", "--out", "{out}"],
      _saved_map_with(block_size=-1), "block_size must be finite and > 0, got -1.0"),
+    (["sweep", "success", "--spec", "{doc}", "--out", "{out}"], {"noise_levels": []},
+     "noise_levels must not be empty"),
 ], ids=["simulate_rig", "build_map_hyper", "calibrate_map", "calibrate_config",
         "evaluate_truth_sensors", "evaluate_truth_gain", "sweep_spec", "build_map_hyper_nan",
-        "calibrate_config_iterations", "calibrate_config_rank", "calibrate_map_block_size"])
+        "calibrate_config_iterations", "calibrate_config_rank", "calibrate_map_block_size",
+        "sweep_spec_no_noise_levels"])
 def test_bad_document_exits_2(workdir, tmp_path, capsys, argv, doc, match):
     """A bad document exits 2 with one stderr line naming the file and the
     key, before any output is written or any trial runs."""
@@ -176,6 +179,23 @@ def test_bad_document_exits_2(workdir, tmp_path, capsys, argv, doc, match):
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err == f"magcalib {argv[0]}: error: {paths['doc']}: {match}\n"
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("spacing", ["-1", "0", "nan"])
+def test_simulate_bad_survey_spacing_exits_2(workdir, tmp_path, capsys, spacing):
+    """A survey spacing that is not finite and > 0 exits 2 with one stderr
+    line before any file is written, not with an empty survey or a numpy
+    allocation error."""
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--world", str(workdir / "world.json"), "--path", "lawnmower",
+               "--rig", str(workdir / "rig.json"), "--out", str(out),
+               "--survey-spacing", spacing])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"magcalib simulate: error: survey spacing must be finite "
+                            f"and > 0, got {float(spacing)}\n")
+    assert not out.exists()
 
 
 def test_evaluate_result_with_short_translation_exits_2(workdir, tmp_path, capsys):

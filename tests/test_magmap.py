@@ -11,7 +11,6 @@ from magcalib.magmap import (
     MapError,
     OutOfMapError,
     _CholeskyFit,
-    _LatticeFit,
     _FD_STEP,
     _kernel,
     _product_grid,
@@ -19,7 +18,7 @@ from magcalib.magmap import (
 )
 from magcalib.simulator import WorldConfig, field_at_many, survey_dataset, survey_positions
 
-from conftest import identity_dataset, lattice_dataset
+from conftest import identity_dataset, lattice_dataset, make_l_shaped_map
 
 
 def _single_point_map(reading=(15.0, -5.0, -40.0)):
@@ -185,7 +184,7 @@ def test_query_mean_invariant_to_fingerprint_order(gentle_world):
     a, va, _ = m1.query_many(pts)
     b, vb, _ = m2.query_many(pts)
     ga, gb = m1.gradient_many(pts)[0], m2.gradient_many(pts)[0]
-    assert all(isinstance(b.fit, _LatticeFit) for m in (m1, m2) for b in m.blocks.values())
+    assert all(b.grid is not None for m in (m1, m2) for b in m.blocks.values())
     assert np.max(np.abs(a - b)) <= 1e-10
     assert np.max(np.abs(va - vb)) <= 1e-10 * hyper.signal_variance
     assert np.max(np.abs(ga - gb)) <= 1e-10 * np.abs(ga).max()
@@ -298,7 +297,7 @@ def test_grouping_matches_reference_rule(l_shaped_map):
                   0, l_shaped_map.grid_shape - 1).astype(int)
     assert sum(tuple(i) not in l_shaped_map.blocks for i in idx.tolist()) >= 9 * 20
     got = {}
-    for block, rows in l_shaped_map._group_by_block(pts):
+    for block, rows in l_shaped_map._group_by_block(l_shaped_map._ordinals(pts)):
         key = next(k for k, b in l_shaped_map.blocks.items() if b is block)
         assert key not in got
         got[key] = rows
@@ -317,8 +316,8 @@ def test_batched_queries_equal_per_block_and_single_point_queries(l_shaped_map):
     kinds = set()
     for key, rows in _reference_groups(l_shaped_map, pts).items():
         block = l_shaped_map.blocks[key]
-        kinds.add(type(block.fit))
-        if isinstance(block.fit, _CholeskyFit):
+        kinds.add(block.grid is None)
+        if block.grid is None:
             kstar = _kernel(l_shaped_map.hyper, block.train_pos, pts[rows])
             assert np.array_equal(means[rows], block.mean + kstar.T @ block.fit.alpha)
         else:
@@ -329,7 +328,7 @@ def test_batched_queries_equal_per_block_and_single_point_queries(l_shaped_map):
         assert np.array_equal(means[rows], m)
         assert np.array_equal(variances[rows], v)
         assert np.array_equal(grads[rows], g)
-    assert kinds == {_CholeskyFit, _LatticeFit}
+    assert kinds == {True, False}  # Cholesky and lattice blocks
     # one point at a time: BLAS takes its matrix-vector path, last bits move
     sigma2 = l_shaped_map.hyper.signal_variance
     gscale = np.abs(grads).max()
@@ -339,6 +338,27 @@ def test_batched_queries_equal_per_block_and_single_point_queries(l_shaped_map):
         assert np.allclose(m[0], means[i], rtol=1e-14, atol=0.0)
         assert np.allclose(v[0], variances[i], rtol=0.0, atol=1e-12 * sigma2)
         assert np.allclose(g[0], grads[i], rtol=0.0, atol=1e-12 * gscale)
+
+
+def test_lattice_blocks_are_factored_only_into_their_slots():
+    """A lattice block's factor lives in its slot of the map's stacks alone:
+    after a query that reaches two blocks, then one that reaches every block,
+    the stacks mark exactly the lattice blocks reached so far, and only the
+    off-grid blocks reached cache a ``fit``."""
+    field_map = make_l_shaped_map()
+    blocks = list(field_map.blocks.values())
+    lattice = np.array([block.grid is not None for block in blocks])
+    pts = _l_shaped_queries(field_map, np.random.default_rng(20))
+    ordinal = field_map._ordinals(pts)
+    first = pts[np.isin(ordinal, [0, 3])]
+    assert {lattice[0], lattice[3]} == {True, False}  # one block of each kind
+    reached = np.zeros(len(blocks), bool)
+    for query, part in ((field_map.query_many, first), (field_map.gradient_many, pts)):
+        query(part)
+        reached[field_map._ordinals(part)] = True
+        assert np.array_equal(field_map._lattice.filled, lattice & reached)
+        assert np.array_equal(["fit" in vars(block) for block in blocks], ~lattice & reached)
+    assert reached.all()
 
 
 def test_gemm_gradient_matches_einsum_form(l_shaped_map):
@@ -367,7 +387,7 @@ def test_lattice_blocks_match_dense_reference(spacing, length_scale):
     hyper = GpHyperparams(length_scale=length_scale, noise_variance=0.001)
     field_map = build_map(data, hyper, block_size=8.0)
     blocks = sorted(field_map.blocks.values(), key=lambda b: b.n_train)
-    assert all(isinstance(block.fit, _LatticeFit) for block in blocks)
+    assert all(block.grid is not None for block in blocks)
     rng = np.random.default_rng(15)
     for block in blocks[-2:] + [field_map.blocks[(0, 0, 0)]]:
         sub = rng.uniform(block.lo, block.hi, size=(96, 3))  # routed to this block
@@ -412,7 +432,7 @@ def test_lattice_results_do_not_depend_on_the_rest_of_the_query(name, request):
     queries = _survey_queries if name == "survey_map" else _l_shaped_queries
     pts = queries(field_map, rng)
     keys = _reference_blocks(field_map, pts)
-    lattice = [isinstance(field_map.blocks[key].fit, _LatticeFit) for key in keys]
+    lattice = [field_map.blocks[key].grid is not None for key in keys]
     pts = pts[lattice]
     keys = [key for key, keep in zip(keys, lattice) if keep]
     if name == "survey_map":
@@ -468,11 +488,12 @@ def test_off_grid_blocks_take_the_cholesky_path(jittered_map, l_shaped_map):
     rng = np.random.default_rng(17)
     for field_map, block in ((jittered_map, jittered_map.blocks[(0, 0, 0)]),
                              (l_shaped_map, l_shaped_map.blocks[(0, 0, 0)])):
-        assert isinstance(block.fit, _CholeskyFit)
+        assert block.grid is None
         sub = rng.uniform(block.lo, np.minimum(block.hi, field_map.grid_hi), size=(50, 3))
         sub[:, 2] = block.train_pos[:, 2].mean()
         means, variances, _ = field_map.query_many(sub)
         grads, _ = field_map.gradient_many(sub)
+        assert isinstance(vars(block).get("fit"), _CholeskyFit)
         _assert_matches_dense_reference(field_map, block, sub, means, variances, grads)
 
 

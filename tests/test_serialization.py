@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from magcalib.extrinsic import CalibrationResult
 from magcalib.geometry import Dataset, random_rotation
-from magcalib import magmap, serialization
+from magcalib import serialization
 from magcalib.intrinsic import AffineDistortion
 from magcalib.magmap import GpHyperparams, MapError, build_map
 from magcalib.sweeps import SweepSpec
@@ -383,29 +383,37 @@ def test_save_map_writes_the_bytes_of_json_dump(tmp_path):
     assert path.read_bytes() == reference.read_bytes()
 
 
+def _factored(field_map) -> list:
+    """Keys of the blocks factored so far: lattice blocks in their slot of
+    the map's stacks, off-grid ones in their cached ``fit``."""
+    return [key for (key, block), filled in zip(field_map.blocks.items(),
+                                                field_map._lattice.filled)
+            if filled or "fit" in vars(block)]
+
+
 def test_blocks_are_factored_on_first_query(tmp_path, monkeypatch):
-    factor, calls = magmap._fit_block, []  # every block fit, lattice or Cholesky
+    eigh, calls = np.linalg.eigh, []  # three per lattice block factored
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return factor(*args, **kwargs)
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(magmap, "_fit_block", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     field_map = _three_block_map()
-    assert len(calls) == 0
+    assert _factored(field_map) == [] and len(calls) == 0
     path = tmp_path / "map.json"
     save_map(field_map, path)
-    assert len(calls) == 0
+    assert _factored(field_map) == [] and len(calls) == 0
     loaded = load_map(path)
-    assert len(calls) == 0
+    assert _factored(loaded) == [] and len(calls) == 0
     first = np.array([[1.0, 0.5, 0.5]])
     loaded.query_many(first)
-    assert len(calls) == 1
+    assert _factored(loaded) == [(0, 0, 0)] and len(calls) == 3
     loaded.query_many(first)
     loaded.gradient_many(first)
-    assert len(calls) == 1
+    assert _factored(loaded) == [(0, 0, 0)] and len(calls) == 3
     loaded.query_many(np.array([[5.0, 0.5, 0.5]]))
-    assert len(calls) == 2
+    assert _factored(loaded) == [(0, 0, 0), (2, 0, 0)] and len(calls) == 6
 
 
 def test_singular_block_raises_on_every_query_naming_the_block(tmp_path):
@@ -713,6 +721,22 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("config", ("tsvd_rank",), 2.5, "tsvd_rank must be an integer, got 2.5$"),
     ("config", ("tsvd_rank",), 9, r"tsvd_rank must be in \[1, 7\], got 9$"),
     ("config", ("tsvd_rank",), 0, r"tsvd_rank must be in \[1, 7\], got 0$"),
+    # sweep counts must be integers, noise levels finite and >= 0, none of them empty
+    ("sweep", ("n_distortions",), 1.5, "n_distortions must be an integer, got 1.5$"),
+    ("sweep", ("n_distortions",), True, "n_distortions must be an integer, got True$"),
+    ("sweep", ("n_initial_offsets",), 2.0, "n_initial_offsets must be an integer, got 2.0$"),
+    ("sweep", ("seed",), 2.7, "seed must be an integer, got 2.7$"),
+    ("sweep", ("path_defaults", "n_samples"), 50.5, "n_samples must be an integer, got 50.5$"),
+    ("sweep", ("path_defaults", "seed"), 7.5, "seed must be an integer, got 7.5$"),
+    ("sweep", ("noise_levels",), [], "noise_levels must not be empty$"),
+    ("sweep", ("noise_levels",), [0.1, -0.1],
+     r"noise_levels\[1\] must be finite and >= 0, got -0.1$"),
+    ("sweep", ("noise_levels",), [float("nan")],
+     r"noise_levels\[0\] must be finite and >= 0, got nan$"),
+    ("sweep", ("noise_levels",), ["0.1"],
+     r"noise_levels\[0\] must be finite and >= 0, got '0.1'$"),
+    ("sweep", ("noise_levels",), [True],
+     r"noise_levels\[0\] must be finite and >= 0, got True$"),
     # a map file carries the whole kernel it was fit with
     ("map", ("hyper",), {}, r"hyper: missing key\(s\) length_scale, signal_variance, "
                             r"noise_variance, mean_mode$"),

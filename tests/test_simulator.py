@@ -257,6 +257,24 @@ def test_survey_positions_form_lattice(calib_world):
     assert np.allclose(np.diff(xs), 1.0)
 
 
+@pytest.mark.parametrize("spacing, z_levels, match", [
+    (-1.0, (0.4,), "survey spacing must be finite and > 0, got -1.0"),
+    (0.0, (0.4,), "survey spacing must be finite and > 0, got 0.0"),
+    (float("inf"), (0.4,), "survey spacing must be finite and > 0, got inf"),
+    (1.0, (), "survey z levels must not be empty"),
+])
+def test_survey_positions_reject_bad_lattices(calib_world, spacing, z_levels, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        survey_positions(calib_world, spacing, z_levels)
+
+
+@pytest.mark.parametrize("key, value", [("n_samples", 50.5), ("n_samples", True),
+                                        ("seed", 2.7), ("seed", None)])
+def test_path_spec_counts_are_integers(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+        PathSpec(**{key: value})
+
+
 def test_survey_dataset_reads_map_frame(calib_world):
     pos = survey_positions(calib_world, 2.0, z_levels=(0.6,), margin=1.0)
     data = survey_dataset(calib_world, pos, noise_sigma=0.0, seed=0)

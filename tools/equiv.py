@@ -38,6 +38,14 @@ only its tree on the import path, and writes into ``DIR/a`` and ``DIR/b``:
   and at every 97th node, in ``bilinear_report.json``, so the multilinear
   interpolant is compared at its own layer and not only through sweep
   rows.
+* ``MagMap`` means, variances and gradients of two maps that hold
+  off-grid (Cholesky) blocks, at fixed random points, in
+  ``offgrid_report.json``: a 1.5 m survey of the default hall with every
+  position jittered by about 1 cm (no block is a product grid) and an
+  L-shaped 0.5 m survey on 2 m blocks whose corner block is off-grid and
+  whose other six are lattice blocks. The points fill each survey's
+  bounding box grown by 0.25 m, so they reach empty cells and the overlap
+  padding too.
 
 Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
 and every output file byte for byte. With ``--rtol R`` a file whose bytes
@@ -45,7 +53,7 @@ differ passes when its text outside the numbers is the same and every
 number is within ``R`` of the larger magnitude of the pair; the largest
 relative deviation of each file is printed. The exit status is 1 when
 anything differs (beyond ``R``) and 0 when nothing does. Each side takes
-about 20 s on a 2-core x86 host.
+about 3 s on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -143,7 +151,7 @@ def dump(out: Path) -> None:
     from magcalib import cli, serialization
     from magcalib.extrinsic import CalibrationConfig, CalibrationInput, jacobian, residual
     from magcalib.intrinsic import AffineDistortion
-    from magcalib.magmap import BilinearMap
+    from magcalib.magmap import BilinearMap, GpHyperparams, build_map
     from magcalib.simulator import survey_dataset, survey_positions
     from magcalib.sweeps import (SweepSpec, default_path_specs, run_ablation,
                                  run_success_sweep, run_table1_sweep,
@@ -172,6 +180,24 @@ def dump(out: Path) -> None:
                                   "means": grid.query_many(pts)[0].tolist(),
                                   "gradients": grid.gradient_many(pts)[0].tolist()}
     (out / "bilinear_report.json").write_text(json.dumps(bilinear))
+
+    positions = survey_positions(spec.world, 1.5, (0.45, 1.05))
+    positions = positions + rng.normal(0.0, 0.01, positions.shape)
+    xs = np.arange(0.0, 8.0, 0.5)
+    lattice = np.stack(np.meshgrid(xs, xs, [0.5, 1.0], indexing="ij"), -1).reshape(-1, 3)
+    lattice = lattice[(lattice[:, 0] <= 1.5) | (lattice[:, 1] <= 1.5)] + [4.0, 4.0, 0.0]
+    offgrid = {}
+    for name, pos, hyper, size, overlap in (
+            ("jittered", positions, GpHyperparams(1.2, 25.0, 0.001), 8.0, None),
+            ("l_shaped", lattice, GpHyperparams(length_scale=0.7), 2.0, 0.25)):
+        field_map = build_map(survey_dataset(spec.world, pos, 0.03, seed=26), hyper,
+                              block_size=size, overlap=overlap)
+        pts = rng.uniform(pos.min(axis=0) - 0.25, pos.max(axis=0) + 0.25, size=(500, 3))
+        means, variances, _ = field_map.query_many(pts)
+        offgrid[name] = {"points": pts.tolist(), "means": means.tolist(),
+                         "variances": variances.tolist(),
+                         "gradients": field_map.gradient_many(pts)[0].tolist()}
+    (out / "offgrid_report.json").write_text(json.dumps(offgrid))
 
     session = out / "cli"
     session.mkdir(parents=True)
