@@ -721,6 +721,10 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("config", ("tsvd_rank",), 2.5, "tsvd_rank must be an integer, got 2.5$"),
     ("config", ("tsvd_rank",), 9, r"tsvd_rank must be in \[1, 7\], got 9$"),
     ("config", ("tsvd_rank",), 0, r"tsvd_rank must be in \[1, 7\], got 0$"),
+    # a map file carries the whole kernel it was fit with
+    ("map", ("hyper",), {}, r"hyper: missing key\(s\) length_scale, signal_variance, "
+                            r"noise_variance, mean_mode$"),
+    ("map", ("hyper", "noise_variance"), _DROP, r"hyper: missing key\(s\) noise_variance$"),
     # sweep counts must be integers, noise levels finite and >= 0, none of them empty
     ("sweep", ("n_distortions",), 1.5, "n_distortions must be an integer, got 1.5$"),
     ("sweep", ("n_distortions",), True, "n_distortions must be an integer, got True$"),
@@ -737,10 +741,6 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
      r"noise_levels\[0\] must be finite and >= 0, got '0.1'$"),
     ("sweep", ("noise_levels",), [True],
      r"noise_levels\[0\] must be finite and >= 0, got True$"),
-    # a map file carries the whole kernel it was fit with
-    ("map", ("hyper",), {}, r"hyper: missing key\(s\) length_scale, signal_variance, "
-                            r"noise_variance, mean_mode$"),
-    ("map", ("hyper", "noise_variance"), _DROP, r"hyper: missing key\(s\) noise_variance$"),
 ])
 def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, match):
     """Each reader raises ``ValueError`` naming its file, then the key path
