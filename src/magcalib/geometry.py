@@ -52,13 +52,18 @@ def as_mat3(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` when ``value`` is not an
+    integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_integers(obj, *names: str) -> None:
-    """Raise ``ValueError`` naming the first attribute of ``obj`` among
-    ``names`` that is not an integer; a bool is not one."""
+    """:func:`check_integer` of each attribute of ``obj`` among ``names``,
+    in order."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, getattr(obj, name))
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

@@ -391,13 +391,15 @@ def load_sweep_spec(path) -> SweepSpec:
     is None. ``path_defaults`` holds keyword arguments of
     :func:`default_path_specs`; unless the spec says otherwise, its mapping
     survey is :data:`SWEEP_SURVEY` (1.5 m apart with 0.1 uT noise), coarser
-    than a ``SweepSpec``'s."""
+    than a ``SweepSpec``'s. ``noise_levels`` is a list."""
     casts = {"noise_levels": tuple, "offset_range": float, "survey_spacing": float,
              "survey_noise": float}
     counts = ("n_distortions", "n_initial_offsets", "seed")  # as read: SweepSpec checks them
 
     def build(doc):
         doc = {**SWEEP_SURVEY, **_keys(doc, (), (*casts, *counts, "path_defaults"))}
+        if not isinstance(doc.get("noise_levels", []), list):
+            raise ValueError(f"noise_levels must be a list, got {json.dumps(doc['noise_levels'])}")
         paths = _keys(doc.pop("path_defaults", {}), (),
                       inspect.signature(default_path_specs).parameters, "path_defaults")
         return SweepSpec(paths=default_path_specs(**paths),

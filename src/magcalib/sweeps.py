@@ -33,7 +33,7 @@ from .extrinsic import (
     calibrate,
     classify_success,
 )
-from .geometry import Dataset, check_integers
+from .geometry import Dataset, check_integer, check_integers
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import BilinearMap, GpHyperparams, MagMap, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
@@ -60,7 +60,10 @@ def default_experiment_world() -> WorldConfig:
 def default_path_specs(spacing: float = 2.5, margin: float = 8.0,
                        z_height: float = 0.6, n_samples: int = 200,
                        seed: int = 7) -> tuple:
-    """The five calibration path families used throughout the sweeps."""
+    """The five calibration path families used throughout the sweeps; family
+    ``i`` draws from ``seed + i``, so ``seed`` must be an integer (a bool
+    would pass as 0 or 1)."""
+    check_integer("seed", seed)
     return tuple(
         PathSpec(kind=k, sample_spacing=spacing, z_height=z_height,
                  n_samples=n_samples, seed=seed + i, region_margin=margin)
@@ -76,7 +79,8 @@ class SweepSpec:
     ``offset_range`` around the truth. The world, mapping survey, and
     optimizer settings ride along so a report fully reproduces itself.
     The counts and ``seed`` are integers, not bools; ``paths`` and
-    ``noise_levels`` are not empty, and each noise level is finite and >= 0.
+    ``noise_levels`` are not empty, and each noise level and
+    ``offset_range`` are finite and >= 0.
     """
 
     paths: tuple = field(default_factory=default_path_specs)
@@ -103,10 +107,11 @@ class SweepSpec:
         for name in ("paths", "noise_levels"):
             if not len(getattr(self, name)):
                 raise ValueError(f"{name} must not be empty")
-        for i, sigma in enumerate(self.noise_levels):
-            if (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)
-                    or not (math.isfinite(sigma) and sigma >= 0)):
-                raise ValueError(f"noise_levels[{i}] must be finite and >= 0, got {sigma!r}")
+        named = [(f"noise_levels[{i}]", sigma) for i, sigma in enumerate(self.noise_levels)]
+        for name, value in (*named, ("offset_range", self.offset_range)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value >= 0)):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict:
         return {

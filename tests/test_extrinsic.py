@@ -184,20 +184,97 @@ def test_gauss_newton_step_damps_rank_deficient_jacobian():
                        rtol=1e-12, atol=0.0)
 
 
-def _quick_batch(calib_world, calib_map, calib_path, config=None):
+def _quick_inputs(calib_world, calib_map, calib_path):
     """Five noisy trials from 0.8 m off the truth, each with its own
     distortion."""
     rng = np.random.default_rng(5)
-    results = []
+    inputs = []
     for _ in range(5):
         dist = random_distortion(rng, 1.0)
         readings, _ = _measurements(calib_world, calib_path, dist, 0.1,
                                     seed=int(rng.integers(1 << 31)))
         direction = rng.normal(size=3)
         offset = 0.8 * direction / np.linalg.norm(direction)
-        inp = _input(calib_map, calib_path, readings, T_GT + offset)
-        results.append(calibrate(inp, config))
-    return results
+        inputs.append(_input(calib_map, calib_path, readings, T_GT + offset))
+    return inputs
+
+
+def _quick_batch(calib_world, calib_map, calib_path, config=None):
+    """:func:`calibrate` of each of the :func:`_quick_inputs`."""
+    return [calibrate(inp, config)
+            for inp in _quick_inputs(calib_world, calib_map, calib_path)]
+
+
+def _recording_evaluate(monkeypatch, calls, raise_cost=None):
+    """Route ``extrinsic._evaluate`` through a recorder that appends each
+    lever arm to ``calls``; with ``raise_cost(t, calls)`` true, the state's
+    cost is raised by 1, so the loop rejects that candidate."""
+    import magcalib.extrinsic as extrinsic
+    evaluate = extrinsic._evaluate
+
+    def recorded(inp, t, config, distortion=None):
+        state = evaluate(inp, t, config, distortion)
+        if raise_cost is not None and raise_cost(t, calls):
+            state.cost += 1.0
+        calls.append(np.array(t, float))
+        return state
+
+    monkeypatch.setattr(extrinsic, "_evaluate", recorded)
+
+
+@pytest.mark.parametrize("floor, tol", [(0.0, 1e-3), (1.0, 1e-9)],
+                         ids=["short_step", "model_reduction"])
+def test_rejected_step_ends_the_run_converged(calib_world, calib_map, calib_path,
+                                              monkeypatch, floor, tol):
+    """Every candidate within 1 mm of the last evaluated lever arm is made
+    to raise the cost. The first such step is rejected, and the run ends
+    there, converged at the last accepted iterate, with the rejected
+    candidate counted as no iteration: by the step rule when the step is
+    shorter than ``step_tolerance`` (1 mm, the model-reduction test off), by
+    the model-reduction test when its floor is the whole cost (and the step
+    rule is held off by a 1 nm tolerance). A damping ladder would climb
+    through the rejections to exhausted damping or a nanometre step."""
+    import magcalib.extrinsic as extrinsic
+    monkeypatch.setattr(extrinsic, "_PREDICTED_FLOOR", floor)
+    calls = []
+    _recording_evaluate(monkeypatch, calls,
+                        lambda t, calls: calls and np.linalg.norm(t - calls[-1]) < 1e-3)
+    inp = _quick_inputs(calib_world, calib_map, calib_path)[0]
+    result = calibrate(inp, CalibrationConfig(step_tolerance=tol))
+    assert result.converged, result.message
+    assert result.message == ""
+    assert np.array_equal(result.translation, result.trace[-1][0])
+    assert result.iterations == len(result.trace) - 1 >= 2
+    assert len(calls) == result.iterations + 2  # the start, each accepted step, one rejection
+    assert 0 < np.linalg.norm(calls[-1] - result.translation) < 1e-3
+    assert np.linalg.norm(result.translation - T_GT) <= 0.05
+
+
+def _final_iteration_candidates(calls, trace) -> int:
+    """Candidates evaluated after the iterate that the run's last iteration
+    started from: the trace's last point, unless the last evaluation was
+    itself that point (an accepted final step), then the one before."""
+    start = trace[-2][0] if np.array_equal(calls[-1], trace[-1][0]) else trace[-1][0]
+    last = max(i for i, t in enumerate(calls) if np.array_equal(t, start))
+    return len(calls) - 1 - last
+
+
+def test_quick_batch_runs_stop_before_a_damping_ladder(calib_world, calib_map, calib_path,
+                                                       monkeypatch):
+    """Near the optimum the first candidate is often rejected; the run ends
+    within a few candidates of that, not after 10-13 rungs of damping that
+    each shorten the step tenfold."""
+    calls = []
+    _recording_evaluate(monkeypatch, calls)
+    finals, rejected = [], []
+    for inp in _quick_inputs(calib_world, calib_map, calib_path):
+        calls.clear()
+        result = calibrate(inp)
+        assert result.converged and result.message == "", result.message
+        finals.append(_final_iteration_candidates(calls, result.trace))
+        rejected.append(len(calls) - 1 - result.iterations)
+    assert max(finals) <= 4, finals
+    assert sum(rejected) <= 10, rejected
 
 
 def test_calibrate_quick_batch(calib_world, calib_map, calib_path):

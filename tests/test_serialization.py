@@ -741,6 +741,12 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
      r"noise_levels\[0\] must be finite and >= 0, got '0.1'$"),
     ("sweep", ("noise_levels",), [True],
      r"noise_levels\[0\] must be finite and >= 0, got True$"),
+    # noise levels are a list, the offset radius finite and >= 0, the path seed no bool
+    ("sweep", ("noise_levels",), 0.1, "noise_levels must be a list, got 0.1$"),
+    ("sweep", ("offset_range",), -1, "offset_range must be finite and >= 0, got -1.0$"),
+    ("sweep", ("offset_range",), float("inf"), "offset_range must be finite and >= 0, got inf$"),
+    ("sweep", ("path_defaults", "seed"), True, "seed must be an integer, got True$"),
+    ("sweep", ("path_defaults", "seed"), False, "seed must be an integer, got False$"),
 ])
 def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, match):
     """Each reader raises ``ValueError`` naming its file, then the key path

@@ -94,3 +94,16 @@ def test_trials_share_a_distortion_across_offsets_and_are_reproducible():
         assert np.array_equal(a[3], b[3])
         assert np.array_equal(a[2].gain, b[2].gain)
         assert 0.5 <= np.linalg.norm(a[3]) <= 1.0
+
+
+@pytest.mark.parametrize("seed", [True, False, 7.0, "7"])
+def test_default_path_specs_reject_a_seed_that_is_no_integer(seed):
+    """Family i draws from seed + i, where True would pass as 1."""
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        default_path_specs(seed=seed)
+
+
+@pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf"), True, "1"])
+def test_spec_rejects_an_offset_range_that_is_no_radius(radius):
+    with pytest.raises(ValueError, match=r"^offset_range must be finite and >= 0"):
+        SweepSpec(offset_range=radius)

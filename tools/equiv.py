@@ -51,7 +51,11 @@ Every report is compared leaf by leaf (exact equality, NaN equal to NaN)
 and every output file byte for byte. With ``--rtol R`` a file whose bytes
 differ passes when its text outside the numbers is the same and every
 number is within ``R`` of the larger magnitude of the pair; the largest
-relative deviation of each file is printed. The exit status is 1 when
+relative deviation of each file is printed. For a sweep report beyond ``R``
+it also prints how many rows changed their ``converged`` or ``success``
+label and the largest relative change of ``translation_sq_m2``,
+``gain_frobenius`` and ``bias_sq_ut2``: the summary to read when a change
+moves the outputs by design. The exit status is 1 when
 anything differs (beyond ``R``) and 0 when nothing does. Each side takes
 about 3 s on a 2-core x86 host.
 """
@@ -247,6 +251,14 @@ def _same(x, y) -> bool:
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity")
 
 
+def relative_change(x: float, y: float) -> float:
+    """``|x - y|`` over the larger magnitude of the pair: 0 when they are
+    equal (NaN equal to NaN), infinite when only one is finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+
+
 def largest_deviation(text_a: str, text_b: str):
     """``(relative deviation, where)`` of the two texts' most different pair
     of numbers, ``(0.0, None)`` when every pair is equal; None when the text
@@ -255,20 +267,39 @@ def largest_deviation(text_a: str, text_b: str):
         return None
     worst = (0.0, None)
     for ma, mb in zip(_NUMBER.finditer(text_a), _NUMBER.finditer(text_b)):
-        x, y = float(ma.group()), float(mb.group())
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            continue
-        dev = abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+        dev = relative_change(float(ma.group()), float(mb.group()))
         if dev > worst[0]:
             line = text_a.count("\n", 0, ma.start()) + 1
             worst = (dev, f"line {line}: {ma.group()} vs {mb.group()}")
     return worst
 
 
+_SCORES = ("translation_sq_m2", "gain_frobenius", "bias_sq_ut2")
+
+
+def row_changes(report_a: dict, report_b: dict) -> str | None:
+    """How the rows of two sweep reports differ: how many changed their
+    ``converged`` or ``success`` label, and the largest relative change of
+    each score. None when the reports do not hold the same number of rows."""
+    rows_a, rows_b = report_a.get("rows"), report_b.get("rows")
+    if not isinstance(rows_a, list) or not isinstance(rows_b, list) \
+            or len(rows_a) != len(rows_b):
+        return None
+    pairs = list(zip(rows_a, rows_b))
+    relabelled = sum((ra["converged"], ra["success"]) != (rb["converged"], rb["success"])
+                     for ra, rb in pairs)
+    worst = {key: max((relative_change(float(ra[key]), float(rb[key])) for ra, rb in pairs),
+                      default=0.0) for key in _SCORES}
+    return (f"{relabelled} of {len(pairs)} rows changed their converged or success "
+            "label; largest relative change " + ", ".join(
+                f"{key} {dev:.3e}" for key, dev in worst.items()))
+
+
 def compare(a: Path, b: Path, rtol: float | None = None) -> list:
     """Every difference between the two output trees, as lines. With
     ``rtol``, each file's largest relative deviation (or that its bytes are
-    identical) is printed, and only deviations beyond ``rtol`` count."""
+    identical) is printed, and only deviations beyond ``rtol`` count; for a
+    sweep report beyond ``rtol``, :func:`row_changes` is printed too."""
     problems = []
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -288,6 +319,11 @@ def compare(a: Path, b: Path, rtol: float | None = None) -> list:
             print(f"{rel}: largest relative deviation {dev:.3e} ({where})")
             if dev > rtol:
                 problems.append(f"{rel}: {where} deviates by {dev:.3e} > {rtol:g}")
+                if rel.name.endswith("_report.json"):
+                    changes = row_changes(json.loads((a / rel).read_text()),
+                                          json.loads((b / rel).read_text()))
+                    if changes:
+                        print(f"{rel}: {changes}")
             continue
         if rel.name.endswith("_report.json"):
             leaves_a = dict(_leaves(json.loads((a / rel).read_text())))
