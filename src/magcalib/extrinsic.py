@@ -60,7 +60,7 @@ _COND_DAMPING = 1e8      # normal-system condition number that triggers damping
 _MAX_REJECTS = 25
 _PREDICTED_FLOOR = 1e-6  # a first rejected step whose model reduction -(J'e).step is at
                          # most this share of the cost ends the run converged: damping only
-                         # lowers that reduction, so no rung can move the cost by more
+                         # lowers that reduction, so no later rung predicts more
 _REJECT_DAMPING = 0.1    # after a rejection the damping is at least this times the normal
                          # matrix's least eigenvalue, so that every rung shortens the step
 _FLAT_NORMAL = 1e-9      # trace(J'J) below this: no lever-arm signal survives the fit
@@ -160,10 +160,11 @@ class CalibrationResult:
     rejected one shorter than that, or a first rejected step of an
     iteration whose predicted reduction is negligible; see
     :func:`_levenberg_marquardt`) and the final residuals pass the
-    plausibility test (or the map has no variance to test them with). ``message`` is empty for
-    a plain converged run; otherwise it names why the run stopped, that it
-    was re-seeded, that the fit is implausible (with the residual RMS
-    against the expected RMS), or that the test could not be applied.
+    plausibility test (or the map has no variance to test them with).
+    ``message`` is empty for a plain converged run; otherwise it names why
+    the run stopped, that it was re-seeded, that the fit is implausible
+    (with the residual RMS against the expected RMS), or that the test
+    could not be applied.
     """
 
     translation: np.ndarray
