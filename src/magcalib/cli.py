@@ -37,6 +37,7 @@ def _cmd_simulate(args) -> int:
     poses = generate_path(spec, world)
     z_levels = tuple(float(v) for v in args.survey_z.split(","))
     positions = survey_positions(world, args.survey_spacing, z_levels)
+    survey = survey_dataset(world, positions, args.survey_noise, seed=args.seed + 100)
     out = Path(args.out)  # made once every input is known to be good
     out.mkdir(parents=True, exist_ok=True)
 
@@ -44,8 +45,6 @@ def _cmd_simulate(args) -> int:
         measured, truth = sample_dataset(world, poses, rig, idx, seed=args.seed + idx)
         io.write_fingerprints(measured, out / f"mag{idx}.jsonl")
         io.write_fingerprints(truth, out / f"mag{idx}_truth.jsonl")
-
-    survey = survey_dataset(world, positions, args.survey_noise, seed=args.seed + 100)
     io.write_fingerprints(survey, out / "survey.jsonl")
 
     sensors = [{"offset": list(offset), "gain": dist.gain.tolist(), "bias": list(dist.bias)}

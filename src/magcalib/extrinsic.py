@@ -43,7 +43,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import Dataset, as_vec3, check_integers
+from .geometry import Dataset, as_vec3, check_integers, check_real
 from .intrinsic import (
     AffineDistortion,
     RegressionError,
@@ -90,7 +90,8 @@ class CalibrationConfig:
     the inner closed-form solver: ``wrrtls`` (weighted, default), ``rrtls``
     (unweighted), or ``ols``. ``out_of_map_policy`` is ``skip_sample`` or
     ``abort``. ``max_iterations`` (>= 1) and ``tsvd_rank`` (in [1, 7]) are
-    integers, not bools.
+    integers, not bools; ``step_tolerance`` is > 0, ``lambda_value`` and
+    ``measurement_noise`` are >= 0.
     """
 
     max_iterations: int = 100
@@ -108,11 +109,9 @@ class CalibrationConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 1 <= self.tsvd_rank <= 7:
             raise ValueError(f"tsvd_rank must be in [1, 7], got {self.tsvd_rank}")
-        if not self.step_tolerance > 0:
-            raise ValueError(f"step_tolerance must be > 0, got {self.step_tolerance}")
-        for name in ("lambda_value", "measurement_noise"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("step_tolerance", "lambda_value", "measurement_noise"):
+            value = check_real(name, getattr(self, name), strict=name == "step_tolerance")
+            object.__setattr__(self, name, value)
         if self.lambda_policy not in ("fixed", "l_curve"):
             raise ValueError(f"unknown lambda_policy {self.lambda_policy!r}")
         if self.out_of_map_policy not in ("skip_sample", "abort"):
@@ -255,13 +254,11 @@ def _evaluate(inp: CalibrationInput, t: np.ndarray, config: CalibrationConfig,
                       cost, var_in, design, weights)
 
 
-def residual(inp: CalibrationInput, t, distortion: AffineDistortion,
-             config: CalibrationConfig | None = None) -> np.ndarray:
+def residual(inp: CalibrationInput, t, distortion: AffineDistortion) -> np.ndarray:
     """Per-sample residuals (n_in, 3): distorted map prediction minus
     measurement, at lever arm ``t`` with a fixed distortion."""
-    config = config or CalibrationConfig()
-    state = _evaluate(inp, np.asarray(t, float).reshape(3), config, distortion)
-    return state.residuals
+    return _evaluate(inp, np.asarray(t, float).reshape(3), CalibrationConfig(),
+                     distortion).residuals
 
 
 def _jacobian(field_map, state: _EvalState) -> np.ndarray:
@@ -291,8 +288,7 @@ def _projected_jacobian(field_map, state: _EvalState) -> np.ndarray:
     return (jac - q @ (q.T @ (jac * w)) / w).reshape(-1, 3)
 
 
-def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
-             config: CalibrationConfig | None = None) -> np.ndarray:
+def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion) -> np.ndarray:
     """Stacked (3*n_in, 3) derivative of the residuals in the lever arm at a
     fixed distortion, the derivative of :func:`residual`.
 
@@ -301,8 +297,7 @@ def jacobian(inp: CalibrationInput, t, distortion: AffineDistortion,
     optimizer steps on its projection (:func:`_projected_jacobian`), since
     it refits the distortion at every lever arm.
     """
-    config = config or CalibrationConfig()
-    state = _evaluate(inp, np.asarray(t, float).reshape(3), config, distortion)
+    state = _evaluate(inp, np.asarray(t, float).reshape(3), CalibrationConfig(), distortion)
     return _jacobian(inp.field_map, state)
 
 
@@ -333,18 +328,17 @@ def _damped_solve(normal: np.ndarray, gradient: np.ndarray, mu: float) -> np.nda
     return step
 
 
-def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray,
-                      damping: float = 0.0) -> np.ndarray:
-    """Solve the 3x3 normal system for one lever-arm increment at
-    ``damping``, damped by :func:`_initial_damping` when undamped and
-    ill-conditioned. A singular system or a non-finite step raises
-    :class:`NonConvergenceError`; nothing here retries."""
+def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Solve the 3x3 normal system for one undamped lever-arm increment,
+    damped by :func:`_initial_damping` only when ill-conditioned. A singular
+    system or a non-finite step raises :class:`NonConvergenceError`; nothing
+    here retries."""
     jac = np.asarray(jac, float).reshape(-1, 3)
     e = np.asarray(residuals, float).reshape(-1)
     if jac.shape[0] != e.shape[0]:
         raise ValueError("jacobian and residual sizes disagree")
     normal = jac.T @ jac
-    mu, _ = _initial_damping(normal, float(damping))
+    mu, _ = _initial_damping(normal, 0.0)
     return _damped_solve(normal, jac.T @ e, mu)
 
 

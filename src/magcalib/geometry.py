@@ -13,10 +13,15 @@ one such row as a validated record: :func:`~magcalib.simulator.generate_path`
 produces a path as a list of them and :meth:`Dataset.poses` rebuilds them
 from the columns. Both are immutable values: safe to share across threads
 and to reuse between trials.
+
+Every real-valued setting goes through one rule, :func:`check_real`: a finite
+real number, not a bool, within its bound; an error names the setting and value.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +57,11 @@ def as_mat3(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` when ``value`` is not an
-    integer; a bool is not one."""
+def check_integer(name: str, value, error: type = ValueError) -> None:
+    """Raise ``error`` naming ``name`` when ``value`` is not an integer; a
+    bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def check_integers(obj, *names: str) -> None:
@@ -64,6 +69,23 @@ def check_integers(obj, *names: str) -> None:
     in order."""
     for name in names:
         check_integer(name, getattr(obj, name))
+
+
+def check_real(name: str, value, low: float | None = 0.0, strict: bool = False,
+               error: type = ValueError) -> float:
+    """``value`` as a float when it is a finite real number, not a bool, and
+    ``>= low`` (``> low`` if ``strict``; any finite number if ``low`` is None).
+    Otherwise raises ``error``: ``"{name} must be finite and > 0, got {value}"``,
+    a number shown as a float, anything else by its repr."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if math.isfinite(number) and (low is None or (number > low if strict else number >= low)):
+        return number
+    bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
+    raise error(f"{name} must be finite{bound}, got {number if real else repr(value)}")
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

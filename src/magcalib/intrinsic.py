@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_mat3, as_vec3
+from .geometry import as_mat3, as_vec3, check_integer, check_real
 
 VARIANCE_FLOOR = 1e-6  # uT^2, applied before inverting GP variances into weights
 DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 2.0, 16)
@@ -100,8 +100,9 @@ class RegressionProblem:
 
     ``design`` rows are [b_true_x, b_true_y, b_true_z, 1]; ``observed`` rows
     are the matching distorted readings. ``weights`` are per-sample scalars
-    (already inverse-variance); ``ridge`` the regularization factor; and
-    ``tsvd_rank`` the rank kept when denoising the stacked data matrix.
+    (already inverse-variance); ``ridge`` the regularization factor (>= 0);
+    and ``tsvd_rank`` the rank kept when denoising the stacked data matrix,
+    an integer in [1, 7].
     """
 
     design: np.ndarray
@@ -127,10 +128,10 @@ class RegressionProblem:
             raise RegressionError("weights must be finite and > 0")
         if not (np.all(np.isfinite(design)) and np.all(np.isfinite(observed))):
             raise RegressionError("readings must be finite")
-        if self.ridge < 0:
-            raise RegressionError("ridge must be >= 0")
-        if not 1 <= int(self.tsvd_rank) <= 7:
-            raise RegressionError("tsvd_rank must be in [1, 7]")
+        object.__setattr__(self, "ridge", check_real("ridge", self.ridge, error=RegressionError))
+        check_integer("tsvd_rank", self.tsvd_rank, error=RegressionError)
+        if not 1 <= self.tsvd_rank <= 7:
+            raise RegressionError(f"tsvd_rank must be in [1, 7], got {self.tsvd_rank}")
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "weights", weights)
@@ -169,7 +170,7 @@ def tsvd_reconstruct(matrix: np.ndarray, rank: int) -> np.ndarray:
 
 def _truncated_parts(prob: RegressionProblem):
     """Rank-truncated (observed, design) with the exact ones column restored."""
-    recon = tsvd_reconstruct(_stacked(prob), int(prob.tsvd_rank))
+    recon = tsvd_reconstruct(_stacked(prob), prob.tsvd_rank)
     obs_bar = recon[:, :3]
     design_bar = recon[:, 3:].copy()
     design_bar[:, 3] = 1.0  # the homogeneous coordinate carries no noise
@@ -198,7 +199,7 @@ def solve_tls(prob: RegressionProblem) -> AffineDistortion:
     """
     if prob.n_samples < 7:
         raise RegressionError("total least squares needs at least 7 samples")
-    rank = int(prob.tsvd_rank)
+    rank = prob.tsvd_rank
     if rank > 4:
         raise RegressionError(
             "tsvd_rank > 4 leaves fewer than 3 trailing singular directions; "

@@ -44,14 +44,13 @@ pays that import only on the path that calls it.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import Dataset
+from .geometry import Dataset, check_real
 
 
 class MapError(RuntimeError):
@@ -68,8 +67,8 @@ class GpHyperparams:
 
     ``length_scale`` [m] and ``signal_variance`` [uT^2] parameterize the
     squared-exponential kernel; ``noise_variance`` [uT^2] is the assumed
-    iid observation noise. All three must be finite. ``mean_mode`` selects
-    the prior mean: the per-block average of the training fields, or zero.
+    iid observation noise; the first two are > 0, the noise >= 0. ``mean_mode``
+    selects the prior mean: the per-block average of the training fields, or zero.
     """
 
     length_scale: float = 1.0
@@ -79,14 +78,8 @@ class GpHyperparams:
 
     def __post_init__(self):
         for name in ("length_scale", "signal_variance", "noise_variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.length_scale <= 0:
-            raise ValueError("length_scale must be > 0")
-        if self.signal_variance <= 0:
-            raise ValueError("signal_variance must be > 0")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+            value = check_real(name, getattr(self, name), strict=name != "noise_variance")
+            object.__setattr__(self, name, value)
         if self.mean_mode not in ("constant_per_block", "zero"):
             raise ValueError(f"unknown mean_mode {self.mean_mode!r}")
 
@@ -388,23 +381,18 @@ class MagMap:
     Made from the survey's ``positions`` and map-frame ``fields`` (n, 3),
     the kernel and the block geometry, which is all a map file stores; the
     map cuts the blocks itself (:meth:`_cut`). Rows that are not finite (n,
-    3) of equal n >= 1, a ``block_size`` that is not finite and > 0, an
-    ``overlap`` that is not finite and >= 0, and duplicate positions at zero
-    ``noise_variance`` raise :class:`MapError`. Answers batched queries for
-    the posterior mean, the predictive variance, and the spatial gradient
-    of the mean; queries outside the (overlap-padded) grid raise
-    :class:`OutOfMapError`.
+    3) of equal n >= 1, a ``block_size`` not > 0 or ``overlap`` not >= 0, and
+    duplicate positions at zero ``noise_variance`` raise :class:`MapError`.
+    Answers batched queries for the posterior mean, the predictive variance,
+    and the spatial gradient of the mean; queries outside the
+    (overlap-padded) grid raise :class:`OutOfMapError`.
     """
 
     def __init__(self, positions, fields, hyper: GpHyperparams, block_size: float,
                  overlap: float):
         self.hyper = hyper
-        self.block_size = float(block_size)
-        self.overlap = float(overlap)
-        if not (np.isfinite(self.block_size) and self.block_size > 0):
-            raise MapError(f"block_size must be finite and > 0, got {self.block_size}")
-        if not (np.isfinite(self.overlap) and self.overlap >= 0):
-            raise MapError(f"overlap must be finite and >= 0, got {self.overlap}")
+        self.block_size = check_real("block_size", block_size, strict=True, error=MapError)
+        self.overlap = check_real("overlap", overlap, error=MapError)
         self.positions, self.fields = rows = [np.array(a, float) for a in (positions, fields)]
         n = len(self.positions) if self.positions.ndim else 0
         if n == 0 or [a.shape for a in rows] != [(n, 3)] * 2:

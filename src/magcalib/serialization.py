@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .extrinsic import CalibrationConfig, CalibrationResult
-from .geometry import Dataset, reject_rows, row_norms
+from .geometry import Dataset, check_real, reject_rows, row_norms
 from .intrinsic import AffineDistortion
 from .magmap import GpHyperparams, MagMap, MapError
 from .simulator import Box, Dipole, SensorRig, WorldConfig
@@ -142,9 +142,8 @@ _TO_ITEMS = str.maketrans({**dict.fromkeys(set(_LAYOUT) - set("0,\n")), "\n": ",
 _CHUNK = 1 << 16
 
 
-def read_fingerprints(path, sensor_id: str | None = None,
-                      from_frame: str = "lidar") -> Dataset:
-    """Read a fingerprint JSONL file into one :class:`Dataset`.
+def read_fingerprints(path, from_frame: str = "lidar") -> Dataset:
+    """Read a fingerprint JSONL file into one :class:`Dataset` named by its stem.
 
     A file whose every line has exactly the layout :func:`write_fingerprints`
     writes, a number in each value slot, is parsed as JSON arrays of
@@ -163,7 +162,7 @@ def read_fingerprints(path, sensor_id: str | None = None,
     quaternion off unit norm, a non-finite value, an unphysical reading or
     a timestamp that does not increase.
     """
-    sensor_id = sensor_id or Path(path).stem
+    sensor_id = Path(path).stem
     try:
         cols = _layout_rows(path)
         if cols is not None:
@@ -331,12 +330,10 @@ def _keys(doc, required=(), optional=(), where="", schema=None) -> dict:
 
 def load_world(path) -> WorldConfig:
     def build(doc):
-        _keys(doc, ("extent",), ("ambient", "dipoles", "seed"))
+        _keys(doc, ("extent",), ("ambient", "dipoles"))
         world = {"extent": Box(**_keys(doc["extent"], ("lo", "hi"), where="extent"))}
         if "ambient" in doc:
             world["ambient_field"] = doc["ambient"]
-        if "seed" in doc:
-            world["rng_seed"] = int(doc["seed"])
         if "dipoles" in doc:
             world["dipoles"] = tuple(
                 Dipole(**_keys(d, ("position", "moment"), where=f"dipoles[{i}]"))
@@ -360,7 +357,7 @@ def load_rig(path, truth: bool = False) -> SensorRig:
         return SensorRig(tuple(s["offset"] for s in sensors),
                          tuple(AffineDistortion(s.get("gain", ideal.gain),
                                                 s.get("bias", ideal.bias)) for s in sensors),
-                         float(doc.get("noise_sigma", 0.0)))
+                         doc.get("noise_sigma", 0.0))
     return _read(path, build)
 
 
@@ -370,10 +367,10 @@ def load_hyper(path) -> dict:
     and ``overlap`` where the file sets them). A ``magmap/3`` file stores
     the same three as its ``hyper``, ``block_size`` and ``overlap``.
     Numbers become floats, so a saved map writes a ``1`` of the file as
-    ``1.0``; a kernel setting that is not finite raises naming its key."""
+    ``1.0``; a bad number raises naming its key."""
     def build(doc):
         _keys(doc, (), (*_KERNEL, "block_size", "overlap"))
-        out = {k: v if k == "mean_mode" else float(v)
+        out = {k: v if k in _KERNEL else check_real(k, v, low=None)
                for k, v in doc.items() if k != "overlap" or v is not None}
         return {"hyper": GpHyperparams(**{k: out.pop(k) for k in _KERNEL if k in out}),
                 **out}
@@ -392,18 +389,17 @@ def load_sweep_spec(path) -> SweepSpec:
     :func:`default_path_specs`; unless the spec says otherwise, its mapping
     survey is :data:`SWEEP_SURVEY` (1.5 m apart with 0.1 uT noise), coarser
     than a ``SweepSpec``'s. ``noise_levels`` is a list."""
-    casts = {"noise_levels": tuple, "offset_range": float, "survey_spacing": float,
-             "survey_noise": float}
-    counts = ("n_distortions", "n_initial_offsets", "seed")  # as read: SweepSpec checks them
+    keys = ("noise_levels", "offset_range", "survey_spacing", "survey_noise",
+            "n_distortions", "n_initial_offsets", "seed")  # as read: SweepSpec checks them
 
     def build(doc):
-        doc = {**SWEEP_SURVEY, **_keys(doc, (), (*casts, *counts, "path_defaults"))}
+        doc = {**SWEEP_SURVEY, **_keys(doc, (), (*keys, "path_defaults"))}
         if not isinstance(doc.get("noise_levels", []), list):
             raise ValueError(f"noise_levels must be a list, got {json.dumps(doc['noise_levels'])}")
         paths = _keys(doc.pop("path_defaults", {}), (),
                       inspect.signature(default_path_specs).parameters, "path_defaults")
         return SweepSpec(paths=default_path_specs(**paths),
-                         **{k: casts[k](v) if k in casts else v for k, v in doc.items()})
+                         **{k: tuple(v) if k == "noise_levels" else v for k, v in doc.items()})
     return build({}) if path is None else _read(path, build)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Dataset, Pose, as_vec3, check_integers, rot_z, row_norms
+from .geometry import Dataset, Pose, as_vec3, check_integers, check_real, rot_z, row_norms
 from .intrinsic import AffineDistortion
 
 PATH_KINDS = ("lawnmower", "perimeter", "random_walk", "figure_eight", "diagonal_sweep")
@@ -22,6 +22,7 @@ PATH_KINDS = ("lawnmower", "perimeter", "random_walk", "figure_eight", "diagonal
 DIPOLE_EXCLUSION = 0.05  # m; the point-dipole model blows up at the source
 
 _CHORD_CHUNK = 256  # curve points per vectorized step of _resample_by_chord
+_LAWNMOWER_ROW_GAP = 2.0  # m between the rows of a lawnmower path
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,12 @@ class WorldConfig:
 
     ``extent`` defaults to a 45 x 35 x 3 m hall. ``ambient_field`` is a
     constant Earth-like background in uT; ``dipoles`` model ferromagnetic
-    clutter. ``rng_seed`` anchors every stochastic draw made from this world.
+    clutter.
     """
 
     extent: Box = field(default_factory=lambda: Box(np.zeros(3), np.array([45.0, 35.0, 3.0])))
     ambient_field: np.ndarray = field(default_factory=lambda: np.array([20.0, 0.0, -45.0]))
     dipoles: tuple = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "ambient_field", as_vec3(self.ambient_field, "ambient field"))
@@ -138,10 +138,10 @@ def field_at_many(world: WorldConfig, ts: np.ndarray) -> np.ndarray:
 class PathSpec:
     """One calibration trajectory family.
 
-    ``kind`` picks the family; ``sample_spacing`` [m] the arc distance
+    ``kind`` picks the family; ``sample_spacing`` [m, > 0] the arc distance
     between poses; ``z_height`` [m] the constant driving height. Families
     needing a sample budget (random walk, figure eight) use ``n_samples``.
-    ``region_margin`` keeps the path away from the world walls.
+    ``region_margin`` [m, >= 0] keeps the path away from the world walls.
     ``n_samples`` and ``seed`` are integers, not bools.
     """
 
@@ -156,17 +156,18 @@ class PathSpec:
         check_integers(self, "n_samples", "seed")
         if self.kind not in PATH_KINDS:
             raise ValueError(f"unknown path kind {self.kind!r}, expected one of {PATH_KINDS}")
-        if self.sample_spacing <= 0:
-            raise ValueError("sample_spacing must be > 0")
+        for name, low in (("sample_spacing", 0.0), ("z_height", None), ("region_margin", 0.0)):
+            value = check_real(name, getattr(self, name), low, strict=name == "sample_spacing")
+            object.__setattr__(self, name, value)
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
 
 
-def _lawnmower_points(lo, hi, spacing, row_gap=2.0):
+def _lawnmower_points(lo, hi, spacing):
     # row length and gap are exact multiples of the spacing, so every
     # consecutive pair of samples is exactly one spacing apart
     steps_per_row = int(np.floor((hi[0] - lo[0]) / spacing))
-    gap_steps = max(1, int(round(row_gap / spacing)))
+    gap_steps = max(1, int(round(_LAWNMOWER_ROW_GAP / spacing)))
     n_rows = int(np.floor((hi[1] - lo[1]) / (gap_steps * spacing))) + 1
     x, y = lo[0], lo[1]
     pts = [(x, y)]
@@ -309,7 +310,7 @@ class SensorRig:
 
     ``offsets`` holds each sensor's true lever arm [m] in the LiDAR frame;
     ``distortions`` the matching injected affine corruptions; ``noise_sigma``
-    the per-axis Gaussian measurement noise in uT.
+    the per-axis Gaussian measurement noise in uT (>= 0).
     """
 
     offsets: tuple
@@ -322,8 +323,7 @@ class SensorRig:
         object.__setattr__(self, "distortions", tuple(self.distortions))
         if len(self.offsets) != len(self.distortions):
             raise ValueError("offsets and distortions must pair up")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        object.__setattr__(self, "noise_sigma", check_real("noise_sigma", self.noise_sigma))
         for o in offsets:
             if np.linalg.norm(o) > 2.0:
                 raise ValueError(f"sensor offset {o} exceeds the 2 m rig-scale bound")
@@ -348,17 +348,17 @@ def random_distortion(rng: np.random.Generator, scale: float = 1.0) -> AffineDis
 
 
 def sample_dataset(world: WorldConfig, path: list, rig: SensorRig, sensor_index: int,
-                   seed: int | None = None):
+                   seed: int):
     """Simulate one sensor along a path of LiDAR poses (lidar -> map).
 
     Returns ``(measured, ground_truth)`` datasets sharing timestamps and
     poses: the truth holds the undistorted lidar-frame field at the sensor's
     true position, the measured data applies the rig's affine corruption and
-    Gaussian noise. Sample i is taken at time i seconds.
+    Gaussian noise drawn from ``seed``. Sample i is taken at time i seconds.
     """
     offset = rig.offsets[sensor_index]
     dist = rig.distortions[sensor_index]
-    rng = np.random.default_rng(world.rng_seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
 
     rotations = np.array([p.rotation for p in path])
     translations = np.array([p.translation for p in path])
@@ -378,10 +378,10 @@ def sample_dataset(world: WorldConfig, path: list, rig: SensorRig, sensor_index:
 def survey_positions(world: WorldConfig, spacing_xy: float,
                      z_levels=(0.15, 0.45, 0.75, 1.05, 1.5),
                      margin: float = 1.0) -> np.ndarray:
-    """Regular mapping lattice covering the drivable floor at several heights.
-    A spacing that is not finite and > 0, or no height, raises ``ValueError``."""
-    if not (np.isfinite(spacing_xy) and spacing_xy > 0):
-        raise ValueError(f"survey spacing must be finite and > 0, got {spacing_xy}")
+    """Regular mapping lattice covering the drivable floor at several heights
+    (at least one), ``margin`` (>= 0) in from the walls, ``spacing_xy`` (> 0) apart."""
+    check_real("survey spacing", spacing_xy, strict=True)
+    check_real("survey margin", margin)
     if not len(z_levels):
         raise ValueError("survey z levels must not be empty")
     xs = np.arange(world.extent.lo[0] + margin, world.extent.hi[0] - margin + 1e-9,
@@ -392,16 +392,17 @@ def survey_positions(world: WorldConfig, spacing_xy: float,
     return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)  # y fastest, z slowest
 
 
-def survey_dataset(world: WorldConfig, positions: np.ndarray,
-                   noise_sigma: float = 0.0, seed: int | None = None,
-                   sensor_id: str = "survey") -> Dataset:
+def survey_dataset(world: WorldConfig, positions: np.ndarray, noise_sigma: float,
+                   seed: int) -> Dataset:
     """Mapping-run fingerprints: identity-orientation poses (mag -> map),
-    map-frame readings, sample i taken at time i seconds."""
+    map-frame readings with Gaussian noise ``noise_sigma`` (>= 0) drawn from
+    ``seed``, sample i taken at time i seconds."""
+    check_real("survey noise", noise_sigma)
     positions = np.asarray(positions, float).reshape(-1, 3)
-    rng = np.random.default_rng(world.rng_seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     fields = field_at_many(world, positions)
     if noise_sigma > 0:
         fields = fields + rng.normal(0.0, noise_sigma, size=fields.shape)
     n = positions.shape[0]
-    return Dataset(sensor_id, "mag", np.arange(n, dtype=float),
+    return Dataset("survey", "mag", np.arange(n, dtype=float),
                    np.broadcast_to(np.eye(3), (n, 3, 3)), positions, fields)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,9 +29,8 @@ from .extrinsic import (
     CalibrationError,
     CalibrationInput,
     calibrate,
-    classify_success,
 )
-from .geometry import Dataset, check_integer, check_integers
+from .geometry import Dataset, check_integer, check_integers, check_real
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import BilinearMap, GpHyperparams, MagMap, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
@@ -76,11 +73,12 @@ class SweepSpec:
 
     ``n_distortions`` x ``n_initial_offsets`` trials run per sweep cell;
     initial lever-arm guesses are drawn uniformly in a ball of radius
-    ``offset_range`` around the truth. The world, mapping survey, and
-    optimizer settings ride along so a report fully reproduces itself.
+    ``offset_range`` around the truth. The world, mapping survey, map and
+    optimizer settings ride along, but a report records only :meth:`as_dict`:
+    each field but ``world``, ``hyper`` and ``config``, a path by its kind.
     The counts and ``seed`` are integers, not bools; ``paths`` and
-    ``noise_levels`` are not empty, and each noise level and
-    ``offset_range`` are finite and >= 0.
+    ``noise_levels`` are not empty; each noise level, ``offset_range`` and
+    ``survey_noise`` are >= 0, and ``survey_spacing`` > 0.
     """
 
     paths: tuple = field(default_factory=default_path_specs)
@@ -107,11 +105,11 @@ class SweepSpec:
         for name in ("paths", "noise_levels"):
             if not len(getattr(self, name)):
                 raise ValueError(f"{name} must not be empty")
-        named = [(f"noise_levels[{i}]", sigma) for i, sigma in enumerate(self.noise_levels)]
-        for name, value in (*named, ("offset_range", self.offset_range)):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value >= 0)):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for i, sigma in enumerate(self.noise_levels):
+            check_real(f"noise_levels[{i}]", sigma)
+        for name in ("offset_range", "survey_spacing", "survey_noise"):
+            value = check_real(name, getattr(self, name), strict=name == "survey_spacing")
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
         return {

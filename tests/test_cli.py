@@ -19,7 +19,6 @@ def workdir(tmp_path_factory):
             {"position": [2.0, 2.0, 2.9], "moment": [150.0, 80.0, 260.0]},
             {"position": [16.0, 12.0, 2.9], "moment": [-120.0, 90.0, 280.0]},
         ],
-        "seed": 1,
     }
     rig = {
         "noise_sigma": 0.05,
@@ -151,7 +150,7 @@ def _saved_map_with(**edits):
      "unknown key(s) n_distortion"),
     (["build-map", "--fingerprints", "{sim}/survey.jsonl", "--hyper", "{doc}",
       "--out", "{out}"], {"signal_variance": float("nan")},
-     "signal_variance must be finite, got nan"),
+     "signal_variance must be finite and > 0, got nan"),
     (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
       "--out", "{out}"], {"max_iterations": 40.5}, "max_iterations must be an integer, got 40.5"),
     (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
@@ -195,6 +194,41 @@ def test_simulate_bad_survey_spacing_exits_2(workdir, tmp_path, capsys, spacing)
     assert captured.out == ""
     assert captured.err == (f"magcalib simulate: error: survey spacing must be finite "
                             f"and > 0, got {float(spacing)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"step_tolerance": 1e400}', "step_tolerance must be finite and > 0, got inf"),
+    ('{"measurement_noise": 1e400, "intrinsic_solver": "rrtls"}',
+     "measurement_noise must be finite and >= 0, got inf"),
+])
+def test_calibrate_config_beyond_the_float_range_exits_2(workdir, tmp_path, capsys, text,
+                                                         match):
+    """A config number that parses to inf exits 2 naming its key; it does not
+    stop the run after one step, or zero every plausibility weight."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    rc = main(_calibrate_argv(workdir, "inf_result.json", "--config", str(path)))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magcalib calibrate: error: {path}: {match}\n"
+    assert not (workdir / "inf_result.json").exists()
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan"])
+def test_simulate_bad_survey_noise_exits_2(workdir, tmp_path, capsys, noise):
+    """A survey noise that is not finite and >= 0 exits 2 before any file is
+    written, not with a noise-free survey."""
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--world", str(workdir / "world.json"), "--path", "lawnmower",
+               "--rig", str(workdir / "rig.json"), "--out", str(out), "--spacing", "1.2",
+               "--margin", "3.0", "--survey-noise", noise])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"magcalib simulate: error: survey noise must be finite "
+                            f"and >= 0, got {float(noise)}\n")
     assert not out.exists()
 
 

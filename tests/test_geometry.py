@@ -8,6 +8,7 @@ from magcalib.geometry import (
     Dataset,
     FrameError,
     Pose,
+    check_real,
     random_rotation,
     rot_z,
 )
@@ -16,6 +17,30 @@ from magcalib.geometry import (
 def test_rot_z_quarter_turn():
     assert np.allclose(rot_z(np.pi / 2) @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                        atol=1e-12)
+
+
+def test_check_real_returns_a_float_and_words_every_fault():
+    """A finite real number within its bound comes back as a float; any
+    other value raises the given error, naming the setting and the value."""
+    for value in (2, np.float64(2.0), np.int64(2)):
+        assert check_real("x", value) == 2.0 and type(check_real("x", value)) is float
+    assert check_real("x", 0) == 0.0
+    assert check_real("x", -3.5, low=None) == -3.5
+    assert check_real("x", 1.5, low=1.0, strict=True) == 1.5
+    with pytest.raises(ValueError, match=r"^x must be finite and > 0, got 0\.0$"):
+        check_real("x", 0, strict=True)
+    with pytest.raises(ValueError, match=r"^x must be finite and >= 1\.5, got 1\.0$"):
+        check_real("x", 1, low=1.5)
+    with pytest.raises(ValueError, match=r"^x must be finite, got nan$"):
+        check_real("x", float("nan"), low=None)
+    with pytest.raises(ValueError, match=r"^x must be finite, got False$"):
+        check_real("x", False, low=None)
+    with pytest.raises(ValueError, match=r"^x must be finite and >= 0, got inf$"):
+        check_real("x", 10**400)  # an int beyond the float range
+    with pytest.raises(ValueError, match=r"^x must be finite and >= 0, got None$"):
+        check_real("x", None)
+    with pytest.raises(FrameError, match=r"^x must be finite and >= 0, got \[1\.0\]$"):
+        check_real("x", [1.0], error=FrameError)
 
 
 def test_pose_rejects_non_rotation():

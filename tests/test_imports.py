@@ -19,7 +19,7 @@ from magcalib.cli import main
 root = Path(sys.argv[1])
 (root / "world.json").write_text(json.dumps({
     "extent": {"lo": [0, 0, 0], "hi": [12, 10, 3]}, "ambient": [38.0, 6.0, -14.0],
-    "dipoles": [{"position": [6.0, 4.5, 2.6], "moment": [10.0, 4.0, 30.0]}], "seed": 1}))
+    "dipoles": [{"position": [6.0, 4.5, 2.6], "moment": [10.0, 4.0, 30.0]}]}))
 (root / "rig.json").write_text(json.dumps({"noise_sigma": 0.05, "sensors": [{
     "offset": [0.3, -0.1, 0.2], "gain": [[1.08, 0.05, -0.02], [0.03, 0.94, 0.06],
                                          [-0.04, 0.02, 1.1]], "bias": [2.0, -1.5, 0.8]}]}))

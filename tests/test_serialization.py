@@ -567,12 +567,10 @@ def test_config_loaders(tmp_path):
         "extent": {"lo": [0, 0, 0], "hi": [20, 15, 3]},
         "ambient": [30.0, 0.0, -30.0],
         "dipoles": [{"position": [5, 5, 2.5], "moment": [0, 0, 40]}],
-        "seed": 3,
     }
     wp = tmp_path / "world.json"
     wp.write_text(json.dumps(world_doc))
     world = load_world(wp)
-    assert world.rng_seed == 3
     assert len(world.dipoles) == 1
 
     rig_doc = {
@@ -635,7 +633,7 @@ def test_magmap_2_document_is_rejected_naming_magmap_3(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("block_size", 0.0), ("block_size", -2.0), ("block_size", float("inf")),
-    ("overlap", -5.0), ("overlap", float("nan")),
+    ("overlap", -5.0), ("overlap", float("nan")), ("block_size", "wide"),
 ])
 def test_map_grid_metadata_is_checked_on_load(tmp_path, key, value):
     """A bad block geometry raises ``MapError`` naming the file and the key,
@@ -676,20 +674,21 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("rig", ("noise",), 0.1, r"unknown key\(s\) noise$"),
     ("rig", ("sensors", 0, "bais"), [1, 0, 0], r"sensors\[0\]: unknown key\(s\) bais$"),
     ("rig", ("sensors",), _DROP, r"missing key\(s\) sensors$"),
-    ("rig", ("noise_sigma",), -1, "noise_sigma must be >= 0"),
+    ("rig", ("noise_sigma",), -1, "noise_sigma must be finite and >= 0, got -1.0$"),
     ("rig", ("sensors", 0, "offset"), [3, 0, 0], "sensor offset .* 2 m"),
     ("rig", (), _BROKEN, "bad JSON"),
     ("truth", ("sensors", 0, "gain"), _DROP, r"sensors\[0\]: missing key\(s\) gain$"),
     ("truth", ("sensors", 0, "gain"), [[1, 0, 0], [1, 0, 0], [0, 0, 1]], "gain matrix"),
     ("hyper", (), 0.9, "must be a JSON object, got float"),
     ("hyper", ("lengthscale",), 0.5, r"unknown key\(s\) lengthscale$"),
-    ("hyper", ("length_scale",), -1, "length_scale must be > 0"),
+    ("hyper", ("length_scale",), -1, "length_scale must be finite and > 0, got -1.0$"),
     ("hyper", (), _BROKEN, "bad JSON"),
     ("config", (), [40, "l_curve"], "must be a JSON object, got list"),
     ("config", (), {"damping": 1.0, "max_iterations": 40, "ridge": 0.1},
      r"unknown key\(s\) damping, ridge$"),
     ("config", ("max_iterations",), 0, "max_iterations must be >= 1"),
-    ("config", ("step_tolerance",), "small", "'>' not supported"),
+    ("config", ("step_tolerance",), "small",
+     "step_tolerance must be finite and > 0, got 'small'$"),
     ("config", (), _BROKEN, "bad JSON"),
     ("sweep", (), None, "must be a JSON object, got NoneType"),
     ("sweep", ("n_distortion",), 10, r"unknown key\(s\) n_distortion$"),
@@ -707,15 +706,19 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("map", ("positions",), _DROP, r"missing key\(s\) positions$"),
     ("map", ("blocks",), [], r"unknown key\(s\) blocks$"),
     ("map", ("hyper", "mean_mode"), "median", "unknown mean_mode 'median'"),
-    ("map", ("block_size",), "wide", "could not convert string to float: 'wide'"),
+    ("map", ("hyper", "length_scale"), "wide",
+     "length_scale must be finite and > 0, got 'wide'$"),
     ("map", (), _BROKEN, "bad JSON"),
     # kernel settings must be finite; config counts must be integers
-    ("hyper", ("signal_variance",), float("nan"), "signal_variance must be finite, got nan$"),
-    ("hyper", ("noise_variance",), float("inf"), "noise_variance must be finite, got inf$"),
-    ("hyper", ("length_scale",), "nan", "length_scale must be finite, got nan$"),
+    ("hyper", ("signal_variance",), float("nan"),
+     "signal_variance must be finite and > 0, got nan$"),
+    ("hyper", ("noise_variance",), float("inf"),
+     "noise_variance must be finite and >= 0, got inf$"),
+    ("hyper", ("length_scale",), "nan", "length_scale must be finite and > 0, got 'nan'$"),
     ("map", ("hyper", "signal_variance"), float("nan"),
-     "signal_variance must be finite, got nan$"),
-    ("map", ("hyper", "length_scale"), float("-inf"), "length_scale must be finite, got -inf$"),
+     "signal_variance must be finite and > 0, got nan$"),
+    ("map", ("hyper", "length_scale"), float("-inf"),
+     "length_scale must be finite and > 0, got -inf$"),
     ("config", ("max_iterations",), 40.5, "max_iterations must be an integer, got 40.5$"),
     ("config", ("max_iterations",), True, "max_iterations must be an integer, got True$"),
     ("config", ("tsvd_rank",), 2.5, "tsvd_rank must be an integer, got 2.5$"),
@@ -747,6 +750,27 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("sweep", ("offset_range",), float("inf"), "offset_range must be finite and >= 0, got inf$"),
     ("sweep", ("path_defaults", "seed"), True, "seed must be an integer, got True$"),
     ("sweep", ("path_defaults", "seed"), False, "seed must be an integer, got False$"),
+    # every real-valued setting is a finite number within its bound, no bool or string
+    ("world", ("seed",), 1, r"unknown key\(s\) seed$"),
+    ("rig", ("noise_sigma",), float("nan"), "noise_sigma must be finite and >= 0, got nan$"),
+    ("rig", ("noise_sigma",), True, "noise_sigma must be finite and >= 0, got True$"),
+    ("hyper", ("block_size",), "wide", "block_size must be finite, got 'wide'$"),
+    ("hyper", ("overlap",), True, "overlap must be finite, got True$"),
+    ("config", ("step_tolerance",), float("inf"),
+     "step_tolerance must be finite and > 0, got inf$"),
+    ("config", ("lambda_value",), float("inf"), "lambda_value must be finite and >= 0, got inf$"),
+    ("config", ("measurement_noise",), True,
+     "measurement_noise must be finite and >= 0, got True$"),
+    ("sweep", ("survey_noise",), -1, "survey_noise must be finite and >= 0, got -1.0$"),
+    ("sweep", ("survey_noise",), float("nan"), "survey_noise must be finite and >= 0, got nan$"),
+    ("sweep", ("survey_spacing",), 0, "survey_spacing must be finite and > 0, got 0.0$"),
+    ("sweep", ("survey_spacing",), "0.7", "survey_spacing must be finite and > 0, got '0.7'$"),
+    ("sweep", ("offset_range",), True, "offset_range must be finite and >= 0, got True$"),
+    ("sweep", ("path_defaults", "spacing"), float("inf"),
+     "sample_spacing must be finite and > 0, got inf$"),
+    ("sweep", ("path_defaults", "z_height"), float("nan"), "z_height must be finite, got nan$"),
+    ("sweep", ("path_defaults", "margin"), float("nan"),
+     "region_margin must be finite and >= 0, got nan$"),
 ])
 def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, match):
     """Each reader raises ``ValueError`` naming its file, then the key path

@@ -13,7 +13,10 @@ that export's own, unmodified ``magbench/run.py --trace 0``, for the
 the one of ``magbench/README.md``: for each seed of each workload, base runs
 first when the seed is odd and head first when it is even, so drift in the
 machine hits both sides alike. With ``--trace-seed S`` each side then makes
-one ``--trace 1`` run at seed S per workload, base first.
+one ``--trace 1`` run at seed S per workload, base first. Every run, traced
+or not, must exit 0 and end its standard output with the result line that
+``magbench/README.md`` specifies, in strict JSON and with ``"correct":
+true``; otherwise the script stops, naming the side, workload and seed.
 
 The output file holds every run (its record's end-to-end values, accuracy,
 op wall times, set-up samples and provenance, with the commit the side ran:
@@ -90,9 +93,30 @@ def setup_cpu_s(tree: Path, workload: str, seed: int) -> float:
     return _children_cpu_s() - cpu_before
 
 
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def result_line(stdout: str) -> dict:
+    """The result that ``run.py`` prints as its last line, held to
+    ``magbench/README.md``: one object of strict JSON (``NaN`` and
+    ``Infinity`` are rejected) holding ``"correct": true``. Anything else
+    raises ``ValueError``."""
+    last = stdout.splitlines()[-1] if stdout.strip() else ""
+    try:
+        result = json.loads(last, parse_constant=_no_constant)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"last stdout line is no strict JSON ({exc}): {last[:200]!r}") from None
+    if not isinstance(result, dict) or result.get("correct") is not True:
+        raise ValueError(f'last stdout line does not hold "correct": true: {last[:200]!r}')
+    return result
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
     """One ``run.py`` invocation in ``tree``: ``(record file name, record,
-    CPU seconds of the run's process and the children it waited for)``."""
+    CPU seconds of the run's process and the children it waited for)``. A
+    run that exits non-zero, or whose last stdout line fails
+    :func:`result_line`, raises naming the side, workload and seed."""
     out = tree / "magbench" / "out"
     before = set(out.glob("*.json"))
     cpu_before = _children_cpu_s()
@@ -101,10 +125,17 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tup
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     cpu_s = _children_cpu_s() - cpu_before
+    where = f"{tree.name} {workload} seed {seed} trace {trace}"
+    if proc.returncode != 0:
+        raise RuntimeError(f"{where}: run.py exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    try:
+        result_line(proc.stdout)
+    except ValueError as exc:
+        raise RuntimeError(f"{where}: {exc}") from None
     written = sorted(set(out.glob("*.json")) - before)
     if len(written) != 1:
-        raise RuntimeError(f"{tree.name} {workload} seed {seed}: run.py exited "
-                           f"{proc.returncode} without one record:\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"{where}: run.py wrote {len(written)} records, not one")
     return written[0].name, json.loads(written[0].read_text()), cpu_s
 
 

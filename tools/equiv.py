@@ -85,7 +85,6 @@ _WORLD = {
         {"position": [2.0, 2.0, 2.9], "moment": [150.0, 80.0, 260.0]},
         {"position": [16.0, 12.0, 2.9], "moment": [-120.0, 90.0, 280.0]},
     ],
-    "seed": 1,
 }
 _RIG = {
     "noise_sigma": 0.05,
