@@ -750,7 +750,7 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("sweep", ("offset_range",), float("inf"), "offset_range must be finite and >= 0, got inf$"),
     ("sweep", ("path_defaults", "seed"), True, "seed must be an integer, got True$"),
     ("sweep", ("path_defaults", "seed"), False, "seed must be an integer, got False$"),
-    # every real-valued setting is a finite number within its bound, no bool or string
+    # a world has no seed; a real-valued setting is a finite number in bound, no bool or string
     ("world", ("seed",), 1, r"unknown key\(s\) seed$"),
     ("rig", ("noise_sigma",), float("nan"), "noise_sigma must be finite and >= 0, got nan$"),
     ("rig", ("noise_sigma",), True, "noise_sigma must be finite and >= 0, got True$"),
