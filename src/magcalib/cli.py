@@ -20,12 +20,18 @@ import numpy as np
 
 from . import serialization as io
 from .extrinsic import CalibrationConfig, CalibrationError, CalibrationInput, calibrate
+from .geometry import check_integer
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import MapError, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
-from .simulator import PATH_KINDS, PathSpec, WorldConfig, generate_path, \
+from .simulator import PATH_KINDS, SURVEY_Z_LEVELS, PathSpec, WorldConfig, generate_path, \
     sample_dataset, survey_dataset, survey_positions
 from .sweeps import SweepSpec, run_ablation, run_success_sweep, run_table1_sweep
+
+
+def floats(text: str) -> tuple:
+    """The numbers of a comma-separated flag value; argparse names the flag of a bad one."""
+    return tuple(float(v) for v in text.split(","))
 
 
 def _cmd_simulate(args) -> int:
@@ -35,8 +41,7 @@ def _cmd_simulate(args) -> int:
                     z_height=args.z_height, n_samples=args.n_samples,
                     seed=args.seed, region_margin=args.margin)
     poses = generate_path(spec, world)
-    z_levels = tuple(float(v) for v in args.survey_z.split(","))
-    positions = survey_positions(world, args.survey_spacing, z_levels)
+    positions = survey_positions(world, args.survey_spacing, args.survey_z)
     survey = survey_dataset(world, positions, args.survey_noise, seed=args.seed + 100)
     out = Path(args.out)  # made once every input is known to be good
     out.mkdir(parents=True, exist_ok=True)
@@ -69,8 +74,7 @@ def _cmd_calibrate(args) -> int:
         else CalibrationConfig()
     field_map = io.load_map(args.map)
     data = io.read_fingerprints(args.data, from_frame="lidar")
-    t0 = [float(v) for v in args.t0.split(",")]
-    result = calibrate(CalibrationInput(field_map, data, t0), config)
+    result = calibrate(CalibrationInput(field_map, data, args.t0), config)
     io.save_result(result, args.out, data_path=args.data)
     state = "converged" if result.converged else f"did not converge ({result.message})"
     print(f"calibration {state} after {result.iterations} iterations; "
@@ -87,10 +91,8 @@ def _cmd_evaluate(args) -> int:
     out = {}
     if args.truth:
         truth = io.load_rig(args.truth, truth=True)
-        i = args.sensor_index
-        if not 0 <= i < truth.n_sensors:
-            raise ValueError(f"--sensor-index {i} is out of range "
-                             f"for the {truth.n_sensors} sensor(s) of {args.truth}")
+        i = check_integer(f"--sensor-index for the {truth.n_sensors} sensor(s) of {args.truth}",
+                          args.sensor_index, 0, truth.n_sensors - 1)
         out.update(score_result(t_hat, dist_hat, truth.offsets[i],
                                 truth.distortions[i]).as_dict())
     if args.validation_map:
@@ -142,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--survey-spacing", type=float, default=1.0)
     p.add_argument("--survey-noise", type=float, default=0.05)
-    p.add_argument("--survey-z", default="0.15,0.45,0.75,1.05,1.5",
+    p.add_argument("--survey-z", type=floats, default=SURVEY_Z_LEVELS,
                    help="comma-separated survey heights [m]")
     p.set_defaults(func=_cmd_simulate)
 
@@ -155,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="solve extrinsic+intrinsic parameters")
     p.add_argument("--map", required=True, help="map JSON")
     p.add_argument("--data", required=True, help="measured fingerprints JSONL")
-    p.add_argument("--t0", default="0,0,0", help="initial lever arm 'x,y,z' [m]")
+    p.add_argument("--t0", type=floats, default=(0.0, 0.0, 0.0),
+                   help="initial lever arm 'x,y,z' [m]")
     p.add_argument("--config", help="calibration config JSON")
     p.add_argument("--out", required=True, help="output result JSON")
     p.set_defaults(func=_cmd_calibrate)

@@ -43,7 +43,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import Dataset, as_vec3, check_integers, check_real
+from .geometry import Dataset, as_vec3, check_choice, check_integer, check_real
 from .intrinsic import (
     AffineDistortion,
     RegressionError,
@@ -90,8 +90,9 @@ class CalibrationConfig:
     the inner closed-form solver: ``wrrtls`` (weighted, default), ``rrtls``
     (unweighted), or ``ols``. ``out_of_map_policy`` is ``skip_sample`` or
     ``abort``. ``max_iterations`` (>= 1) and ``tsvd_rank`` (in [1, 7]) are
-    integers, not bools; ``step_tolerance`` is > 0, ``lambda_value`` and
-    ``measurement_noise`` are >= 0.
+    integers, not bools, held as ``int``; ``step_tolerance`` is > 0,
+    ``lambda_value`` and ``measurement_noise`` are >= 0, held as floats.
+    Neither a sweep report nor a result file records any of them.
     """
 
     max_iterations: int = 100
@@ -104,20 +105,15 @@ class CalibrationConfig:
     measurement_noise: float = 0.1  # uT, folded into the per-sample weights
 
     def __post_init__(self):
-        check_integers(self, "max_iterations", "tsvd_rank")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 1 <= self.tsvd_rank <= 7:
-            raise ValueError(f"tsvd_rank must be in [1, 7], got {self.tsvd_rank}")
+        for name, low, high in (("max_iterations", 1, None), ("tsvd_rank", 1, 7)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low, high))
         for name in ("step_tolerance", "lambda_value", "measurement_noise"):
             value = check_real(name, getattr(self, name), strict=name == "step_tolerance")
             object.__setattr__(self, name, value)
-        if self.lambda_policy not in ("fixed", "l_curve"):
-            raise ValueError(f"unknown lambda_policy {self.lambda_policy!r}")
-        if self.out_of_map_policy not in ("skip_sample", "abort"):
-            raise ValueError(f"unknown out_of_map_policy {self.out_of_map_policy!r}")
-        if self.intrinsic_solver not in ("wrrtls", "rrtls", "ols"):
-            raise ValueError(f"unknown intrinsic_solver {self.intrinsic_solver!r}")
+        for name, choices in (("lambda_policy", ("fixed", "l_curve")),
+                              ("out_of_map_policy", ("skip_sample", "abort")),
+                              ("intrinsic_solver", ("wrrtls", "rrtls", "ols"))):
+            check_choice(name, getattr(self, name), choices)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,9 +14,10 @@ produces a path as a list of them and :meth:`Dataset.poses` rebuilds them
 from the columns. Both are immutable values: safe to share across threads
 and to reuse between trials.
 
-Every real-valued setting goes through one rule, :func:`check_real`: a finite
-real number, not a bool, within its bound; an error names the setting and value.
-"""
+Every setting goes through one of three rules, whose error names the setting and
+the value: :func:`check_real` (a finite real number within its bound, as a float),
+:func:`check_integer` (a Python or numpy integer within its bounds, as an ``int``;
+a bool is neither) and :func:`check_choice` (one of a tuple of strings)."""
 
 from __future__ import annotations
 
@@ -57,18 +58,25 @@ def as_mat3(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_integer(name: str, value, error: type = ValueError) -> None:
-    """Raise ``error`` naming ``name`` when ``value`` is not an integer; a
-    bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+def check_integer(name: str, value, low: int | None = None, high: int | None = None,
+                  error: type = ValueError) -> int:
+    """``value`` as an ``int`` when it is a Python or numpy integer, not a bool, in
+    ``[low, high]`` (None is open). Otherwise raises ``error``: ``"{name} must be an
+    integer >= 1, got 0"``, ``"... in [1, 7], got 9"`` or ``"... an integer, got 2.5"``."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integral and (low is None or value >= low) and (high is None or value <= high):
+        return int(value)
+    bound = (f" in [{low}, {high}]" if None not in (low, high) else
+             f" >= {low}" if low is not None else f" <= {high}" if high is not None else "")
+    raise error(f"{name} must be an integer{bound}, got {int(value) if integral else repr(value)}")
 
 
-def check_integers(obj, *names: str) -> None:
-    """:func:`check_integer` of each attribute of ``obj`` among ``names``,
-    in order."""
-    for name in names:
-        check_integer(name, getattr(obj, name))
+def check_choice(name: str, value, choices: tuple, error: type = ValueError) -> str:
+    """``value`` if it is a string among ``choices``, else raises ``error``:
+    ``"{name} must be one of ('fixed', 'l_curve'), got 'x'"``."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise error(f"{name} must be one of {choices}, got {value!r}")
 
 
 def check_real(name: str, value, low: float | None = 0.0, strict: bool = False,
@@ -156,9 +164,8 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "rotation", check_rotation(self.rotation))
         object.__setattr__(self, "translation", as_vec3(self.translation, "translation"))
-        for frame in (self.from_frame, self.to_frame):
-            if frame not in FRAMES:
-                raise FrameError(f"unknown frame {frame!r}, expected one of {FRAMES}")
+        for name in ("from_frame", "to_frame"):
+            check_choice(name, getattr(self, name), FRAMES, FrameError)
 
 
 def _column(value, shape: tuple, name: str) -> np.ndarray:
@@ -193,8 +200,7 @@ class Dataset:
 
     def __init__(self, sensor_id: str, frame: str, timestamps, rotations, positions,
                  readings):
-        if frame not in FRAMES:
-            raise FrameError(f"unknown frame {frame!r}, expected one of {FRAMES}")
+        check_choice("frame", frame, FRAMES, FrameError)
         n = len(timestamps)
         t = _column(timestamps, (n,), "timestamps")
         R = _column(rotations, (n, 3, 3), "rotations")

@@ -129,9 +129,8 @@ class RegressionProblem:
         if not (np.all(np.isfinite(design)) and np.all(np.isfinite(observed))):
             raise RegressionError("readings must be finite")
         object.__setattr__(self, "ridge", check_real("ridge", self.ridge, error=RegressionError))
-        check_integer("tsvd_rank", self.tsvd_rank, error=RegressionError)
-        if not 1 <= self.tsvd_rank <= 7:
-            raise RegressionError(f"tsvd_rank must be in [1, 7], got {self.tsvd_rank}")
+        object.__setattr__(self, "tsvd_rank",
+                           check_integer("tsvd_rank", self.tsvd_rank, 1, 7, RegressionError))
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "weights", weights)

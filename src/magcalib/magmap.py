@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Dataset, check_real
+from .geometry import Dataset, check_choice, check_real
 
 
 class MapError(RuntimeError):
@@ -80,8 +80,7 @@ class GpHyperparams:
         for name in ("length_scale", "signal_variance", "noise_variance"):
             value = check_real(name, getattr(self, name), strict=name != "noise_variance")
             object.__setattr__(self, name, value)
-        if self.mean_mode not in ("constant_per_block", "zero"):
-            raise ValueError(f"unknown mean_mode {self.mean_mode!r}")
+        check_choice("mean_mode", self.mean_mode, ("constant_per_block", "zero"))
 
 
 def _kernel(hyper: GpHyperparams, a: np.ndarray, b: np.ndarray) -> np.ndarray:

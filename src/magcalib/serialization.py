@@ -367,10 +367,10 @@ def load_hyper(path) -> dict:
     and ``overlap`` where the file sets them). A ``magmap/3`` file stores
     the same three as its ``hyper``, ``block_size`` and ``overlap``.
     Numbers become floats, so a saved map writes a ``1`` of the file as
-    ``1.0``; a bad number raises naming its key."""
+    ``1.0``; a bad number, or one beyond :class:`MagMap`'s bounds, raises naming its key."""
     def build(doc):
         _keys(doc, (), (*_KERNEL, "block_size", "overlap"))
-        out = {k: v if k in _KERNEL else check_real(k, v, low=None)
+        out = {k: v if k in _KERNEL else check_real(k, v, strict=k == "block_size")
                for k, v in doc.items() if k != "overlap" or v is not None}
         return {"hyper": GpHyperparams(**{k: out.pop(k) for k in _KERNEL if k in out}),
                 **out}

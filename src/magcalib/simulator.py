@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Dataset, Pose, as_vec3, check_integers, check_real, rot_z, row_norms
+from .geometry import Dataset, Pose, as_vec3, check_choice, check_integer, check_real, rot_z, \
+    row_norms
 from .intrinsic import AffineDistortion
 
 PATH_KINDS = ("lawnmower", "perimeter", "random_walk", "figure_eight", "diagonal_sweep")
+SURVEY_Z_LEVELS = (0.15, 0.45, 0.75, 1.05, 1.5)  # m; the default survey heights
 
 DIPOLE_EXCLUSION = 0.05  # m; the point-dipole model blows up at the source
 
@@ -142,7 +144,8 @@ class PathSpec:
     between poses; ``z_height`` [m] the constant driving height. Families
     needing a sample budget (random walk, figure eight) use ``n_samples``.
     ``region_margin`` [m, >= 0] keeps the path away from the world walls.
-    ``n_samples`` and ``seed`` are integers, not bools.
+    ``n_samples`` (>= 2) and ``seed`` are integers held as ``int``, not bools.
+    A sweep report records a path by its ``kind`` (one of :data:`PATH_KINDS`).
     """
 
     kind: str = "lawnmower"
@@ -153,14 +156,12 @@ class PathSpec:
     region_margin: float = 1.0
 
     def __post_init__(self):
-        check_integers(self, "n_samples", "seed")
-        if self.kind not in PATH_KINDS:
-            raise ValueError(f"unknown path kind {self.kind!r}, expected one of {PATH_KINDS}")
+        for name, low in (("n_samples", 2), ("seed", None)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
+        check_choice("kind", self.kind, PATH_KINDS)
         for name, low in (("sample_spacing", 0.0), ("z_height", None), ("region_margin", 0.0)):
             value = check_real(name, getattr(self, name), low, strict=name == "sample_spacing")
             object.__setattr__(self, name, value)
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
 
 
 def _lawnmower_points(lo, hi, spacing):
@@ -375,15 +376,20 @@ def sample_dataset(world: WorldConfig, path: list, rig: SensorRig, sensor_index:
             Dataset(sensor_id + "_truth", "lidar", times, rotations, translations, b_true))
 
 
-def survey_positions(world: WorldConfig, spacing_xy: float,
-                     z_levels=(0.15, 0.45, 0.75, 1.05, 1.5),
+def survey_positions(world: WorldConfig, spacing_xy: float, z_levels=SURVEY_Z_LEVELS,
                      margin: float = 1.0) -> np.ndarray:
     """Regular mapping lattice covering the drivable floor at several heights
-    (at least one), ``margin`` (>= 0) in from the walls, ``spacing_xy`` (> 0) apart."""
+    (at least one, each a finite number inside the world's z extent),
+    ``margin`` (>= 0) in from the walls, ``spacing_xy`` (> 0) apart."""
     check_real("survey spacing", spacing_xy, strict=True)
     check_real("survey margin", margin)
     if not len(z_levels):
         raise ValueError("survey z levels must not be empty")
+    z_lo, z_hi = world.extent.lo[2], world.extent.hi[2]
+    for i, z in enumerate(z_levels):
+        if not z_lo <= check_real(f"survey z levels[{i}]", z, low=None) <= z_hi:
+            raise ValueError(f"survey z levels[{i}] = {float(z)} is outside the world's z "
+                             f"extent [{z_lo:g}, {z_hi:g}]")
     xs = np.arange(world.extent.lo[0] + margin, world.extent.hi[0] - margin + 1e-9,
                    spacing_xy)
     ys = np.arange(world.extent.lo[1] + margin, world.extent.hi[1] - margin + 1e-9,

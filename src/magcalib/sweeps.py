@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .extrinsic import (
     CalibrationInput,
     calibrate,
 )
-from .geometry import Dataset, check_integer, check_integers, check_real
+from .geometry import Dataset, check_integer, check_real
 from .intrinsic import AffineDistortion, compensate_many
 from .magmap import BilinearMap, GpHyperparams, MagMap, build_map
 from .metrics import metric_reading_error, score_result, sensor_frame_prediction
@@ -46,6 +46,10 @@ from .simulator import (
     survey_positions,
 )
 
+# every sweep's GP map kernel (run_ablation lengthens it on coarse surveys) and blocks [m]
+MAP_HYPER = GpHyperparams(length_scale=0.8, noise_variance=0.001)
+MAP_BLOCK_SIZE = 8.0
+
 
 def default_experiment_world() -> WorldConfig:
     """The default synthetic hall for sweeps: rack/beacon clutter under a
@@ -60,7 +64,7 @@ def default_path_specs(spacing: float = 2.5, margin: float = 8.0,
     """The five calibration path families used throughout the sweeps; family
     ``i`` draws from ``seed + i``, so ``seed`` must be an integer (a bool
     would pass as 0 or 1)."""
-    check_integer("seed", seed)
+    seed = check_integer("seed", seed)
     return tuple(
         PathSpec(kind=k, sample_spacing=spacing, z_height=z_height,
                  n_samples=n_samples, seed=seed + i, region_margin=margin)
@@ -73,12 +77,14 @@ class SweepSpec:
 
     ``n_distortions`` x ``n_initial_offsets`` trials run per sweep cell;
     initial lever-arm guesses are drawn uniformly in a ball of radius
-    ``offset_range`` around the truth. The world, mapping survey, map and
-    optimizer settings ride along, but a report records only :meth:`as_dict`:
-    each field but ``world``, ``hyper`` and ``config``, a path by its kind.
-    The counts and ``seed`` are integers, not bools; ``paths`` and
-    ``noise_levels`` are not empty; each noise level, ``offset_range`` and
-    ``survey_noise`` are >= 0, and ``survey_spacing`` > 0.
+    ``offset_range`` around the truth. The world, mapping survey and
+    optimizer settings ride along; every sweep surveys at the default heights
+    of :func:`survey_positions`, fits :data:`MAP_HYPER` on
+    :data:`MAP_BLOCK_SIZE` blocks and draws distortions at the default scale.
+    A report records only :meth:`as_dict`. The counts (>= 1) and ``seed``
+    are integers, not bools, held as ``int``; ``paths`` and ``noise_levels``
+    are not empty; each noise level, ``offset_range`` and ``survey_noise``
+    are >= 0, and ``survey_spacing`` > 0, held as floats.
     """
 
     paths: tuple = field(default_factory=default_path_specs)
@@ -87,21 +93,15 @@ class SweepSpec:
     n_initial_offsets: int = 5
     offset_range: float = 1.0
     seed: int = 0
-    distortion_scale: float = 1.0
     sensor_offset: tuple = (0.3, -0.1, 0.15)
     world: WorldConfig = field(default_factory=default_experiment_world)
     survey_spacing: float = 0.7
-    survey_z_levels: tuple = (0.15, 0.45, 0.75, 1.05, 1.5)
     survey_noise: float = 0.03
-    hyper: GpHyperparams = field(
-        default_factory=lambda: GpHyperparams(length_scale=0.8, noise_variance=0.001))
-    block_size: float = 8.0
     config: CalibrationConfig = field(default_factory=CalibrationConfig)
 
     def __post_init__(self):
-        check_integers(self, "n_distortions", "n_initial_offsets", "seed")
-        if self.n_distortions < 1 or self.n_initial_offsets < 1:
-            raise ValueError("trial counts must be >= 1")
+        for name, low in (("n_distortions", 1), ("n_initial_offsets", 1), ("seed", None)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
         for name in ("paths", "noise_levels"):
             if not len(getattr(self, name)):
                 raise ValueError(f"{name} must not be empty")
@@ -112,30 +112,21 @@ class SweepSpec:
             object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
-        return {
-            "paths": [p.kind for p in self.paths],
-            "noise_levels": list(self.noise_levels),
-            "n_distortions": self.n_distortions,
-            "n_initial_offsets": self.n_initial_offsets,
-            "offset_range": self.offset_range,
-            "seed": self.seed,
-            "distortion_scale": self.distortion_scale,
-            "sensor_offset": list(self.sensor_offset),
-            "survey_spacing": self.survey_spacing,
-            "survey_z_levels": list(self.survey_z_levels),
-            "survey_noise": self.survey_noise,
-            "block_size": self.block_size,
-        }
+        """Each field but ``world`` and ``config``, in order; a path by its kind."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("world", "config")}
+        return {**out, "paths": [p.kind for p in self.paths],
+                "noise_levels": list(self.noise_levels),
+                "sensor_offset": list(self.sensor_offset)}
 
 
 def build_reference_map(spec: SweepSpec, seed_offset: int = 0,
                         spacing: float | None = None) -> MagMap:
     """Survey the world on a lattice and fit the GP map."""
-    positions = survey_positions(spec.world, spacing or spec.survey_spacing,
-                                 spec.survey_z_levels)
+    positions = survey_positions(spec.world, spacing or spec.survey_spacing)
     fingerprints = survey_dataset(spec.world, positions, spec.survey_noise,
                                   seed=spec.seed + 1000 + seed_offset)
-    return build_map(fingerprints, spec.hyper, spec.block_size)
+    return build_map(fingerprints, MAP_HYPER, MAP_BLOCK_SIZE)
 
 
 def _random_offset(rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
@@ -201,8 +192,7 @@ def _trials(cell_seed: np.random.SeedSequence, spec: SweepSpec, lo: float, hi: f
     measurement noise.
     """
     for d_idx in range(spec.n_distortions):
-        dist = random_distortion(np.random.default_rng(cell_seed.spawn(1)[0]),
-                                 spec.distortion_scale)
+        dist = random_distortion(np.random.default_rng(cell_seed.spawn(1)[0]))
         for o_idx in range(spec.n_initial_offsets):
             trial_rng = np.random.default_rng(cell_seed.spawn(1)[0])
             yield d_idx, o_idx, dist, _random_offset(trial_rng, lo, hi), trial_rng
@@ -380,13 +370,13 @@ def run_ablation(spec: SweepSpec, densities=(1.0, 1.8, 3.0), out_dir=None) -> di
 
     def cells():
         for spacing in densities:
-            positions = survey_positions(spec.world, spacing, spec.survey_z_levels)
+            positions = survey_positions(spec.world, spacing)
             fingerprints = survey_dataset(spec.world, positions, spec.survey_noise,
                                           seed=spec.seed + 2000 + int(spacing * 10))
-            hyper = replace(spec.hyper,
-                            length_scale=max(spec.hyper.length_scale, 0.75 * spacing))
+            hyper = replace(MAP_HYPER,
+                            length_scale=max(MAP_HYPER.length_scale, 0.75 * spacing))
             maps = {
-                "sgpr": build_map(fingerprints, hyper, spec.block_size),
+                "sgpr": build_map(fingerprints, hyper, MAP_BLOCK_SIZE),
                 "bilinear": BilinearMap(fingerprints),
             }
             for interp, field_map in maps.items():
@@ -417,7 +407,7 @@ def run_two_map_workflow(spec: SweepSpec, out_dir=None) -> dict:
     path_spec = spec.paths[0]
     poses = generate_path(path_spec, spec.world)
     rng = np.random.default_rng(spec.seed + 3)
-    dist = random_distortion(rng, spec.distortion_scale)
+    dist = random_distortion(rng)
     rig = SensorRig((t_gt,), (dist,), spec.noise_levels[0])
     measured, _ = sample_dataset(spec.world, poses, rig, 0, seed=spec.seed + 4)
 

@@ -122,7 +122,9 @@ def test_evaluate_sensor_index_out_of_range_exits_2(workdir, capsys, index):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"--sensor-index {index} is out of range for the 1 sensor(s)" in captured.err
+    assert captured.err == (f"magcalib evaluate: error: --sensor-index for the 1 sensor(s) "
+                            f"of {workdir / 'sim' / 'truth.json'} must be an integer in "
+                            f"[0, 0], got {index}\n")
 
 
 def _saved_map_with(**edits):
@@ -152,17 +154,22 @@ def _saved_map_with(**edits):
       "--out", "{out}"], {"signal_variance": float("nan")},
      "signal_variance must be finite and > 0, got nan"),
     (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
-      "--out", "{out}"], {"max_iterations": 40.5}, "max_iterations must be an integer, got 40.5"),
+      "--out", "{out}"], {"max_iterations": 40.5},
+     "max_iterations must be an integer >= 1, got 40.5"),
     (["calibrate", "--map", "{map}", "--data", "{sim}/mag0.jsonl", "--config", "{doc}",
-      "--out", "{out}"], {"tsvd_rank": 9}, "tsvd_rank must be in [1, 7], got 9"),
+      "--out", "{out}"], {"tsvd_rank": 9}, "tsvd_rank must be an integer in [1, 7], got 9"),
     (["calibrate", "--map", "{doc}", "--data", "{sim}/mag0.jsonl", "--out", "{out}"],
      _saved_map_with(block_size=-1), "block_size must be finite and > 0, got -1.0"),
     (["sweep", "success", "--spec", "{doc}", "--out", "{out}"], {"noise_levels": []},
      "noise_levels must not be empty"),
+    (["build-map", "--fingerprints", "{sim}/survey.jsonl", "--hyper", "{doc}",
+      "--out", "{out}"], {"block_size": -1}, "block_size must be finite and > 0, got -1.0"),
+    (["build-map", "--fingerprints", "{sim}/survey.jsonl", "--hyper", "{doc}",
+      "--out", "{out}"], {"overlap": -2}, "overlap must be finite and >= 0, got -2.0"),
 ], ids=["simulate_rig", "build_map_hyper", "calibrate_map", "calibrate_config",
         "evaluate_truth_sensors", "evaluate_truth_gain", "sweep_spec", "build_map_hyper_nan",
         "calibrate_config_iterations", "calibrate_config_rank", "calibrate_map_block_size",
-        "sweep_spec_no_noise_levels"])
+        "sweep_spec_no_noise_levels", "build_map_hyper_block_size", "build_map_hyper_overlap"])
 def test_bad_document_exits_2(workdir, tmp_path, capsys, argv, doc, match):
     """A bad document exits 2 with one stderr line naming the file and the
     key, before any output is written or any trial runs."""
@@ -229,6 +236,39 @@ def test_simulate_bad_survey_noise_exits_2(workdir, tmp_path, capsys, noise):
     assert captured.out == ""
     assert captured.err == (f"magcalib simulate: error: survey noise must be finite "
                             f"and >= 0, got {float(noise)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("heights, message", [
+    ("0.5,9", "survey z levels[1] = 9.0 is outside the world's z extent [0, 3]"),
+    ("-0.5", "survey z levels[0] = -0.5 is outside the world's z extent [0, 3]"),
+    ("0.5,nan", "survey z levels[1] must be finite, got nan"),
+])
+def test_simulate_bad_survey_heights_exit_2(workdir, tmp_path, capsys, heights, message):
+    """A survey height that is no number, not finite or outside the hall
+    exits 2 before any file is written, not with a survey above the roof."""
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--world", str(workdir / "world.json"), "--path", "lawnmower",
+               "--rig", str(workdir / "rig.json"), "--out", str(out), "--spacing", "1.2",
+               "--margin", "3.0", "--survey-z", heights])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magcalib simulate: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("heights", ["0.5,abc", "0.5,"])
+def test_simulate_survey_heights_that_are_no_numbers_exit_2(workdir, tmp_path, capsys,
+                                                            heights):
+    """As for every typed flag, argparse names ``--survey-z`` and exits 2."""
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--world", str(workdir / "world.json"), "--path", "lawnmower",
+              "--rig", str(workdir / "rig.json"), "--out", str(out), "--survey-z", heights])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"magcalib simulate: error: argument --survey-z: invalid floats value: '{heights}'\n")
     assert not out.exists()
 
 

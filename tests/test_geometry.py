@@ -140,7 +140,8 @@ def test_dataset_keeps_the_per_pose_tolerance():
 
 def test_dataset_rejects_bad_frame_and_shapes():
     t, R, p, b = _columns(4)
-    with pytest.raises(FrameError, match="unknown frame"):
+    with pytest.raises(FrameError,
+                       match=r"^frame must be one of \('mag', 'lidar', 'map'\), got 'world'$"):
         Dataset("s", "world", t, R, p, b)
     with pytest.raises(ValueError, match="readings must have shape"):
         Dataset("s", "mag", t, R, p, b[:3])

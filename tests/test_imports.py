@@ -61,7 +61,7 @@ from magcalib.simulator import survey_dataset, survey_positions
 from magcalib.sweeps import SweepSpec
 
 spec = SweepSpec()
-positions = survey_positions(spec.world, 3.0, spec.survey_z_levels)
+positions = survey_positions(spec.world, 3.0)
 grid = BilinearMap(survey_dataset(spec.world, positions, spec.survey_noise, seed=2030))
 print(grid.query_many(positions[:5])[2].all() and grid.gradient_many(positions[:5])[1].all())
 """

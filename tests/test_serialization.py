@@ -686,14 +686,17 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("config", (), [40, "l_curve"], "must be a JSON object, got list"),
     ("config", (), {"damping": 1.0, "max_iterations": 40, "ridge": 0.1},
      r"unknown key\(s\) damping, ridge$"),
-    ("config", ("max_iterations",), 0, "max_iterations must be >= 1"),
+    pytest.param("config", ("max_iterations",), 0, "max_iterations must be an integer >= 1, got 0$",
+                 id="config-keys21-0-max_iterations must be >= 1"),
     ("config", ("step_tolerance",), "small",
      "step_tolerance must be finite and > 0, got 'small'$"),
     ("config", (), _BROKEN, "bad JSON"),
     ("sweep", (), None, "must be a JSON object, got NoneType"),
     ("sweep", ("n_distortion",), 10, r"unknown key\(s\) n_distortion$"),
     ("sweep", ("path_defaults", "spcing"), 2, r"path_defaults: unknown key\(s\) spcing$"),
-    ("sweep", ("path_defaults", "n_samples"), 1, "n_samples must be >= 2"),
+    pytest.param("sweep", ("path_defaults", "n_samples"), 1,
+                 "n_samples must be an integer >= 2, got 1$",
+                 id="sweep-keys27-1-n_samples must be >= 2"),
     ("sweep", (), _BROKEN, "bad JSON"),
     ("result", (), 7, "must be a JSON object, got int"),
     ("result", ("translaton",), [0, 0, 0], r"unknown key\(s\) translaton$"),
@@ -705,7 +708,9 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("map", ("hyper", "lengthscale"), 1, r"hyper: unknown key\(s\) lengthscale$"),
     ("map", ("positions",), _DROP, r"missing key\(s\) positions$"),
     ("map", ("blocks",), [], r"unknown key\(s\) blocks$"),
-    ("map", ("hyper", "mean_mode"), "median", "unknown mean_mode 'median'"),
+    pytest.param("map", ("hyper", "mean_mode"), "median",
+                 r"mean_mode must be one of \('constant_per_block', 'zero'\), got 'median'$",
+                 id="map-keys39-median-unknown mean_mode 'median'"),
     ("map", ("hyper", "length_scale"), "wide",
      "length_scale must be finite and > 0, got 'wide'$"),
     ("map", (), _BROKEN, "bad JSON"),
@@ -719,21 +724,37 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
      "signal_variance must be finite and > 0, got nan$"),
     ("map", ("hyper", "length_scale"), float("-inf"),
      "length_scale must be finite and > 0, got -inf$"),
-    ("config", ("max_iterations",), 40.5, "max_iterations must be an integer, got 40.5$"),
-    ("config", ("max_iterations",), True, "max_iterations must be an integer, got True$"),
-    ("config", ("tsvd_rank",), 2.5, "tsvd_rank must be an integer, got 2.5$"),
-    ("config", ("tsvd_rank",), 9, r"tsvd_rank must be in \[1, 7\], got 9$"),
-    ("config", ("tsvd_rank",), 0, r"tsvd_rank must be in \[1, 7\], got 0$"),
+    pytest.param("config", ("max_iterations",), 40.5,
+                 "max_iterations must be an integer >= 1, got 40.5$",
+                 id="config-keys47-40.5-max_iterations must be an integer, got 40.5$"),
+    pytest.param("config", ("max_iterations",), True,
+                 "max_iterations must be an integer >= 1, got True$",
+                 id="config-keys48-True-max_iterations must be an integer, got True$"),
+    pytest.param("config", ("tsvd_rank",), 2.5,
+                 r"tsvd_rank must be an integer in \[1, 7\], got 2.5$",
+                 id="config-keys49-2.5-tsvd_rank must be an integer, got 2.5$"),
+    pytest.param("config", ("tsvd_rank",), 9, r"tsvd_rank must be an integer in \[1, 7\], got 9$",
+                 id=r"config-keys50-9-tsvd_rank must be in \[1, 7\], got 9$"),
+    pytest.param("config", ("tsvd_rank",), 0, r"tsvd_rank must be an integer in \[1, 7\], got 0$",
+                 id=r"config-keys51-0-tsvd_rank must be in \[1, 7\], got 0$"),
     # a map file carries the whole kernel it was fit with
     ("map", ("hyper",), {}, r"hyper: missing key\(s\) length_scale, signal_variance, "
                             r"noise_variance, mean_mode$"),
     ("map", ("hyper", "noise_variance"), _DROP, r"hyper: missing key\(s\) noise_variance$"),
     # sweep counts must be integers, noise levels finite and >= 0, none of them empty
-    ("sweep", ("n_distortions",), 1.5, "n_distortions must be an integer, got 1.5$"),
-    ("sweep", ("n_distortions",), True, "n_distortions must be an integer, got True$"),
-    ("sweep", ("n_initial_offsets",), 2.0, "n_initial_offsets must be an integer, got 2.0$"),
+    pytest.param("sweep", ("n_distortions",), 1.5,
+                 "n_distortions must be an integer >= 1, got 1.5$",
+                 id="sweep-keys54-1.5-n_distortions must be an integer, got 1.5$"),
+    pytest.param("sweep", ("n_distortions",), True,
+                 "n_distortions must be an integer >= 1, got True$",
+                 id="sweep-keys55-True-n_distortions must be an integer, got True$"),
+    pytest.param("sweep", ("n_initial_offsets",), 2.0,
+                 "n_initial_offsets must be an integer >= 1, got 2.0$",
+                 id="sweep-keys56-2.0-n_initial_offsets must be an integer, got 2.0$"),
     ("sweep", ("seed",), 2.7, "seed must be an integer, got 2.7$"),
-    ("sweep", ("path_defaults", "n_samples"), 50.5, "n_samples must be an integer, got 50.5$"),
+    pytest.param("sweep", ("path_defaults", "n_samples"), 50.5,
+                 "n_samples must be an integer >= 2, got 50.5$",
+                 id="sweep-keys58-50.5-n_samples must be an integer, got 50.5$"),
     ("sweep", ("path_defaults", "seed"), 7.5, "seed must be an integer, got 7.5$"),
     ("sweep", ("noise_levels",), [], "noise_levels must not be empty$"),
     ("sweep", ("noise_levels",), [0.1, -0.1],
@@ -754,8 +775,10 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("world", ("seed",), 1, r"unknown key\(s\) seed$"),
     ("rig", ("noise_sigma",), float("nan"), "noise_sigma must be finite and >= 0, got nan$"),
     ("rig", ("noise_sigma",), True, "noise_sigma must be finite and >= 0, got True$"),
-    ("hyper", ("block_size",), "wide", "block_size must be finite, got 'wide'$"),
-    ("hyper", ("overlap",), True, "overlap must be finite, got True$"),
+    pytest.param("hyper", ("block_size",), "wide", "block_size must be finite and > 0, got 'wide'$",
+                 id="hyper-keys73-wide-block_size must be finite, got 'wide'$"),
+    pytest.param("hyper", ("overlap",), True, "overlap must be finite and >= 0, got True$",
+                 id="hyper-keys74-True-overlap must be finite, got True$"),
     ("config", ("step_tolerance",), float("inf"),
      "step_tolerance must be finite and > 0, got inf$"),
     ("config", ("lambda_value",), float("inf"), "lambda_value must be finite and >= 0, got inf$"),
@@ -771,6 +794,10 @@ _DOCS = {  # reader and a document it accepts (the map is saved in the test)
     ("sweep", ("path_defaults", "z_height"), float("nan"), "z_height must be finite, got nan$"),
     ("sweep", ("path_defaults", "margin"), float("nan"),
      "region_margin must be finite and >= 0, got nan$"),
+    # a hyper file's block geometry takes the bounds of MagMap, so the error names the file
+    ("hyper", ("block_size",), -1, "block_size must be finite and > 0, got -1.0$"),
+    ("hyper", ("block_size",), 0, "block_size must be finite and > 0, got 0.0$"),
+    ("hyper", ("overlap",), -2, "overlap must be finite and >= 0, got -2.0$"),
 ])
 def test_document_readers_reject_bad_documents(tmp_path, kind, keys, value, match):
     """Each reader raises ``ValueError`` naming its file, then the key path

@@ -262,6 +262,12 @@ def test_survey_positions_form_lattice(calib_world):
     (0.0, (0.4,), "survey spacing must be finite and > 0, got 0.0"),
     (float("inf"), (0.4,), "survey spacing must be finite and > 0, got inf"),
     (1.0, (), "survey z levels must not be empty"),
+    # each height is a finite number inside the world's z extent, not a string or a bool
+    (1.0, ("0.5",), r"survey z levels\[0\] must be finite, got '0.5'"),
+    (1.0, (True,), r"survey z levels\[0\] must be finite, got True"),
+    (1.0, (0.4, float("nan")), r"survey z levels\[1\] must be finite, got nan"),
+    (1.0, (0.4, 9.0), r"survey z levels\[1\] = 9.0 is outside the world's z extent \[0, 3\]"),
+    (1.0, (-0.1,), r"survey z levels\[0\] = -0.1 is outside the world's z extent \[0, 3\]"),
 ])
 def test_survey_positions_reject_bad_lattices(calib_world, spacing, z_levels, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
@@ -271,7 +277,8 @@ def test_survey_positions_reject_bad_lattices(calib_world, spacing, z_levels, ma
 @pytest.mark.parametrize("key, value", [("n_samples", 50.5), ("n_samples", True),
                                         ("seed", 2.7), ("seed", None)])
 def test_path_spec_counts_are_integers(key, value):
-    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+    bound = " >= 2" if key == "n_samples" else ""
+    with pytest.raises(ValueError, match=f"^{key} must be an integer{bound}, got {value!r}$"):
         PathSpec(**{key: value})
 
 

@@ -174,7 +174,7 @@ def dump(out: Path) -> None:
 
     spec, rng, bilinear = SweepSpec(seed=22), np.random.default_rng(25), {}
     for spacing in (1.0, 1.8, 3.0):  # the surveys of run_ablation at spec.seed
-        positions = survey_positions(spec.world, spacing, spec.survey_z_levels)
+        positions = survey_positions(spec.world, spacing)
         grid = BilinearMap(survey_dataset(spec.world, positions, spec.survey_noise,
                                           seed=spec.seed + 2000 + int(spacing * 10)))
         pts = np.vstack([rng.uniform(positions.min(axis=0), positions.max(axis=0),
