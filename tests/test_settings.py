@@ -153,8 +153,10 @@ def _bound(low, high) -> str:
 def _rule_cases():
     for site, (name, error, low, high, build) in _INTEGER_SITES.items():
         bad = [(2.5, "2.5"), (True, "True"), ("3", "'3'"), (None, "None")]
-        bad += [(bound, str(bound)) for bound in (low and low - 1, high and high + 1)
-                if bound is not None]  # just past each bound
+        if low is not None:  # just past each bound
+            bad.append((low - 1, str(low - 1)))
+        if high is not None:
+            bad.append((high + 1, str(high + 1)))
         for value, shown in bad:
             wording = f"{name} must be an integer{_bound(low, high)}, got {shown}"
             yield pytest.param(error, build, value, wording, id=f"{site}-{shown}")
